@@ -39,42 +39,56 @@ bool CliFlags::parse(int argc, const char* const* argv) {
   return true;
 }
 
+const std::string* CliFlags::find(const std::string& name) const {
+  read_.insert(name);
+  const auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+std::vector<std::string> CliFlags::unread() const {
+  std::vector<std::string> out;
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) == 0) out.push_back(name);
+  }
+  return out;
+}
+
 bool CliFlags::has(const std::string& name) const {
-  return values_.count(name) != 0;
+  return find(name) != nullptr;
 }
 
 std::string CliFlags::get_string(const std::string& name,
                                  const std::string& def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? def : it->second;
+  const std::string* raw = find(name);
+  return raw == nullptr ? def : *raw;
 }
 
 std::int64_t CliFlags::get_int(const std::string& name,
                                std::int64_t def) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string* raw = find(name);
+  if (raw == nullptr) return def;
+  return std::strtoll(raw->c_str(), nullptr, 10);
 }
 
 double CliFlags::get_double(const std::string& name, double def) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  return std::strtod(it->second.c_str(), nullptr);
+  const std::string* raw = find(name);
+  if (raw == nullptr) return def;
+  return std::strtod(raw->c_str(), nullptr);
 }
 
 bool CliFlags::get_bool(const std::string& name, bool def) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* raw = find(name);
+  if (raw == nullptr) return def;
+  return *raw == "true" || *raw == "1" || *raw == "yes";
 }
 
 [[nodiscard]] Expected<std::int64_t> CliFlags::get_int_checked(const std::string& name,
                                                  std::int64_t def,
                                                  std::int64_t lo,
                                                  std::int64_t hi) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  const std::string& raw = it->second;
+  const std::string* found = find(name);
+  if (found == nullptr) return def;
+  const std::string& raw = *found;
   errno = 0;
   char* end = nullptr;
   const long long v = std::strtoll(raw.c_str(), &end, 10);
@@ -90,9 +104,9 @@ bool CliFlags::get_bool(const std::string& name, bool def) const {
 [[nodiscard]] Expected<double> CliFlags::get_double_checked(const std::string& name,
                                               double def, double lo,
                                               double hi) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  const std::string& raw = it->second;
+  const std::string* found = find(name);
+  if (found == nullptr) return def;
+  const std::string& raw = *found;
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(raw.c_str(), &end);
@@ -108,10 +122,10 @@ bool CliFlags::get_bool(const std::string& name, bool def) const {
 
 std::vector<std::int64_t> CliFlags::get_int_list(
     const std::string& name, const std::vector<std::int64_t>& def) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
+  const std::string* raw = find(name);
+  if (raw == nullptr) return def;
   std::vector<std::int64_t> out;
-  std::stringstream ss(it->second);
+  std::stringstream ss(*raw);
   std::string tok;
   while (std::getline(ss, tok, ',')) {
     if (!tok.empty()) out.push_back(std::strtoll(tok.c_str(), nullptr, 10));

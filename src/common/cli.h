@@ -1,12 +1,16 @@
-// Minimal --flag=value command-line parsing for the bench and example
-// binaries.  Flags are declared with defaults; unknown flags are an error so
-// typos in sweep scripts fail loudly.
+// Minimal --flag=value command-line parsing for the tools, bench and
+// example binaries.  Flags are read through getters that take a default.
+// Every getter and has() records the name it was asked for, so a program
+// that has read all the flags it accepts can call unread() and reject the
+// rest as unknown (mmwave_cli does, with exit status 2) instead of silently
+// ignoring a typo.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -51,10 +55,18 @@ class CliFlags {
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Names of the flags on the command line that no getter or has() has
+  /// asked for yet, in sorted order.  Empty once every given flag was read.
+  std::vector<std::string> unread() const;
+
  private:
+  /// The raw value of `name`, or nullptr when absent; records the read.
+  const std::string* find(const std::string& name) const;
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
   std::string error_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace mmwave::common

@@ -235,7 +235,6 @@ CgResult solve_cg_impl(const net::Network& net,
   {
     lp::LpOptions lp_opts;
     lp_opts.pricing = options.lp_pricing;
-    lp_opts.dense_basis = options.lp_dense_basis;
     master.set_lp_options(lp_opts);
     result.profile.lp_pricing_rule = lp::to_string(options.lp_pricing);
   }

@@ -75,9 +75,6 @@ struct CgOptions {
   /// (lp/pricing.h): Dantzig (default) or steepest-edge.  Distinct from
   /// `pricing`, which selects the column-generation pricing subproblem.
   lp::PricingRule lp_pricing = lp::PricingRule::kDantzig;
-  /// Solve master LPs with the dense explicit-inverse reference engine
-  /// instead of the sparse LU (A/B benchmarking and equivalence tests).
-  bool lp_dense_basis = false;
   /// Run the independent certificate checkers (src/check) alongside the
   /// solve: an LP certificate of every master solve, a ScheduleVerifier
   /// pass over every column entering the pool, the Theorem-1 invariant

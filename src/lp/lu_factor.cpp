@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 namespace mmwave::lp {
 namespace {
@@ -22,30 +23,56 @@ bool LuFactor::factorize(int m, const std::vector<const Column*>& columns) {
   std::vector<std::vector<std::pair<int, double>>> ucols(m);
   std::vector<double> udiag(m, 0.0);
   std::vector<int> prow(m, -1);
-  std::vector<int> rowpos(m, -1);
-  std::vector<double> work(m, 0.0);
+  work_.assign(m, 0.0);
+  rowpos_.assign(m, -1);
+  seen_.assign(m, -1);
 
   for (int k = 0; k < m; ++k) {
-    // Scatter column k into the dense work vector.
+    // Records the first touch of a row in column k; a row some earlier
+    // position already claimed queues that position for elimination.
+    const auto touch = [&](int r) {
+      if (seen_[r] == k) return;
+      seen_[r] = k;
+      touched_.push_back(r);
+      if (rowpos_[r] >= 0) {
+        heap_.push_back(rowpos_[r]);
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+      }
+    };
+    // Scatter column k into the work vector.
+    touched_.clear();
     double cmax = 0.0;
     for (const auto& [row, coef] : *columns[k]) {
-      work[row] += coef;
+      touch(row);
+      work_[row] += coef;
       cmax = std::max(cmax, std::abs(coef));
     }
-    // Left-looking elimination: apply the k previous pivots in order; the
-    // value sitting in a consumed pivot row is exactly U(j, k).
-    for (int j = 0; j < k; ++j) {
-      const double ujk = work[prow[j]];
+    // Left-looking elimination: apply the previous pivots in ascending
+    // position order; the value sitting in a consumed pivot row is exactly
+    // U(j, k).  Only positions whose pivot row was touched can be nonzero,
+    // and L column j only reaches rows claimed after j, so the heap yields
+    // the same sequence of nonzero U(j, k) as a sweep over every j < k.
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+      const int j = heap_.back();
+      heap_.pop_back();
+      const double ujk = work_[prow[j]];
       if (ujk == 0.0) continue;
       ucols[k].emplace_back(j, ujk);
-      for (const auto& [r, lv] : lcols[j]) work[r] -= ujk * lv;
+      for (const auto& [r, lv] : lcols[j]) {
+        touch(r);
+        work_[r] -= ujk * lv;
+      }
     }
-    // Partial pivoting over the rows no previous position claimed.
+    // Partial pivoting over the touched rows no previous position claimed
+    // (every untouched row holds zero), scanned in ascending row order so
+    // ties go to the lowest row.
+    std::sort(touched_.begin(), touched_.end());
     int piv = -1;
     double best = 0.0;
-    for (int r = 0; r < m; ++r) {
-      if (rowpos[r] >= 0) continue;
-      const double a = std::abs(work[r]);
+    for (const int r : touched_) {
+      if (rowpos_[r] >= 0) continue;
+      const double a = std::abs(work_[r]);
       if (a > best) {
         best = a;
         piv = r;
@@ -54,14 +81,15 @@ bool LuFactor::factorize(int m, const std::vector<const Column*>& columns) {
     if (piv < 0 || best <= kSingularTol * std::max(1.0, cmax)) {
       return false;  // singular: keep the previous factorization
     }
-    udiag[k] = work[piv];
+    udiag[k] = work_[piv];
     prow[k] = piv;
-    rowpos[piv] = k;
-    for (int r = 0; r < m; ++r) {
-      if (rowpos[r] >= 0 || work[r] == 0.0) continue;
-      lcols[k].emplace_back(r, work[r] / udiag[k]);
+    rowpos_[piv] = k;
+    for (const int r : touched_) {
+      if (rowpos_[r] < 0 && work_[r] != 0.0) {
+        lcols[k].emplace_back(r, work_[r] / udiag[k]);
+      }
+      work_[r] = 0.0;
     }
-    std::fill(work.begin(), work.end(), 0.0);
   }
 
   m_ = m;

@@ -16,6 +16,17 @@
 // by the next factorize()/reset_diagonal() — the simplex refactorizes every
 // LpOptions::refactor_interval pivots, which bounds eta growth.
 //
+// factorize() costs O(nnz(B) + nnz(L) + nnz(U)) plus a heap operation per
+// U entry and a sort of each column's pattern, never O(m) per column: it
+// scatters column k, visits in ascending position order only the earlier
+// positions whose pivot row the column can reach (claimed rows of its
+// pattern and, transitively, of the L columns applied), and picks the
+// pivot among the rows it touched.  Every floating-point operation runs in
+// the order of the dense sweep it replaced (all j < k, every row scanned,
+// largest |value| with ties to the lowest row), so pivots, factors and
+// FTRAN/BTRAN results are bit-identical to that sweep;
+// tests/lp/lu_factor_test.cpp keeps it as the reference.
+//
 // Index spaces (matching the simplex's conventions):
 //   * FTRAN input is indexed by original row, output by basis position
 //     (position k holds the coefficient of the k-th basic variable).
@@ -85,6 +96,13 @@ class LuFactor {
   std::vector<int> prow_;
   std::vector<Eta> etas_;
   mutable std::vector<double> scratch_;
+
+  // factorize() scratch, O(m) each and reused across calls.
+  std::vector<double> work_;   ///< column being eliminated, by original row
+  std::vector<int> rowpos_;    ///< row -> claiming position, -1 if unclaimed
+  std::vector<int> seen_;      ///< row -> last column that touched it
+  std::vector<int> touched_;   ///< rows touched by the current column
+  std::vector<int> heap_;      ///< min-heap of positions left to apply
 };
 
 }  // namespace mmwave::lp

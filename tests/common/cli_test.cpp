@@ -76,5 +76,19 @@ TEST(Cli, NegativeNumbersAsValues) {
   EXPECT_EQ(f.get_int("delta", 0), -4);
 }
 
+TEST(Cli, UnreadListsFlagsNoGetterAskedFor) {
+  auto f = parse({"--links=4", "--linkz=40", "--bogus", "--seed", "3"});
+  EXPECT_EQ(f.unread(),
+            (std::vector<std::string>{"bogus", "links", "linkz", "seed"}));
+  EXPECT_EQ(f.get_int("links", 0), 4);
+  EXPECT_TRUE(f.get_int_checked("seed", 1).ok());
+  // Asking for an absent flag reads nothing that was given.
+  EXPECT_FALSE(f.has("channels"));
+  EXPECT_EQ(f.unread(), (std::vector<std::string>{"bogus", "linkz"}));
+  EXPECT_TRUE(f.get_bool("bogus", false));
+  EXPECT_EQ(f.get_string("linkz", ""), "40");
+  EXPECT_TRUE(f.unread().empty());
+}
+
 }  // namespace
 }  // namespace mmwave::common

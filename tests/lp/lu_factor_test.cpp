@@ -1,0 +1,402 @@
+// lp::LuFactor on its own: the sparse-pattern factorization must build
+// exactly the factors of the dense-sweep left-looking loop it replaced, so
+// FTRAN/BTRAN results are compared bit for bit against that loop, kept
+// below as a test-local reference, over seeded batteries of random sparse,
+// slack-heavy near-triangular, duplicate-entry and exact-cancellation
+// bases.  Also pins the failure contracts: a singular basis leaves the
+// previous factorization and its etas usable, push_eta refuses a tiny
+// pivot, and reset_diagonal solves exactly.
+#include "lp/lu_factor.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.h"
+
+namespace mmwave::lp {
+namespace {
+
+using Column = LuFactor::Column;
+
+/// The O(m^2)-per-column left-looking LU (every earlier position swept,
+/// every row scanned for the pivot, the whole work vector cleared), with
+/// the solves of the same factor layout.  `cancellations` counts rows a
+/// column wrote that reached exactly zero before they were read, so the
+/// battery can show it exercised the zero-skip paths.
+struct ReferenceLu {
+  std::vector<Column> lcols;
+  std::vector<std::vector<std::pair<int, double>>> ucols;
+  std::vector<double> udiag;
+  std::vector<int> prow;
+  int cancellations = 0;
+
+  bool factorize(int m, const std::vector<const Column*>& columns) {
+    lcols.assign(m, {});
+    ucols.assign(m, {});
+    udiag.assign(m, 0.0);
+    prow.assign(m, -1);
+    std::vector<int> rowpos(m, -1);
+    std::vector<double> work(m, 0.0);
+    std::vector<char> written(m, 0);
+    for (int k = 0; k < m; ++k) {
+      double cmax = 0.0;
+      for (const auto& [row, coef] : *columns[k]) {
+        work[row] += coef;
+        written[row] = 1;
+        cmax = std::max(cmax, std::abs(coef));
+      }
+      for (int j = 0; j < k; ++j) {
+        const double ujk = work[prow[j]];
+        if (ujk == 0.0) {
+          cancellations += written[prow[j]];
+          continue;
+        }
+        ucols[k].emplace_back(j, ujk);
+        for (const auto& [r, lv] : lcols[j]) {
+          work[r] -= ujk * lv;
+          written[r] = 1;
+        }
+      }
+      int piv = -1;
+      double best = 0.0;
+      for (int r = 0; r < m; ++r) {
+        if (rowpos[r] >= 0) continue;
+        const double a = std::abs(work[r]);
+        if (a > best) {
+          best = a;
+          piv = r;
+        }
+      }
+      if (piv < 0 || best <= 1e-11 * std::max(1.0, cmax)) return false;
+      udiag[k] = work[piv];
+      prow[k] = piv;
+      rowpos[piv] = k;
+      for (int r = 0; r < m; ++r) {
+        if (rowpos[r] >= 0) continue;
+        if (work[r] == 0.0) {
+          cancellations += written[r];
+          continue;
+        }
+        lcols[k].emplace_back(r, work[r] / udiag[k]);
+      }
+      std::fill(work.begin(), work.end(), 0.0);
+      std::fill(written.begin(), written.end(), 0);
+    }
+    return true;
+  }
+
+  void ftran(std::vector<double>& x) const {
+    const int m = static_cast<int>(prow.size());
+    for (int k = 0; k < m; ++k) {
+      const double v = x[prow[k]];
+      if (v == 0.0) continue;
+      for (const auto& [r, lv] : lcols[k]) x[r] -= v * lv;
+    }
+    for (int k = m - 1; k >= 0; --k) {
+      const double t = x[prow[k]] / udiag[k];
+      x[prow[k]] = t;
+      if (t == 0.0) continue;
+      for (const auto& [j, uv] : ucols[k]) x[prow[j]] -= t * uv;
+    }
+    std::vector<double> out(m);
+    for (int k = 0; k < m; ++k) out[k] = x[prow[k]];
+    x = out;
+  }
+
+  void btran(std::vector<double>& x) const {
+    const int m = static_cast<int>(prow.size());
+    std::vector<double> y(m);
+    for (int k = 0; k < m; ++k) {
+      double s = x[k];
+      for (const auto& [j, uv] : ucols[k]) s -= uv * y[j];
+      y[k] = s / udiag[k];
+    }
+    for (int k = m - 1; k >= 0; --k) {
+      double s = y[k];
+      for (const auto& [r, lv] : lcols[k]) s -= lv * x[r];
+      x[prow[k]] = s;
+    }
+  }
+};
+
+::testing::AssertionResult same_bits(const std::vector<double>& got,
+                                     const std::vector<double>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << got.size() << " vs " << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(got[i]) !=
+        std::bit_cast<std::uint64_t>(want[i])) {
+      return ::testing::AssertionFailure()
+             << "entry " << i << ": " << got[i] << " vs " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::vector<const Column*> pointers(const std::vector<Column>& cols) {
+  std::vector<const Column*> out;
+  for (const Column& c : cols) out.push_back(&c);
+  return out;
+}
+
+/// Right-hand sides for the solves: unit vectors, a dense random vector and
+/// a sparse one.
+std::vector<std::vector<double>> right_hand_sides(common::Rng& rng, int m) {
+  std::vector<std::vector<double>> out;
+  for (const int i : {0, m / 2, m - 1}) {
+    std::vector<double> e(m, 0.0);
+    e[i] = 1.0;
+    out.push_back(std::move(e));
+  }
+  std::vector<double> dense(m), sparse(m, 0.0);
+  for (int i = 0; i < m; ++i) {
+    dense[i] = rng.uniform(-3.0, 3.0);
+    if (rng.bernoulli(0.1)) sparse[i] = rng.uniform(-1.0, 1.0);
+  }
+  out.push_back(std::move(dense));
+  out.push_back(std::move(sparse));
+  return out;
+}
+
+/// Factorizes `cols` with both implementations and compares the verdict
+/// and, on success, FTRAN/BTRAN of several right-hand sides bit for bit.
+/// Returns whether the basis was nonsingular.  `lu` is reused across
+/// calls so stale scratch from an earlier basis would show.
+bool expect_matches_reference(LuFactor& lu, ReferenceLu& ref,
+                              const std::vector<Column>& cols,
+                              common::Rng& rng) {
+  const int m = static_cast<int>(cols.size());
+  const bool ok = ref.factorize(m, pointers(cols));
+  EXPECT_EQ(lu.factorize(m, pointers(cols)), ok) << "m=" << m;
+  if (!ok) return false;
+  EXPECT_EQ(lu.dimension(), m);
+  EXPECT_EQ(lu.eta_count(), 0);
+  for (const std::vector<double>& rhs : right_hand_sides(rng, m)) {
+    std::vector<double> x = rhs, x_ref = rhs;
+    lu.ftran(x);
+    ref.ftran(x_ref);
+    EXPECT_TRUE(same_bits(x, x_ref)) << "ftran, m=" << m;
+    std::vector<double> y = rhs, y_ref = rhs;
+    lu.btran(y);
+    ref.btran(y_ref);
+    EXPECT_TRUE(same_bits(y, y_ref)) << "btran, m=" << m;
+  }
+  return true;
+}
+
+/// Random sparse basis: column k holds a pivot candidate at row perm[k]
+/// (so most draws are nonsingular) plus 0..extra random off-entries.
+std::vector<Column> random_basis(common::Rng& rng, int m, int extra) {
+  std::vector<int> perm(m);
+  for (int i = 0; i < m; ++i) perm[i] = i;
+  rng.shuffle(perm);
+  std::vector<Column> cols(m);
+  for (int k = 0; k < m; ++k) {
+    cols[k].emplace_back(perm[k], rng.uniform(0.2, 2.0) *
+                                      (rng.bernoulli(0.5) ? 1.0 : -1.0));
+    const int n = static_cast<int>(rng.uniform_int(0, extra));
+    for (int t = 0; t < n; ++t) {
+      cols[k].emplace_back(static_cast<int>(rng.uniform_int(0, m - 1)),
+                           rng.uniform(-2.0, 2.0));
+    }
+  }
+  return cols;
+}
+
+TEST(LuFactor, RandomSparseBasesMatchReferenceBitForBit) {
+  common::Rng rng(20261017);
+  LuFactor lu;
+  ReferenceLu ref;
+  int nonsingular = 0, total = 0;
+  for (const int m : {1, 2, 5, 17, 60, 150}) {
+    for (int rep = 0; rep < 8; ++rep, ++total) {
+      nonsingular += expect_matches_reference(
+          lu, ref, random_basis(rng, m, 1 + rep % 5), rng);
+    }
+  }
+  EXPECT_GT(nonsingular, total * 3 / 4);
+}
+
+TEST(LuFactor, SlackHeavyNearTriangularBasesMatchReference) {
+  // Like the pricing MILP's root basis: mostly +-1 slack columns, a few
+  // structural columns with short patterns, one dense coupling row, in a
+  // shuffled position order.
+  common::Rng rng(837);
+  LuFactor lu;
+  ReferenceLu ref;
+  for (const int m : {40, 120, 400}) {
+    for (int rep = 0; rep < 4; ++rep) {
+      std::vector<int> perm(m);
+      for (int i = 0; i < m; ++i) perm[i] = i;
+      rng.shuffle(perm);
+      const int coupling = static_cast<int>(rng.uniform_int(0, m - 1));
+      std::vector<Column> cols(m);
+      for (int k = 0; k < m; ++k) {
+        if (rng.bernoulli(0.85)) {
+          cols[k].emplace_back(perm[k], rng.bernoulli(0.5) ? 1.0 : -1.0);
+          continue;
+        }
+        cols[k].emplace_back(perm[k], rng.uniform(1.0, 3.0));
+        if (perm[k] != coupling) cols[k].emplace_back(coupling, 1.0);
+        const int n = static_cast<int>(rng.uniform_int(1, 4));
+        for (int t = 0; t < n; ++t) {
+          cols[k].emplace_back(static_cast<int>(rng.uniform_int(0, m - 1)),
+                               rng.uniform(0.1, 1.0));
+        }
+      }
+      rng.shuffle(cols);
+      EXPECT_TRUE(expect_matches_reference(lu, ref, cols, rng)) << "m=" << m;
+    }
+  }
+}
+
+TEST(LuFactor, DuplicateRowEntriesMatchReference) {
+  // Repeated rows are summed in list order; some repeats cancel to an
+  // exact zero entry that is written but holds nothing.
+  common::Rng rng(4242);
+  LuFactor lu;
+  ReferenceLu ref;
+  int nonsingular = 0;
+  for (int rep = 0; rep < 24; ++rep) {
+    const int m = static_cast<int>(rng.uniform_int(3, 50));
+    std::vector<Column> cols = random_basis(rng, m, 3);
+    for (Column& c : cols) {
+      const auto [row, coef] = c[rng.uniform_index(c.size())];
+      if (rng.bernoulli(0.5)) {
+        c.emplace_back(row, rng.uniform(-1.0, 1.0));
+      } else if (row != c.front().first) {
+        c.emplace_back(row, -coef);  // cancels the earlier entry exactly
+      }
+    }
+    nonsingular += expect_matches_reference(lu, ref, cols, rng);
+  }
+  EXPECT_GT(nonsingular, 12);
+}
+
+TEST(LuFactor, ExactCancellationZerosMatchReference) {
+  // Dyadic coefficients on small dense-ish bases make eliminations cancel
+  // to exact zeros, both in claimed rows (a skipped U entry) and in
+  // unclaimed ones (a dropped L entry).
+  common::Rng rng(99);
+  LuFactor lu;
+  ReferenceLu ref;
+  const double values[] = {1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 4.0};
+  int cancellations = 0, nonsingular = 0;
+  for (int rep = 0; rep < 60; ++rep) {
+    const int m = static_cast<int>(rng.uniform_int(3, 12));
+    std::vector<Column> cols(m);
+    for (int k = 0; k < m; ++k) {
+      for (int r = 0; r < m; ++r) {
+        if (rng.bernoulli(0.4)) cols[k].emplace_back(r, values[rng.uniform_index(7)]);
+      }
+    }
+    nonsingular += expect_matches_reference(lu, ref, cols, rng);
+    cancellations += ref.cancellations;
+    ref.cancellations = 0;
+  }
+  EXPECT_GT(nonsingular, 0);
+  EXPECT_GT(cancellations, 0) << "battery never hit an exact cancellation";
+}
+
+TEST(LuFactor, SingularBasisKeepsPreviousFactorizationAndEtas) {
+  common::Rng rng(7);
+  const int m = 20;
+  const std::vector<Column> good = random_basis(rng, m, 2);
+  LuFactor lu;
+  ASSERT_TRUE(lu.factorize(m, pointers(good)));
+  std::vector<double> d(m, 0.0);
+  d[3] = 2.0;
+  d[11] = -0.5;
+  ASSERT_TRUE(lu.push_eta(d, 3));
+  ASSERT_EQ(lu.eta_count(), 1);
+  const std::vector<std::vector<double>> rhs = right_hand_sides(rng, m);
+  auto solves = [&]() {
+    std::vector<std::vector<double>> out;
+    for (const std::vector<double>& b : rhs) {
+      std::vector<double> x = b, y = b;
+      lu.ftran(x);
+      lu.btran(y);
+      out.push_back(std::move(x));
+      out.push_back(std::move(y));
+    }
+    return out;
+  };
+  const std::vector<std::vector<double>> before = solves();
+
+  // Structurally empty column, two slacks on one row, and a column that is
+  // exactly twice another: the first fails at the empty position, the
+  // others only once elimination has already written factors.
+  std::vector<std::vector<Column>> singular(3, good);
+  singular[0][0].clear();
+  singular[1][m - 2] = {{5, 1.0}};
+  singular[1][m - 1] = {{5, -1.0}};
+  singular[2][m - 1] = {{0, 2.0}, {1, 4.0}};
+  singular[2][4] = {{0, 1.0}, {1, 2.0}};
+  for (const std::vector<Column>& cols : singular) {
+    EXPECT_FALSE(lu.factorize(m, pointers(cols)));
+    EXPECT_TRUE(lu.ok());
+    EXPECT_EQ(lu.dimension(), m);
+    EXPECT_EQ(lu.eta_count(), 1);
+    const std::vector<std::vector<double>> after = solves();
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      EXPECT_TRUE(same_bits(after[i], before[i])) << "solve " << i;
+    }
+  }
+
+  // The scratch a failed call left behind must not leak into the next.
+  ReferenceLu ref;
+  EXPECT_TRUE(expect_matches_reference(lu, ref, random_basis(rng, m, 3), rng));
+}
+
+TEST(LuFactor, PushEtaRejectsTinyPivot) {
+  common::Rng rng(5);
+  const int m = 8;
+  LuFactor lu;
+  ASSERT_TRUE(lu.factorize(m, pointers(random_basis(rng, m, 2))));
+  std::vector<double> b(m, 1.0);
+  std::vector<double> before = b;
+  lu.ftran(before);
+  for (const double pivot : {1e-12, -1e-12, 1e-13, 0.0}) {
+    std::vector<double> d(m, 0.5);
+    d[2] = pivot;
+    EXPECT_FALSE(lu.push_eta(d, 2)) << pivot;
+    EXPECT_EQ(lu.eta_count(), 0);
+  }
+  std::vector<double> after = b;
+  lu.ftran(after);
+  EXPECT_TRUE(same_bits(after, before));
+  std::vector<double> d(m, 0.5);
+  d[2] = 2e-12;
+  EXPECT_TRUE(lu.push_eta(d, 2));
+  EXPECT_EQ(lu.eta_count(), 1);
+}
+
+TEST(LuFactor, ResetDiagonalSolvesExactly) {
+  LuFactor lu;
+  // A stale factorization with an eta, which the reset must discard.
+  ASSERT_TRUE(lu.factorize(2, pointers({{{0, 1.0}, {1, 3.0}}, {{1, 2.0}}})));
+  ASSERT_TRUE(lu.push_eta({1.0, 0.5}, 0));
+  const std::vector<double> diag = {2.0, -4.0, 0.5, 3.0, -0.1, 1.0};
+  lu.reset_diagonal(diag);
+  EXPECT_TRUE(lu.ok());
+  EXPECT_EQ(lu.dimension(), 6);
+  EXPECT_EQ(lu.eta_count(), 0);
+  const std::vector<double> b = {1.0, 3.0, -0.7, 0.0, 2.5, 1e-300};
+  std::vector<double> want(b.size());
+  for (std::size_t i = 0; i < b.size(); ++i) want[i] = b[i] / diag[i];
+  std::vector<double> x = b, y = b;
+  lu.ftran(x);
+  lu.btran(y);
+  EXPECT_TRUE(same_bits(x, want));
+  EXPECT_TRUE(same_bits(y, want));
+}
+
+}  // namespace
+}  // namespace mmwave::lp

@@ -75,6 +75,16 @@ run(2 "error: .*out of range"        solve --links=4 --deadline=-1)
 run(2 "error: "                      stream --links=4 --channels=2 --p-block=2)
 run(2 "error: .*expected an integer" check --links=4 --seed=1.5)
 
+# --- exit 2: a flag the command does not accept is named before any work ----
+# (a typo like --linkz used to solve the default instance and exit 0).
+run(2 "error: unknown flag --bogus, --linkz"
+    solve --links=4 --linkz=40 --bogus)
+run(2 "error: unknown flag --gops"    compare --links=4 --gops=3)
+run(2 "error: unknown flag --profile" stream --links=4 --gops=2 --profile)
+run(2 "error: unknown flag --resume"
+    resolve --checkpoint=${WORK_DIR}/unused.ckpt --links=4 --resume)
+run(2 "error: unknown flag --csv"     check --links=4 --csv=plan.csv)
+
 # --- exit 2: malformed instance spec files ----------------------------------
 file(WRITE "${WORK_DIR}/bad_spec.txt" "links = twenty\n")
 run(2 "error: .*instance spec line 1" solve --instance=${WORK_DIR}/bad_spec.txt)
@@ -206,6 +216,8 @@ run(2 "error: .*expected an integer" serve --workers=lots)
 run(2 "error: .*out of range"        serve --workers=0)
 run(2 "error: .*expected an integer" serve --max-queue=many)
 run(2 "error: .*out of range"        serve --max-queue=0)
+# An unknown flag fails before stdin is read: --input is not --requests.
+run(2 "error: unknown flag --input"  serve --input=reqs.jsonl)
 
 # A malformed request line costs exactly one error record; the lines around
 # it still run, and the daemon itself exits 0 — bad input is a per-request

@@ -50,8 +50,9 @@
 // Exit status (DESIGN.md section 7):
 //   0  success (solve/compare/stream completed; check passed)
 //   1  verification failure (check) or unknown command
-//   2  invalid input: malformed flag value, unreadable/invalid --instance
-//      spec, or an instance rejected by check::validate_instance
+//   2  invalid input: a flag the command does not accept, a malformed flag
+//      value, an unreadable/invalid --instance spec, or an instance
+//      rejected by check::validate_instance
 //   3  degraded solve: the anytime contract returned an incumbent (deadline,
 //      stall, solver breakdown) instead of a certified answer
 #include <fcntl.h>
@@ -203,6 +204,21 @@ int report_solve_health(const core::CgResult& result) {
   return kExitOk;
 }
 
+/// Typo guard, called once a command has read every flag it accepts and
+/// before it starts any work: a flag left unread is unknown to the command.
+/// Prints the one-line error and returns true, and the command then exits
+/// kExitInvalidInput.
+bool reject_unknown_flags(const common::CliFlags& flags) {
+  const std::vector<std::string> unread = flags.unread();
+  if (unread.empty()) return false;
+  std::string names;
+  for (const std::string& name : unread) {
+    names += (names.empty() ? "--" : ", --") + name;
+  }
+  std::fprintf(stderr, "error: unknown flag %s\n", names.c_str());
+  return true;
+}
+
 net::NetworkParams params_of(const InstanceFlags& f) {
   net::NetworkParams params;
   params.num_links = f.links;
@@ -316,13 +332,18 @@ int cmd_solve(const common::CliFlags& flags) {
                  pool_flags.status().message().c_str());
     return kExitInvalidInput;
   }
+  const bool warm_start = flags.get_int("warm-start", 1) != 0;
+  const bool profile = flags.has("profile");
+  const bool csv = flags.has("csv");
+  const std::string csv_path = flags.get_string("csv", "plan.csv");
+  if (reject_unknown_flags(flags)) return kExitInvalidInput;
   const core::PoolManager pool_manager(pool_flags.value());
   Instance inst = build_instance(f);
   core::CgOptions opts;
   opts.pricing = f.pricing;
   opts.lp_pricing = f.lp_pricing;
   opts.deadline_sec = f.deadline_sec;
-  opts.warm_start_master = flags.get_int("warm-start", 1) != 0;
+  opts.warm_start_master = warm_start;
   core::CgResult result;
   if (resume) {
     // --resume asserts the instance is the one checkpointed, so the
@@ -365,7 +386,7 @@ int cmd_solve(const common::CliFlags& flags) {
   std::printf("whole-slot plan: %.0f slots (quantization overhead %.3f%%)\n",
               quant.quantized_slots, 100.0 * quant.overhead());
 
-  if (flags.has("profile")) {
+  if (profile) {
     const core::CgProfile& p = result.profile;
     std::printf("profile:\n");
     std::printf("  master_solve    %8.3f ms  (%d solves, %lld pivots, "
@@ -388,7 +409,7 @@ int cmd_solve(const common::CliFlags& flags) {
                 1e3 * p.milp_seconds, p.milp_calls);
   }
 
-  if (flags.has("csv")) {
+  if (csv) {
     common::Table table(
         {"schedule", "slots", "link", "layer", "rate_level", "channel",
          "power_watts"});
@@ -406,9 +427,8 @@ int cmd_solve(const common::CliFlags& flags) {
       }
       ++idx;
     }
-    const std::string path = flags.get_string("csv", "plan.csv");
-    table.write_csv(path);
-    std::printf("plan written to %s\n", path.c_str());
+    table.write_csv(csv_path);
+    std::printf("plan written to %s\n", csv_path.c_str());
   }
   return health;
 }
@@ -420,6 +440,7 @@ int cmd_compare(const common::CliFlags& flags) {
     return kExitInvalidInput;
   }
   const InstanceFlags f = parsed.value();
+  if (reject_unknown_flags(flags)) return kExitInvalidInput;
   Instance inst = build_instance(f);
 
   common::Table table({"algorithm", "total slots", "avg delay", "fairness",
@@ -512,6 +533,7 @@ int cmd_stream(const common::CliFlags& flags) {
     std::fprintf(stderr, "error: %s\n", bad.message().c_str());
     return kExitInvalidInput;
   }
+  if (reject_unknown_flags(flags)) return kExitInvalidInput;
 
   common::Rng rng(f.seed);
   net::NetworkParams params = params_of(f);
@@ -670,6 +692,8 @@ int cmd_resolve(const common::CliFlags& flags) {
       return kExitInvalidInput;
     }
   }
+  const bool update = flags.has("update");
+  if (reject_unknown_flags(flags)) return kExitInvalidInput;
 
   // Same rng stream as build_instance, so an unperturbed resolve
   // fingerprints identically to `solve` on the same flags; the blockage is
@@ -733,7 +757,7 @@ int cmd_resolve(const common::CliFlags& flags) {
   for (int l : r.cg.unserved_links)
     std::printf("WARNING: link %d unservable (no reachable rate level)\n", l);
 
-  if (flags.has("update") &&
+  if (update &&
       !write_checkpoint(net, demands, r.cg, ckpt_path, &pool_manager)) {
     return kExitInvalidInput;
   }
@@ -747,6 +771,7 @@ int cmd_check(const common::CliFlags& flags) {
     return kExitInvalidInput;
   }
   const InstanceFlags f = parsed.value();
+  if (reject_unknown_flags(flags)) return kExitInvalidInput;
   Instance inst = build_instance(f);
   core::CgOptions opts;
   opts.pricing = f.pricing;
@@ -888,8 +913,10 @@ int cmd_serve(const common::CliFlags& flags) {
   opts.share_pool = flags.get_int("share-pool", 1) != 0;
   opts.pool = pool_flags.value();
   opts.state_path = flags.get_string("state", "");
-
   const std::string requests = flags.get_string("requests", "-");
+  const std::string out_path = flags.get_string("out", "");
+  if (reject_unknown_flags(flags)) return kExitInvalidInput;
+
   int fd = 0;
   bool close_fd = false;
   if (requests != "-") {
@@ -905,7 +932,6 @@ int cmd_serve(const common::CliFlags& flags) {
     }
     close_fd = true;
   }
-  const std::string out_path = flags.get_string("out", "");
   std::FILE* out = stdout;
   if (!out_path.empty()) {
     // Append: a drained-and-resumed serve keeps writing the same record
@@ -1008,6 +1034,7 @@ int main(int argc, char** argv) {
       "          --io-retries=N; SIGTERM drains (queue checkpointed under\n"
       "          --state, restart resumes without losing a request)\n"
       "exit status: 0 ok | 1 check failed / unknown command |\n"
-      "             2 invalid flag value or instance | 3 degraded solve\n");
+      "             2 unknown flag, invalid flag value or instance |\n"
+      "             3 degraded solve\n");
   return cmd == "help" ? 0 : 1;
 }

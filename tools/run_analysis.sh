@@ -25,7 +25,9 @@
 #                                         warm-hit rate vs pool cap)
 #   7. robustness                         fault-injection + anytime-contract
 #                                         + checkpoint/resolve/pool suites
-#                                         re-run under ASan+UBSan, plus the
+#                                         and the simplex/LU suites (their
+#                                         sparse index bookkeeping) re-run
+#                                         under ASan+UBSan, plus the
 #                                         instance-spec and checkpoint fuzz
 #                                         harnesses (a 30 s libFuzzer run
 #                                         each when a clang fuzzer build
@@ -285,7 +287,10 @@ fi
 # Re-run the degraded-path suites under the sanitized build: every fault
 # scenario must return a verifier-clean incumbent without tripping ASan or
 # UBSan on the error paths (the places instrumentation matters most, since
-# ordinary runs rarely take them).
+# ordinary runs rarely take them).  The Simplex*/LuFactor suites ride along:
+# the sparse LU's index bookkeeping (row stamps, position heap, touched
+# lists) is otherwise sanitized only by the full leg-2 sweep, which the
+# robustness CI job skips.
 note "leg 7: robustness (fault-injection + checkpoint suites, both fuzz harnesses)"
 
 # run_fuzz <name> <corpus-dir>: libFuzzer with a bounded budget on a clang
@@ -312,7 +317,7 @@ if [[ "$COVERAGE_ONLY" == 1 || "$LINT_ONLY" == 1 || "$SOAK_ONLY" == 1 \
   echo "leg 7 skipped (--coverage/--lint/--soak/--fleet/--qoe)"
 elif [[ -d "$ASAN_DIR" ]]; then
   (cd "$ASAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-      -R 'CgAnytime|Theorem1Guard|MilpLimits|FaultInjector|InstanceValidator|ParseInstanceSpec|CgCheckpoint|CheckpointLog|CgResolve|PoolManager|PoolPolicy|InstanceSignature|BlockageSession|cli_smoke') \
+      -R 'CgAnytime|Theorem1Guard|MilpLimits|FaultInjector|InstanceValidator|ParseInstanceSpec|CgCheckpoint|CheckpointLog|CgResolve|PoolManager|PoolPolicy|InstanceSignature|BlockageSession|Simplex|LuFactor|cli_smoke') \
     || leg_failed "ctest (robustness suites under ASan+UBSan)"
   run_fuzz instance_spec_fuzz "$ROOT/tests/fuzz/corpus"
   run_fuzz checkpoint_fuzz "$ROOT/tests/fuzz/corpus_checkpoint"
