@@ -36,7 +36,7 @@ inline constexpr const char* kCheckpointCorrupt = "checkpoint.corrupt_payload";
 /// instance perturbed again under our feet); the column must be dropped,
 /// never entered into the master.
 inline constexpr const char* kResolveDropColumn = "resolve.drop_column";
-/// A v2 checkpoint pool-metadata record reads as semantically bad: the
+/// A checkpoint pool-metadata record reads as semantically bad: the
 /// parser must degrade to cold metadata (columns kept, scores reset),
 /// never reject the checkpoint or crash.
 inline constexpr const char* kCheckpointBadPoolRecord =
@@ -46,28 +46,22 @@ inline constexpr const char* kCheckpointBadPoolRecord =
 /// columns stay, and the resolve optimum is unchanged.
 inline constexpr const char* kPoolEvictWrongColumn =
     "pool.evict_wrong_column";
-/// CheckpointLog::save tears a delta append mid-block (half the bytes land,
-/// then EIO).  The writer must report kIoError and force a compaction on
-/// the next save; the loader must replay the chain up to the torn block and
-/// drop the tail, never crash or apply a partial delta.
-inline constexpr const char* kCheckpointDeltaTornWrite =
-    "checkpoint.delta_torn_write";
-/// CheckpointLog compaction dies after writing a partial temp file, before
-/// the rename.  The old base + delta chain must remain fully loadable; the
-/// next save retries the compaction.
-inline constexpr const char* kCheckpointCompactCrash =
-    "checkpoint.compact_crash";
-/// A v3 checkpoint session cursor reads as semantically bad: the parser
+/// save_checkpoint dies after writing half of `path + ".tmp"`, before the
+/// rename.  The save must report kIoError and the file at `path` must still
+/// load to the previous save; the next save rewrites the temp file.
+inline constexpr const char* kCheckpointTornWrite = "checkpoint.torn_write";
+/// A checkpoint session cursor reads as semantically bad: the parser
 /// must degrade to "no session" (solver pool kept, stream restarts the
 /// session cold), never reject the checkpoint or crash.
 inline constexpr const char* kSessionCursorCorrupt =
     "session.cursor_corrupt";
-/// A v3 pool-index record (the multi-instance neighbour index) reads as
-/// semantically bad: the parser must degrade to an empty index (columns
-/// kept, neighbour seeding rebuilt from scratch), never reject the file.
+/// A checkpoint pool-index record (the multi-instance neighbour index)
+/// reads as semantically bad: the parser must degrade to an empty index
+/// (columns kept, neighbour seeding rebuilt from scratch), never reject the
+/// file.
 inline constexpr const char* kCheckpointBadIndexRecord =
     "checkpoint.v3_bad_index_record";
-/// The client-buffer state carried by a v4 session cursor reads as
+/// The client-buffer state carried by a session cursor reads as
 /// semantically bad at resume time (NaN occupancy after a torn write, a
 /// playing-without-started flags value): run_blockage_session must reject
 /// the resume and run fresh from period 0 (warm pool kept), never replay

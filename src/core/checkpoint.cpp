@@ -8,25 +8,384 @@
 
 #include "common/fault_injection.h"
 #include "common/log.h"
-#include "core/checkpoint_detail.h"
 #include "core/column_generation.h"
 
 namespace mmwave::core {
 namespace {
 
-using detail::LineReader;
-using detail::append_double;
-using detail::append_hex64;
-using detail::expect_double;
-using detail::expect_int;
-using detail::expect_kv;
-using detail::parse_double_token;
-using detail::parse_error;
-using detail::parse_hex64_token;
-using detail::parse_int_token;
-using detail::split_tokens;
+// ---- Line grammar -----------------------------------------------------------
+// `key = tokens...` records, %.17g doubles that round-trip IEEE exactly,
+// 0x + 16-hex-digit u64s, strict full-token numeric parses.
 
 constexpr const char* kMagic = "mmwave-cg-checkpoint";
+
+// Hard ceilings on parsed counts: a corrupted header must not be able to
+// drive a multi-gigabyte allocation before the record lines are even
+// reachable (the checksum is verified first, but belt and braces).
+constexpr int kMaxLinks = 4096;
+constexpr int kMaxChannels = 1024;
+constexpr int kMaxColumns = 1'000'000;
+constexpr int kMaxRateLevels = 64;
+constexpr int kMaxIndexEntries = 100'000;
+constexpr int kMaxFeatures = 65'536;
+constexpr int kMaxGops = 1'000'000;
+
+[[nodiscard]] common::Status parse_error(int line, const std::string& what) {
+  return common::Status::Error(
+      common::ErrorCode::kInvalidInput,
+      "checkpoint line " + std::to_string(line) + ": " + what);
+}
+
+/// %.17g round-trips IEEE doubles exactly, which is what makes the
+/// save -> load -> serialize cycle byte-identical.
+void append_double(std::string& out, double v) {
+  if (std::isnan(v)) {
+    out += "nan";
+    return;
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  out += buf;
+}
+
+/// Strict full-token double parse; `allow_nan` admits the literal "nan".
+bool parse_double_token(std::string_view token, bool allow_nan,
+                        double* out) {
+  if (token.empty() || token.size() >= 63) return false;
+  if (token == "nan") {
+    if (!allow_nan) return false;
+    *out = std::nan("");
+    return true;
+  }
+  char buf[64];
+  std::memcpy(buf, token.data(), token.size());
+  buf[token.size()] = '\0';
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(buf, &end);
+  if (end != buf + token.size() || errno == ERANGE || !std::isfinite(v))
+    return false;
+  *out = v;
+  return true;
+}
+
+bool parse_int_token(std::string_view token, long long lo, long long hi,
+                     long long* out) {
+  if (token.empty() || token.size() >= 31) return false;
+  char buf[32];
+  std::memcpy(buf, token.data(), token.size());
+  buf[token.size()] = '\0';
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(buf, &end, 10);
+  if (end != buf + token.size() || errno == ERANGE || v < lo || v > hi)
+    return false;
+  *out = v;
+  return true;
+}
+
+bool parse_hex64_token(std::string_view token, std::uint64_t* out) {
+  if (token.size() != 18 || token[0] != '0' || token[1] != 'x') return false;
+  std::uint64_t v = 0;
+  for (std::size_t i = 2; i < token.size(); ++i) {
+    const char c = token[i];
+    int digit;
+    if (c >= '0' && c <= '9') digit = c - '0';
+    else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
+    else return false;
+    v = (v << 4) | static_cast<std::uint64_t>(digit);
+  }
+  *out = v;
+  return true;
+}
+
+void append_hex64(std::string& out, std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  out += buf;
+}
+
+/// Line cursor over the payload; tracks 1-based line numbers for errors.
+class LineReader {
+ public:
+  LineReader(std::string_view text, int first_line)
+      : text_(text), line_(first_line - 1) {}
+
+  /// Next line without its '\n'.  False at end of input.
+  bool next(std::string_view* out) {
+    if (pos_ >= text_.size()) return false;
+    const std::size_t nl = text_.find('\n', pos_);
+    if (nl == std::string_view::npos) {
+      // A checkpoint always ends in a newline; a final unterminated line is
+      // a truncation, reported by the caller when the content mismatches.
+      *out = text_.substr(pos_);
+      pos_ = text_.size();
+    } else {
+      *out = text_.substr(pos_, nl - pos_);
+      pos_ = nl + 1;
+    }
+    ++line_;
+    return true;
+  }
+  bool at_end() const { return pos_ >= text_.size(); }
+  int line() const { return line_ + 1; }  ///< line number of the NEXT line
+
+ private:
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  int line_;
+};
+
+/// Splits on single spaces (the serializers never emit doubles/tabs).
+std::vector<std::string_view> split_tokens(std::string_view line) {
+  std::vector<std::string_view> tokens;
+  std::size_t pos = 0;
+  while (pos <= line.size()) {
+    const std::size_t sp = line.find(' ', pos);
+    if (sp == std::string_view::npos) {
+      tokens.push_back(line.substr(pos));
+      break;
+    }
+    tokens.push_back(line.substr(pos, sp - pos));
+    pos = sp + 1;
+  }
+  return tokens;
+}
+
+/// Reads one `key = <value tokens...>` line; returns the value tokens.
+[[nodiscard]] common::Expected<std::vector<std::string_view>> expect_kv(
+    LineReader& reader, std::string_view key) {
+  std::string_view line;
+  const int line_no = reader.line();
+  if (!reader.next(&line)) {
+    return parse_error(line_no, "truncated: expected '" + std::string(key) +
+                                    " = ...'");
+  }
+  auto tokens = split_tokens(line);
+  if (tokens.size() < 3 || tokens[0] != key || tokens[1] != "=") {
+    return parse_error(line_no, "expected '" + std::string(key) +
+                                    " = ...', got '" + std::string(line) +
+                                    "'");
+  }
+  tokens.erase(tokens.begin(), tokens.begin() + 2);
+  return tokens;
+}
+
+[[nodiscard]] common::Expected<long long> expect_int(
+    LineReader& reader, std::string_view key, long long lo, long long hi) {
+  const int line_no = reader.line();
+  auto tokens = expect_kv(reader, key);
+  if (!tokens.ok()) return tokens.status();
+  long long v = 0;
+  if (tokens.value().size() != 1 ||
+      !parse_int_token(tokens.value()[0], lo, hi, &v)) {
+    return parse_error(line_no, std::string(key) +
+                                    ": expected an integer in [" +
+                                    std::to_string(lo) + ", " +
+                                    std::to_string(hi) + "]");
+  }
+  return v;
+}
+
+[[nodiscard]] common::Expected<double> expect_double(
+    LineReader& reader, std::string_view key, bool allow_nan) {
+  const int line_no = reader.line();
+  auto tokens = expect_kv(reader, key);
+  if (!tokens.ok()) return tokens.status();
+  double v = 0.0;
+  if (tokens.value().size() != 1 ||
+      !parse_double_token(tokens.value()[0], allow_nan, &v)) {
+    return parse_error(line_no,
+                       std::string(key) + ": expected a finite number" +
+                           (allow_nan ? " or 'nan'" : ""));
+  }
+  return v;
+}
+
+/// Emits one pool column: the `column = tau <t> txs <n>` record followed by
+/// its `tx = ...` lines.
+void append_column(std::string& out, const sched::Schedule& col,
+                   double tau) {
+  out += "column = tau ";
+  append_double(out, tau);
+  out += " txs " + std::to_string(col.size());
+  out += '\n';
+  for (const sched::Transmission& tx : col.transmissions()) {
+    out += "tx = " + std::to_string(tx.link) + ' ' +
+           std::to_string(static_cast<int>(tx.layer)) + ' ' +
+           std::to_string(tx.rate_level) + ' ' +
+           std::to_string(tx.channel) + ' ';
+    append_double(out, tx.power_watts);
+    out += '\n';
+  }
+}
+
+/// Strict inverse of append_column: one column record plus its tx lines,
+/// bounds-checked against the instance dimensions.
+[[nodiscard]] common::Status parse_column(LineReader& reader, int links,
+                                          int channels, sched::Schedule* col,
+                                          double* tau) {
+  const int line_no = reader.line();
+  auto tokens = expect_kv(reader, "column");
+  if (!tokens.ok()) return tokens.status();
+  const auto& t = tokens.value();
+  long long num_txs = 0;
+  if (t.size() != 4 || t[0] != "tau" || t[2] != "txs" ||
+      !parse_double_token(t[1], /*allow_nan=*/false, tau) || *tau < 0.0 ||
+      !parse_int_token(t[3], 0, 2LL * kMaxLinks, &num_txs)) {
+    return parse_error(line_no, "column: expected 'column = tau <t> txs <n>'");
+  }
+  for (long long i = 0; i < num_txs; ++i) {
+    const int tx_line = reader.line();
+    auto tx_tokens = expect_kv(reader, "tx");
+    if (!tx_tokens.ok()) return tx_tokens.status();
+    const auto& tt = tx_tokens.value();
+    long long link = 0, layer = 0, level = 0, channel = 0;
+    double power = 0.0;
+    if (tt.size() != 5 ||
+        !parse_int_token(tt[0], 0, links - 1, &link) ||
+        !parse_int_token(tt[1], 0, 1, &layer) ||
+        !parse_int_token(tt[2], 0, kMaxRateLevels - 1, &level) ||
+        !parse_int_token(tt[3], 0, channels - 1, &channel) ||
+        !parse_double_token(tt[4], /*allow_nan=*/false, &power) ||
+        power < 0.0) {
+      return parse_error(
+          tx_line, "tx: expected '<link> <layer> <level> <channel> <power>' "
+                   "with all fields in range");
+    }
+    col->add({static_cast<int>(link), static_cast<net::Layer>(layer),
+              static_cast<int>(level), static_cast<int>(channel), power});
+  }
+  return common::Status::Ok();
+}
+
+/// Parses a fixed-width duals line (`duals_hp = ...` / `duals_lp = ...`):
+/// exactly `expected_size` finite non-negative values.
+[[nodiscard]] common::Expected<std::vector<double>> parse_dual_vector(
+    LineReader& reader, std::string_view key, int expected_size) {
+  const int line_no = reader.line();
+  auto tokens = expect_kv(reader, key);
+  if (!tokens.ok()) return tokens.status();
+  if (static_cast<int>(tokens.value().size()) != expected_size) {
+    return parse_error(line_no, std::string(key) + ": expected " +
+                                    std::to_string(expected_size) +
+                                    " values, got " +
+                                    std::to_string(tokens.value().size()));
+  }
+  std::vector<double> values;
+  values.reserve(tokens.value().size());
+  for (std::string_view t : tokens.value()) {
+    double v = 0.0;
+    if (!parse_double_token(t, /*allow_nan=*/false, &v) || v < 0.0) {
+      return parse_error(line_no, std::string(key) +
+                                      ": dual values must be finite and >= 0");
+    }
+    values.push_back(v);
+  }
+  return values;
+}
+
+/// Emits one pool-metadata record: `meta = <fingerprint> <epoch> <rc> <basis>`.
+void append_meta_record(std::string& out, const PoolColumnMeta& m) {
+  out += "meta = ";
+  append_hex64(out, m.fingerprint);
+  out += ' ' + std::to_string(m.last_used_epoch) + ' ';
+  append_double(out,
+                std::isfinite(m.last_reduced_cost) ? m.last_reduced_cost : 0.0);
+  out += ' ';
+  out += m.in_basis ? '1' : '0';
+  out += '\n';
+}
+
+/// Parses one `meta = ...` record.  Structural damage (wrong key, wrong
+/// token count, truncation) is a hard error; value-level damage sets
+/// *record_ok = false and leaves *m untouched (the caller degrades the
+/// metadata to cold).
+[[nodiscard]] common::Status parse_meta_record(LineReader& reader,
+                                               PoolColumnMeta* m,
+                                               bool* record_ok) {
+  const int line_no = reader.line();
+  auto tokens = expect_kv(reader, "meta");
+  if (!tokens.ok()) return tokens.status();
+  const auto& t = tokens.value();
+  if (t.size() != 4) {
+    return parse_error(line_no,
+                       "meta: expected '<fingerprint> <epoch> <rc> <basis>'");
+  }
+  long long epoch = 0, basis = 0;
+  double rc = 0.0;
+  std::uint64_t fp = 0;
+  if (!parse_hex64_token(t[0], &fp) ||
+      !parse_int_token(t[1], 0, 9'223'372'036'854'775'806LL, &epoch) ||
+      !parse_double_token(t[2], /*allow_nan=*/false, &rc) ||
+      !parse_int_token(t[3], 0, 1, &basis)) {
+    *record_ok = false;
+    return common::Status::Ok();
+  }
+  m->fingerprint = fp;
+  m->last_used_epoch = epoch;
+  m->last_reduced_cost = rc;
+  m->in_basis = basis != 0;
+  return common::Status::Ok();
+}
+
+/// Emits one neighbour-index record (an `inst = ...` line).
+void append_index_entry(std::string& out, const PoolIndexEntry& e) {
+  out += "inst = ";
+  append_hex64(out, e.fingerprint);
+  out += ' ' + std::to_string(e.links) + ' ' + std::to_string(e.channels) +
+         ' ' + std::to_string(e.last_epoch) + ' ' +
+         std::to_string(e.features.size());
+  for (double f : e.features) {
+    out += ' ';
+    append_double(out, f);
+  }
+  out += '\n';
+}
+
+/// Parses one `inst = ...` record.  Structural damage is a hard error;
+/// semantically nonsense dimensions (links/channels < 1) set
+/// *record_ok = false with *e left untouched.
+[[nodiscard]] common::Status parse_index_entry(LineReader& reader,
+                                               PoolIndexEntry* e,
+                                               bool* record_ok) {
+  const int line_no = reader.line();
+  auto tokens = expect_kv(reader, "inst");
+  if (!tokens.ok()) return tokens.status();
+  const auto& t = tokens.value();
+  std::uint64_t fp = 0;
+  long long links = 0, channels = 0, epoch = 0, nfeat = 0;
+  if (t.size() < 5 || !parse_hex64_token(t[0], &fp) ||
+      !parse_int_token(t[1], 0, kMaxLinks, &links) ||
+      !parse_int_token(t[2], 0, kMaxChannels, &channels) ||
+      !parse_int_token(t[3], 0, 9'223'372'036'854'775'806LL, &epoch) ||
+      !parse_int_token(t[4], 0, kMaxFeatures, &nfeat) ||
+      static_cast<long long>(t.size()) != 5 + nfeat) {
+    return parse_error(line_no,
+                       "inst: expected '<fingerprint> <links> <channels> "
+                       "<epoch> <nfeat> <features...>'");
+  }
+  std::vector<double> features;
+  features.reserve(static_cast<std::size_t>(nfeat));
+  for (long long f = 0; f < nfeat; ++f) {
+    double v = 0.0;
+    if (!parse_double_token(t[5 + f], /*allow_nan=*/false, &v)) {
+      return parse_error(line_no, "inst: non-numeric feature value");
+    }
+    features.push_back(v);
+  }
+  if (links < 1 || channels < 1) {
+    *record_ok = false;
+    return common::Status::Ok();
+  }
+  e->fingerprint = fp;
+  e->links = static_cast<int>(links);
+  e->channels = static_cast<int>(channels);
+  e->last_epoch = epoch;
+  e->features = std::move(features);
+  return common::Status::Ok();
+}
 
 /// Incremental FNV-1a over typed fields (the instance fingerprint).
 class FingerprintHasher {
@@ -49,22 +408,51 @@ class FingerprintHasher {
   std::uint64_t hash_ = 1469598103934665603ULL;
 };
 
-/// Serializes the v3 session section (grammar in DESIGN §12).  The vectors
-/// carry explicit counts so the serializer is total over any StreamCursor;
-/// the parser's semantic checks enforce count == links on load.
-void append_session(std::string& body, const CgCheckpoint& ckpt) {
-  body += "session = ";
-  body += ckpt.has_session ? '1' : '0';
-  body += '\n';
-  if (!ckpt.has_session) return;
-  const StreamCursor& s = ckpt.session;
-  detail::append_cursor_block(body, s);
-  body += "gops = " + std::to_string(s.gops.size());
-  body += '\n';
-  for (const StreamGopRecord& g : s.gops) detail::append_gop_record(body, g);
+/// Parses the pool-metadata section.  Structural damage (wrong key, wrong
+/// token count, truncation) is a hard parse error like everywhere else;
+/// *semantic* damage — a record whose values are out of their documented
+/// ranges, or the injected faults::kCheckpointBadPoolRecord — only degrades
+/// the metadata to cold (pool_meta cleared, pool_meta_degraded set).  The
+/// columns are the expensive artifact; their lifecycle scores are merely
+/// advisory.
+[[nodiscard]] common::Status parse_pool_meta(LineReader& reader,
+                                             CgCheckpoint* ckpt) {
+  long long num_meta = 0;
+  {
+    auto v = expect_int(reader, "pool_meta", 0, kMaxColumns);
+    if (!v.ok()) return v.status();
+    num_meta = v.value();
+  }
+  if (num_meta != 0 &&
+      num_meta != static_cast<long long>(ckpt->pool.size())) {
+    ckpt->pool_meta_degraded = true;  // count skew: scores unusable
+  }
+  ckpt->pool_meta.reserve(static_cast<std::size_t>(num_meta));
+  for (long long s = 0; s < num_meta; ++s) {
+    PoolColumnMeta m;
+    bool record_ok = true;
+    const common::Status st = parse_meta_record(reader, &m, &record_ok);
+    if (!st.ok()) return st;
+    if (!record_ok ||
+        common::fault_fires(common::faults::kCheckpointBadPoolRecord)) {
+      ckpt->pool_meta_degraded = true;
+      continue;  // keep consuming the declared records
+    }
+    ckpt->pool_meta.push_back(m);
+  }
+  if (ckpt->pool_meta_degraded ||
+      ckpt->pool_meta.size() != ckpt->pool.size()) {
+    if (!ckpt->pool_meta.empty() || num_meta > 0) {
+      MMWAVE_LOG_WARN << "checkpoint: pool metadata degraded to cold "
+                         "(columns kept, scores reset)";
+    }
+    ckpt->pool_meta_degraded = num_meta > 0;
+    ckpt->pool_meta.clear();
+  }
+  return common::Status::Ok();
 }
 
-/// Parses the v3 pool-index section.  Structural damage (wrong key, token
+/// Parses the pool-index section.  Structural damage (wrong key, token
 /// count, truncation) is a hard parse error; *semantic* damage — a record
 /// whose values are out of range, or the injected
 /// faults::kCheckpointBadIndexRecord — degrades to an empty index (columns
@@ -73,7 +461,7 @@ void append_session(std::string& body, const CgCheckpoint& ckpt) {
                                               CgCheckpoint* ckpt) {
   long long count = 0;
   {
-    auto v = expect_int(reader, "pool_index", 0, detail::kMaxIndexEntries);
+    auto v = expect_int(reader, "pool_index", 0, kMaxIndexEntries);
     if (!v.ok()) return v.status();
     count = v.value();
   }
@@ -81,8 +469,7 @@ void append_session(std::string& body, const CgCheckpoint& ckpt) {
   for (long long i = 0; i < count; ++i) {
     PoolIndexEntry entry;
     bool record_ok = true;
-    const common::Status st =
-        detail::parse_index_entry(reader, &entry, &record_ok);
+    const common::Status st = parse_index_entry(reader, &entry, &record_ok);
     if (!st.ok()) return st;
     // Semantic range checks: a structurally sound record whose dimensions
     // are nonsense degrades the index instead of rejecting the checkpoint.
@@ -101,13 +488,100 @@ void append_session(std::string& body, const CgCheckpoint& ckpt) {
   return common::Status::Ok();
 }
 
-/// Parses the v3 session section.  Same split as the pool index: structural
-/// damage is a hard error, semantic damage (an out-of-range cursor, a
-/// replay-impossible field combination, or the injected
-/// faults::kSessionCursorCorrupt) degrades to "no session" — the solver
-/// pool stays warm, only the stream restarts its session cold.
+/// Serializes the session section (grammar in DESIGN §8.1).  The vectors
+/// carry explicit counts so the serializer is total over any StreamCursor;
+/// the parser's semantic checks enforce count == links on load.
+void append_session(std::string& out, const CgCheckpoint& ckpt) {
+  out += "session = ";
+  out += ckpt.has_session ? '1' : '0';
+  out += '\n';
+  if (!ckpt.has_session) return;
+  const StreamCursor& s = ckpt.session;
+  out += "cursor = " + std::to_string(s.next_gop) + ' ' +
+         std::to_string(s.num_gops) + ' ';
+  append_hex64(out, s.session_fingerprint);
+  out += ' ';
+  append_double(out, s.carryover_stall);
+  out += ' ';
+  append_double(out, s.blocked_fraction_sum);
+  out += ' ' + std::to_string(s.invalidated_periods) + ' ' +
+         std::to_string(s.exec_transmissions_dropped) + ' ';
+  append_hex64(out, s.plan_digest);
+  out += "\ndelivered = " + std::to_string(s.delivered_bits.size());
+  for (double v : s.delivered_bits) {
+    out += ' ';
+    append_double(out, v);
+  }
+  out += "\nblocked = " + std::to_string(s.blocked.size());
+  for (int b : s.blocked) out += ' ' + std::to_string(b);
+  out += "\nbuffers = " + std::to_string(s.buffers.size());
+  for (const StreamBufferState& b : s.buffers) {
+    out += ' ';
+    append_double(out, b.occupancy_seconds);
+    out += ' ';
+    append_double(out, b.stall_seconds);
+    out += ' ' + std::to_string(b.rebuffer_events) + ' ' +
+           std::to_string(b.flags) + ' ' +
+           std::to_string(b.hp_gops_delivered) + ' ' +
+           std::to_string(b.lp_gops_delivered);
+  }
+  const StreamSolverCounters& c = s.counters;
+  out += "\ncontext = " + std::to_string(c.periods) + ' ' +
+         std::to_string(c.resolves) + ' ' + std::to_string(c.pool_hits) +
+         ' ' + std::to_string(c.pool_misses) + ' ' +
+         std::to_string(c.columns_loaded) + ' ' +
+         std::to_string(c.columns_reused) + ' ' +
+         std::to_string(c.columns_repaired) + ' ' +
+         std::to_string(c.columns_dropped) + ' ' +
+         std::to_string(c.transmissions_dropped) + ' ' +
+         std::to_string(c.pool_evicted) + ' ' +
+         std::to_string(c.pool_neighbour_seeded);
+  out += "\ngops = " + std::to_string(s.gops.size());
+  out += '\n';
+  for (const StreamGopRecord& g : s.gops) {
+    out += "gop = " + std::to_string(g.gop) + ' ';
+    append_double(out, g.demand_bits);
+    out += ' ';
+    append_double(out, g.schedule_slots);
+    out += ' ';
+    append_double(out, g.budget_slots);
+    out += ' ';
+    out += g.on_time ? '1' : '0';
+    out += ' ';
+    append_double(out, g.stall_slots);
+    out += '\n';
+  }
+}
+
+/// Reads a per-link line `key = <n> <n * width values>` (n <= kMaxLinks)
+/// and returns the values; `shape` names one entry's fields.
+[[nodiscard]] common::Expected<std::vector<std::string_view>> expect_per_link(
+    LineReader& reader, std::string_view key, long long width,
+    std::string_view shape) {
+  const int line_no = reader.line();
+  auto tokens = expect_kv(reader, key);
+  if (!tokens.ok()) return tokens.status();
+  std::vector<std::string_view>& t = tokens.value();
+  long long n = 0;
+  if (t.empty() || !parse_int_token(t[0], 0, kMaxLinks, &n) ||
+      static_cast<long long>(t.size()) != 1 + width * n) {
+    return parse_error(line_no, std::string(key) + ": expected '<n> [" +
+                                    std::string(shape) + "]...'");
+  }
+  t.erase(t.begin());
+  return tokens;
+}
+
+/// Parses the session section.  Same split as the pool index: structural
+/// damage is a hard error, semantic damage degrades to "no session" — the
+/// solver pool stays warm, only the stream restarts its session cold.
+/// Semantic damage is an out-of-range value (negative delivered bits or
+/// measurements, blocked bits outside {0,1}, NaN/negative buffer
+/// occupancies, the playing-without-started flags encoding), a broken
+/// counter identity, a replay-impossible cursor, a per-link vector that is
+/// not one entry per link, or the injected faults::kSessionCursorCorrupt.
 [[nodiscard]] common::Status parse_session(LineReader& reader,
-                                           CgCheckpoint* ckpt, int version) {
+                                           CgCheckpoint* ckpt) {
   long long present = 0;
   {
     auto v = expect_int(reader, "session", 0, 1);
@@ -118,43 +592,160 @@ void append_session(std::string& body, const CgCheckpoint& ckpt) {
   StreamCursor s;
   bool semantic_ok = true;
   {
-    const common::Status st = detail::parse_cursor_block(
-        reader, &s, &semantic_ok, /*with_buffers=*/version >= 4);
-    if (!st.ok()) return st;
+    const int line_no = reader.line();
+    auto tokens = expect_kv(reader, "cursor");
+    if (!tokens.ok()) return tokens.status();
+    const auto& t = tokens.value();
+    long long next_gop = 0, num_gops = 0, invalidated = 0, exec_dropped = 0;
+    if (t.size() != 8 || !parse_int_token(t[0], 0, kMaxGops, &next_gop) ||
+        !parse_int_token(t[1], 0, kMaxGops, &num_gops) ||
+        !parse_hex64_token(t[2], &s.session_fingerprint) ||
+        !parse_double_token(t[3], /*allow_nan=*/false, &s.carryover_stall) ||
+        !parse_double_token(t[4], /*allow_nan=*/false,
+                            &s.blocked_fraction_sum) ||
+        !parse_int_token(t[5], 0, kMaxGops, &invalidated) ||
+        !parse_int_token(t[6], 0, 9'223'372'036'854'775'806LL,
+                         &exec_dropped) ||
+        !parse_hex64_token(t[7], &s.plan_digest)) {
+      return parse_error(line_no,
+                         "cursor: expected '<next_gop> <num_gops> "
+                         "<fingerprint> <stall> <blocked_sum> <invalidated> "
+                         "<dropped> <digest>'");
+    }
+    s.next_gop = static_cast<int>(next_gop);
+    s.num_gops = static_cast<int>(num_gops);
+    s.invalidated_periods = static_cast<int>(invalidated);
+    s.exec_transmissions_dropped = static_cast<int>(exec_dropped);
+  }
+  {
+    const int line_no = reader.line();
+    auto t = expect_per_link(reader, "delivered", 1, "<bits>");
+    if (!t.ok()) return t.status();
+    for (std::string_view token : t.value()) {
+      double v = 0.0;
+      if (!parse_double_token(token, /*allow_nan=*/false, &v))
+        return parse_error(line_no, "delivered: non-numeric value");
+      if (v < 0.0) semantic_ok = false;
+      s.delivered_bits.push_back(v);
+    }
+  }
+  {
+    const int line_no = reader.line();
+    auto t = expect_per_link(reader, "blocked", 1, "<0|1>");
+    if (!t.ok()) return t.status();
+    for (std::string_view token : t.value()) {
+      long long b = 0;
+      if (!parse_int_token(token, 0, 1'000'000, &b))
+        return parse_error(line_no, "blocked: non-numeric value");
+      if (b > 1) semantic_ok = false;
+      s.blocked.push_back(static_cast<int>(b));
+    }
+  }
+  {
+    const int line_no = reader.line();
+    auto t = expect_per_link(reader, "buffers", 6,
+                             "<occ> <stall> <events> <flags> <hp> <lp>");
+    if (!t.ok()) return t.status();
+    for (std::size_t i = 0; i < t.value().size(); i += 6) {
+      const std::string_view* f = &t.value()[i];
+      StreamBufferState b;
+      long long events = 0, flags = 0, hp = 0, lp = 0;
+      // NaN occupancies parse structurally (a torn double is value damage,
+      // not framing damage) and degrade semantically below.
+      if (!parse_double_token(f[0], /*allow_nan=*/true,
+                              &b.occupancy_seconds) ||
+          !parse_double_token(f[1], /*allow_nan=*/true, &b.stall_seconds) ||
+          !parse_int_token(f[2], 0, kMaxGops, &events) ||
+          !parse_int_token(f[3], 0, 3, &flags) ||
+          !parse_int_token(f[4], 0, kMaxGops, &hp) ||
+          !parse_int_token(f[5], 0, kMaxGops, &lp)) {
+        return parse_error(line_no, "buffers: malformed record");
+      }
+      b.rebuffer_events = static_cast<int>(events);
+      b.flags = static_cast<int>(flags);
+      b.hp_gops_delivered = static_cast<int>(hp);
+      b.lp_gops_delivered = static_cast<int>(lp);
+      if (!(b.occupancy_seconds >= 0.0) || !(b.stall_seconds >= 0.0) ||
+          b.flags == 1 || hp > s.next_gop || lp > s.next_gop) {
+        semantic_ok = false;
+      }
+      s.buffers.push_back(b);
+    }
+  }
+  {
+    const int line_no = reader.line();
+    auto tokens = expect_kv(reader, "context");
+    if (!tokens.ok()) return tokens.status();
+    const auto& t = tokens.value();
+    long long v[11] = {};
+    bool ok = t.size() == 11;
+    for (std::size_t i = 0; ok && i < 11; ++i) {
+      ok = parse_int_token(t[i], 0, 9'223'372'036'854'775'806LL, &v[i]);
+    }
+    if (!ok) {
+      return parse_error(line_no, "context: expected 11 non-negative counters");
+    }
+    StreamSolverCounters& c = s.counters;
+    c.periods = static_cast<int>(v[0]);
+    c.resolves = static_cast<int>(v[1]);
+    c.pool_hits = static_cast<int>(v[2]);
+    c.pool_misses = static_cast<int>(v[3]);
+    c.columns_loaded = static_cast<int>(v[4]);
+    c.columns_reused = static_cast<int>(v[5]);
+    c.columns_repaired = static_cast<int>(v[6]);
+    c.columns_dropped = static_cast<int>(v[7]);
+    c.transmissions_dropped = static_cast<int>(v[8]);
+    c.pool_evicted = v[9];
+    c.pool_neighbour_seeded = v[10];
+    // The accounting identities the scheduler maintains; a cursor that
+    // breaks them cannot have come from a real session.
+    if (c.pool_hits + c.pool_misses != c.resolves ||
+        c.columns_reused > c.columns_loaded) {
+      semantic_ok = false;
+    }
   }
   long long num_gops_records = 0;
   {
-    auto v = expect_int(reader, "gops", 0, detail::kMaxGops);
+    auto v = expect_int(reader, "gops", 0, kMaxGops);
     if (!v.ok()) return v.status();
     num_gops_records = v.value();
   }
   s.gops.reserve(static_cast<std::size_t>(num_gops_records));
   for (long long i = 0; i < num_gops_records; ++i) {
-    StreamGopRecord rec;
-    const common::Status st =
-        detail::parse_gop_record(reader, &rec, &semantic_ok);
-    if (!st.ok()) return st;
-    if (rec.gop != static_cast<int>(i)) semantic_ok = false;
-    s.gops.push_back(rec);
+    const int line_no = reader.line();
+    auto tokens = expect_kv(reader, "gop");
+    if (!tokens.ok()) return tokens.status();
+    const auto& t = tokens.value();
+    StreamGopRecord g;
+    long long gop = 0, on_time = 0;
+    if (t.size() != 6 || !parse_int_token(t[0], 0, kMaxGops, &gop) ||
+        !parse_double_token(t[1], /*allow_nan=*/false, &g.demand_bits) ||
+        !parse_double_token(t[2], /*allow_nan=*/false, &g.schedule_slots) ||
+        !parse_double_token(t[3], /*allow_nan=*/false, &g.budget_slots) ||
+        !parse_int_token(t[4], 0, 1, &on_time) ||
+        !parse_double_token(t[5], /*allow_nan=*/false, &g.stall_slots)) {
+      return parse_error(line_no,
+                         "gop: expected '<g> <demand> <slots> <budget> "
+                         "<on_time> <stall>'");
+    }
+    g.gop = static_cast<int>(gop);
+    g.on_time = on_time != 0;
+    if (gop != i || g.demand_bits < 0.0 || g.schedule_slots < 0.0 ||
+        g.budget_slots < 0.0 || g.stall_slots < 0.0) {
+      semantic_ok = false;
+    }
+    s.gops.push_back(g);
   }
-  // Cursor-level semantic checks: replayability requires a completed-period
-  // prefix consistent with the horizon and with the per-link vectors.
+  // Cursor-level checks: replayability requires a completed-period prefix
+  // consistent with the horizon and per-link vectors of the instance's
+  // width.
   semantic_ok = semantic_ok && s.next_gop >= 1 && s.num_gops >= 1 &&
                 s.next_gop <= s.num_gops &&
                 static_cast<long long>(s.gops.size()) == s.next_gop &&
                 static_cast<int>(s.delivered_bits.size()) == ckpt->links &&
                 static_cast<int>(s.blocked.size()) == ckpt->links &&
-                s.carryover_stall >= 0.0 && s.blocked_fraction_sum >= 0.0;
-  // Buffer state (v4): either absent or one entry per link, with layer
-  // counters bounded by the completed-period count.
-  semantic_ok = semantic_ok &&
-                (s.buffers.empty() ||
-                 static_cast<int>(s.buffers.size()) == ckpt->links);
-  for (const StreamBufferState& b : s.buffers) {
-    if (b.hp_gops_delivered > s.next_gop || b.lp_gops_delivered > s.next_gop)
-      semantic_ok = false;
-  }
-  semantic_ok = semantic_ok &&
+                static_cast<int>(s.buffers.size()) == ckpt->links &&
+                s.carryover_stall >= 0.0 && s.blocked_fraction_sum >= 0.0 &&
                 !common::fault_fires(common::faults::kSessionCursorCorrupt);
   if (!semantic_ok) {
     MMWAVE_LOG_WARN << "checkpoint: session cursor degraded (solver pool "
@@ -164,6 +755,25 @@ void append_session(std::string& body, const CgCheckpoint& ckpt) {
   }
   ckpt->has_session = true;
   ckpt->session = std::move(s);
+  return common::Status::Ok();
+}
+
+/// Writes `bytes` to `path`, replacing any previous content.
+[[nodiscard]] common::Status write_file(const std::string& path,
+                                        std::string_view bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    return common::Status::Error(
+        common::ErrorCode::kIoError,
+        "cannot open '" + path + "' for writing: " + std::strerror(errno));
+  }
+  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
+  const bool flushed = std::fflush(f) == 0;
+  const bool closed = std::fclose(f) == 0;
+  if (written != bytes.size() || !flushed || !closed) {
+    return common::Status::Error(common::ErrorCode::kIoError,
+                                 "short write to '" + path + "'");
+  }
   return common::Status::Ok();
 }
 
@@ -213,6 +823,35 @@ std::uint64_t instance_fingerprint(
   return h.hash();
 }
 
+std::vector<PoolColumnMeta> score_pool(const net::Network& net,
+                                       const CgResult& result,
+                                       std::uint64_t fingerprint,
+                                       std::int64_t epoch) {
+  std::vector<PoolColumnMeta> meta(result.pool.size());
+  for (std::size_t s = 0; s < result.pool.size(); ++s) {
+    PoolColumnMeta& m = meta[s];
+    m.fingerprint = fingerprint;
+    m.last_used_epoch = epoch;
+    m.in_basis =
+        s < result.pool_tau.size() && result.pool_tau[s] > 0.0;
+    double priced = 0.0;
+    const auto hp =
+        result.pool[s].rate_column_bits_per_slot(net, net::Layer::Hp);
+    const auto lp =
+        result.pool[s].rate_column_bits_per_slot(net, net::Layer::Lp);
+    for (int l = 0; l < net.num_links(); ++l) {
+      priced += (l < static_cast<int>(result.duals_hp.size())
+                     ? result.duals_hp[l] * hp[l]
+                     : 0.0) +
+                (l < static_cast<int>(result.duals_lp.size())
+                     ? result.duals_lp[l] * lp[l]
+                     : 0.0);
+    }
+    m.last_reduced_cost = std::isfinite(priced) ? 1.0 - priced : 0.0;
+  }
+  return meta;
+}
+
 CgCheckpoint make_checkpoint(const net::Network& net,
                              const std::vector<video::LinkDemand>& demands,
                              const CgResult& result) {
@@ -236,29 +875,9 @@ CgCheckpoint make_checkpoint(const net::Network& net,
   ckpt.pool_tau = result.pool_tau;
   if (ckpt.pool_tau.size() != ckpt.pool.size())
     ckpt.pool_tau.assign(ckpt.pool.size(), 0.0);
-  // Cold lifecycle metadata derived from the solve itself: reduced costs
-  // under the final duals, basis membership from tau.  core::score_pool
-  // computes the same record with a live PoolManager epoch; epoch 0 here
-  // means "age unknown" to whoever imports this checkpoint.
-  ckpt.pool_meta.resize(ckpt.pool.size());
-  for (std::size_t s = 0; s < ckpt.pool.size(); ++s) {
-    PoolColumnMeta& m = ckpt.pool_meta[s];
-    m.fingerprint = ckpt.fingerprint;
-    m.last_used_epoch = 0;
-    m.in_basis = ckpt.pool_tau[s] > 0.0;
-    double priced = 0.0;
-    const auto hp = ckpt.pool[s].rate_column_bits_per_slot(net, net::Layer::Hp);
-    const auto lp = ckpt.pool[s].rate_column_bits_per_slot(net, net::Layer::Lp);
-    for (int l = 0; l < net.num_links(); ++l) {
-      priced += (l < static_cast<int>(ckpt.duals_hp.size())
-                     ? ckpt.duals_hp[l] * hp[l]
-                     : 0.0) +
-                (l < static_cast<int>(ckpt.duals_lp.size())
-                     ? ckpt.duals_lp[l] * lp[l]
-                     : 0.0);
-    }
-    m.last_reduced_cost = std::isfinite(priced) ? 1.0 - priced : 0.0;
-  }
+  // Cold lifecycle metadata derived from the solve itself; epoch 0 means
+  // "age unknown" to whoever imports this checkpoint.
+  ckpt.pool_meta = score_pool(net, result, ckpt.fingerprint, 0);
   return ckpt;
 }
 
@@ -289,27 +908,24 @@ std::string serialize_checkpoint(const CgCheckpoint& ckpt) {
   body += "\ncolumns = " + std::to_string(ckpt.pool.size());
   body += '\n';
   for (std::size_t s = 0; s < ckpt.pool.size(); ++s) {
-    detail::append_column(body, ckpt.pool[s],
-                          s < ckpt.pool_tau.size() ? ckpt.pool_tau[s] : 0.0);
+    append_column(body, ckpt.pool[s],
+                  s < ckpt.pool_tau.size() ? ckpt.pool_tau[s] : 0.0);
   }
-  // v2 pool-metadata section: one record per column when metadata is
-  // aligned, an explicit empty section otherwise (cold metadata).
+  // Pool-metadata section: one record per column when metadata is aligned,
+  // an explicit empty section otherwise (cold metadata).
   const bool have_meta = ckpt.pool_meta.size() == ckpt.pool.size();
   body += "pool_meta = " +
           std::to_string(have_meta ? ckpt.pool_meta.size() : 0);
   body += '\n';
   if (have_meta) {
-    for (const PoolColumnMeta& m : ckpt.pool_meta)
-      detail::append_meta_record(body, m);
+    for (const PoolColumnMeta& m : ckpt.pool_meta) append_meta_record(body, m);
   }
-  // v3 sections: delta-log binding, the multi-instance neighbour index, and
-  // the stream-session cursor.
-  body += "base_seq = " + std::to_string(ckpt.base_seq);
-  body += "\npool_epoch = " + std::to_string(ckpt.pool_epoch);
+  // The manager epoch, the multi-instance neighbour index, and the
+  // stream-session cursor.
+  body += "pool_epoch = " + std::to_string(ckpt.pool_epoch);
   body += "\npool_index = " + std::to_string(ckpt.pool_index.size());
   body += '\n';
-  for (const PoolIndexEntry& e : ckpt.pool_index)
-    detail::append_index_entry(body, e);
+  for (const PoolIndexEntry& e : ckpt.pool_index) append_index_entry(body, e);
   append_session(body, ckpt);
   body += "end\n";
 
@@ -341,11 +957,10 @@ std::string serialize_checkpoint(const CgCheckpoint& ckpt) {
                        &version)) {
     return parse_error(1, "malformed version field");
   }
-  if (version < kMinCheckpointVersion || version > kCheckpointVersion) {
-    return parse_error(
-        1, "unsupported checkpoint version v" + std::to_string(version) +
-               " (this build reads v" + std::to_string(kMinCheckpointVersion) +
-               "..v" + std::to_string(kCheckpointVersion) + ")");
+  if (version != kCheckpointVersion) {
+    return parse_error(1, "unsupported checkpoint version v" +
+                              std::to_string(version) + " (this build reads v" +
+                              std::to_string(kCheckpointVersion) + " only)");
   }
 
   const std::size_t second_nl = text.find('\n', first_nl + 1);
@@ -381,12 +996,12 @@ std::string serialize_checkpoint(const CgCheckpoint& ckpt) {
     }
   }
   {
-    auto v = expect_int(reader, "links", 1, detail::kMaxLinks);
+    auto v = expect_int(reader, "links", 1, kMaxLinks);
     if (!v.ok()) return v.status();
     ckpt.links = static_cast<int>(v.value());
   }
   {
-    auto v = expect_int(reader, "channels", 1, detail::kMaxChannels);
+    auto v = expect_int(reader, "channels", 1, kMaxChannels);
     if (!v.ok()) return v.status();
     ckpt.channels = static_cast<int>(v.value());
   }
@@ -414,18 +1029,18 @@ std::string serialize_checkpoint(const CgCheckpoint& ckpt) {
     ckpt.lower_bound = v.value();
   }
   {
-    auto v = detail::parse_dual_vector(reader, "duals_hp", ckpt.links);
+    auto v = parse_dual_vector(reader, "duals_hp", ckpt.links);
     if (!v.ok()) return v.status();
     ckpt.duals_hp = std::move(v.value());
   }
   {
-    auto v = detail::parse_dual_vector(reader, "duals_lp", ckpt.links);
+    auto v = parse_dual_vector(reader, "duals_lp", ckpt.links);
     if (!v.ok()) return v.status();
     ckpt.duals_lp = std::move(v.value());
   }
   long long num_columns = 0;
   {
-    auto v = expect_int(reader, "columns", 0, detail::kMaxColumns);
+    auto v = expect_int(reader, "columns", 0, kMaxColumns);
     if (!v.ok()) return v.status();
     num_columns = v.value();
   }
@@ -436,75 +1051,30 @@ std::string serialize_checkpoint(const CgCheckpoint& ckpt) {
     sched::Schedule col;
     double tau = 0.0;
     const common::Status st =
-        detail::parse_column(reader, ckpt.links, ckpt.channels, &col, &tau);
+        parse_column(reader, ckpt.links, ckpt.channels, &col, &tau);
     if (!st.ok()) return st;
     ckpt.pool.push_back(std::move(col));
     ckpt.pool_tau.push_back(tau);
   }
 
-  // ---- v2 pool-metadata section ------------------------------------------
-  // Structural damage (wrong key, wrong token count, truncation) is a hard
-  // parse error like everywhere else; *semantic* damage — a record whose
-  // values are out of their documented ranges — only degrades the metadata
-  // to cold (pool_meta cleared, pool_meta_degraded set).  The columns are
-  // the expensive artifact; their lifecycle scores are merely advisory.
-  if (version >= 2) {
-    long long num_meta = 0;
-    {
-      auto v = expect_int(reader, "pool_meta", 0, detail::kMaxColumns);
-      if (!v.ok()) return v.status();
-      num_meta = v.value();
-    }
-    if (num_meta != 0 && num_meta != num_columns) {
-      ckpt.pool_meta_degraded = true;  // count skew: scores unusable
-    }
-    ckpt.pool_meta.reserve(static_cast<std::size_t>(num_meta));
-    for (long long s = 0; s < num_meta; ++s) {
-      PoolColumnMeta m;
-      bool record_ok = true;
-      const common::Status st = detail::parse_meta_record(reader, &m,
-                                                          &record_ok);
-      if (!st.ok()) return st;
-      if (!record_ok ||
-          common::fault_fires(common::faults::kCheckpointBadPoolRecord)) {
-        ckpt.pool_meta_degraded = true;
-        continue;  // keep consuming the declared records
-      }
-      ckpt.pool_meta.push_back(m);
-    }
-    if (ckpt.pool_meta_degraded ||
-        ckpt.pool_meta.size() != ckpt.pool.size()) {
-      if (!ckpt.pool_meta.empty() || num_meta > 0) {
-        MMWAVE_LOG_WARN << "checkpoint: pool metadata degraded to cold "
-                           "(columns kept, scores reset)";
-      }
-      ckpt.pool_meta_degraded = num_meta > 0;
-      ckpt.pool_meta.clear();
-    }
+  // ---- Advisory sections: metadata, epoch, index, session ----------------
+  {
+    const common::Status st = parse_pool_meta(reader, &ckpt);
+    if (!st.ok()) return st;
   }
-
-  // ---- v3 sections: delta binding, pool index, session cursor ------------
-  if (version >= 3) {
-    {
-      auto v = expect_int(reader, "base_seq", 0,
-                          std::numeric_limits<long long>::max() - 1);
-      if (!v.ok()) return v.status();
-      ckpt.base_seq = v.value();
-    }
-    {
-      auto v = expect_int(reader, "pool_epoch", 0,
-                          std::numeric_limits<long long>::max() - 1);
-      if (!v.ok()) return v.status();
-      ckpt.pool_epoch = v.value();
-    }
-    {
-      const common::Status st = parse_pool_index(reader, &ckpt);
-      if (!st.ok()) return st;
-    }
-    {
-      const common::Status st = parse_session(reader, &ckpt, version);
-      if (!st.ok()) return st;
-    }
+  {
+    auto v = expect_int(reader, "pool_epoch", 0,
+                        std::numeric_limits<long long>::max() - 1);
+    if (!v.ok()) return v.status();
+    ckpt.pool_epoch = v.value();
+  }
+  {
+    const common::Status st = parse_pool_index(reader, &ckpt);
+    if (!st.ok()) return st;
+  }
+  {
+    const common::Status st = parse_session(reader, &ckpt);
+    if (!st.ok()) return st;
   }
 
   // ---- Terminator + no trailing garbage ----------------------------------
@@ -525,27 +1095,12 @@ std::string serialize_checkpoint(const CgCheckpoint& ckpt) {
   return ckpt;
 }
 
-[[nodiscard]] common::Status save_checkpoint(const CgCheckpoint& ckpt,
-                               const std::string& path) {
-  if (common::fault_fires(common::faults::kCheckpointWriteFail)) {
-    return common::Status::Error(common::ErrorCode::kIoError,
-                                 "checkpoint write failed (injected fault)");
-  }
-  const std::string text = serialize_checkpoint(ckpt);
+[[nodiscard]] common::Status write_file_atomic(const std::string& path,
+                                               std::string_view text) {
   const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return common::Status::Error(
-        common::ErrorCode::kIoError,
-        "cannot open '" + tmp + "' for writing: " + std::strerror(errno));
-  }
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  const bool closed = std::fclose(f) == 0;
-  if (written != text.size() || !flushed || !closed) {
+  if (common::Status st = write_file(tmp, text); !st.ok()) {
     std::remove(tmp.c_str());
-    return common::Status::Error(common::ErrorCode::kIoError,
-                                 "short write to '" + tmp + "'");
+    return st;
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
@@ -555,6 +1110,30 @@ std::string serialize_checkpoint(const CgCheckpoint& ckpt) {
             std::strerror(errno));
   }
   return common::Status::Ok();
+}
+
+[[nodiscard]] common::Status save_checkpoint(const CgCheckpoint& ckpt,
+                                             const std::string& path,
+                                             std::int64_t* bytes_written) {
+  if (common::fault_fires(common::faults::kCheckpointWriteFail)) {
+    return common::Status::Error(common::ErrorCode::kIoError,
+                                 "checkpoint write failed (injected fault)");
+  }
+  const std::string text = serialize_checkpoint(ckpt);
+  if (common::fault_fires(common::faults::kCheckpointTornWrite)) {
+    // Crash window: half of the temp file lands and the rename never runs.
+    // `path` still holds the previous save; the stray temp file is
+    // overwritten by the next save.
+    (void)write_file(path + ".tmp",
+                     std::string_view(text).substr(0, text.size() / 2));
+    return common::Status::Error(
+        common::ErrorCode::kIoError,
+        "checkpoint write torn before the rename (injected fault)");
+  }
+  const common::Status st = write_file_atomic(path, text);
+  if (st.ok() && bytes_written != nullptr)
+    *bytes_written = static_cast<std::int64_t>(text.size());
+  return st;
 }
 
 [[nodiscard]] common::Expected<CgCheckpoint> load_checkpoint(

@@ -4,9 +4,10 @@
 // schedules built by pricing; it stays valid (or cheaply repairable) across
 // demand changes and partial topology perturbations.  CgCheckpoint captures
 // that pool plus the surrounding solver state — instance fingerprint,
-// per-column durations, duals, LB/UB, iteration counters — in a versioned,
-// checksummed, human-readable text format so a scheduling service can
-// survive process death and re-enter CG warm instead of cold.
+// per-column durations, duals, LB/UB, iteration counters, the neighbour
+// index and the stream-session cursor — in one versioned, checksummed,
+// human-readable text format so a scheduling service can survive process
+// death and re-enter CG warm instead of cold.
 //
 // Robustness contract (enforced by tests/core/checkpoint_test.cpp, the
 // checkpoint fuzz harness, and the fault-injection sites in
@@ -14,15 +15,17 @@
 //   * save_checkpoint writes atomically (temp file + rename): a crash
 //     mid-write can lose the new checkpoint, never corrupt the old one;
 //   * parse_checkpoint is strict: any corruption — truncation, bit flip
-//     (caught by the FNV-1a payload checksum), version skew, out-of-range
-//     field — returns a structured common::Status, never crashes and never
-//     yields a partially-parsed checkpoint;
+//     (caught by the FNV-1a payload checksum), a version other than
+//     kCheckpointVersion, out-of-range field — returns a structured
+//     common::Status, never crashes and never yields a partially-parsed
+//     checkpoint;
 //   * fingerprint mismatches are detectable by the caller, so a checkpoint
 //     can never be silently replayed against the wrong instance;
-//   * the v2 pool-metadata section is advisory: a structurally sound file
-//     whose metadata values are out of range degrades to cold metadata
-//     (columns kept, scores reset) instead of rejecting the checkpoint —
-//     lifecycle hints must never cost the warm-start capital they score.
+//   * the pool-metadata, pool-index and session sections are advisory: a
+//     structurally sound file whose records are out of range degrades that
+//     section alone (pool_meta_degraded, pool_index_degraded,
+//     session_degraded) instead of rejecting the checkpoint — hints must
+//     never cost the warm-start capital they describe.
 #pragma once
 
 #include <cstdint>
@@ -39,20 +42,14 @@ namespace mmwave::core {
 
 struct CgResult;  // column_generation.h
 
-/// The on-disk format version this build writes.  The parser also reads
-/// every older version: v1 lacks the pool-metadata section (its pool loads
-/// with cold metadata), v2 lacks the session/pool-index sections (it loads
-/// with no stream cursor and an empty neighbour index), v3 lacks the
-/// per-link client-buffer line in the session cursor (it loads with empty
-/// buffer state — a resumed session then starts its buffers cold).
-inline constexpr int kCheckpointVersion = 4;
-/// Oldest format version parse_checkpoint still accepts.
-inline constexpr int kMinCheckpointVersion = 1;
+/// The one on-disk format version: the version this build writes and the
+/// only one parse_checkpoint reads.  Older files are refused ("unsupported
+/// checkpoint version"); their callers start cold.
+inline constexpr int kCheckpointVersion = 5;
 
-/// Per-column lifecycle metadata (core::PoolManager's scoring state),
-/// persisted by checkpoint format v2.  The default-constructed value is
-/// the "cold metadata" a v1 checkpoint — or a v2 checkpoint whose metadata
-/// records were semantically bad — loads with.
+/// Per-column lifecycle metadata (core::PoolManager's scoring state).  The
+/// default-constructed value is the "cold metadata" a checkpoint whose
+/// metadata records were semantically bad loads with.
 struct PoolColumnMeta {
   /// Instance fingerprint the column last served under.
   std::uint64_t fingerprint = 0;
@@ -67,8 +64,8 @@ struct PoolColumnMeta {
 };
 
 /// One entry of the multi-instance neighbour index (core::PoolManager's
-/// `instances_`), persisted by checkpoint format v3 so a restarted session
-/// recovers nearest-neighbour seeding, not just one instance's pool.
+/// `instances_`), persisted so a restarted session recovers
+/// nearest-neighbour seeding, not just one instance's pool.
 struct PoolIndexEntry {
   std::uint64_t fingerprint = 0;
   int links = 0;
@@ -91,7 +88,7 @@ struct StreamGopRecord {
   double stall_slots = 0.0;
 };
 
-/// Per-link client playout-buffer state persisted by checkpoint format v4
+/// Per-link client playout-buffer state persisted with the session cursor
 /// (mirrors stream::ClientBuffer; lives here because core cannot depend on
 /// stream).  Occupancy/stall are seconds of video; the layer counters are
 /// GOPs whose HP/LP layer was delivered in full.
@@ -122,7 +119,7 @@ struct StreamSolverCounters {
   std::int64_t pool_neighbour_seeded = 0;
 };
 
-/// The stream-session cursor persisted by checkpoint format v3: everything
+/// The stream-session cursor persisted in the checkpoint: everything
 /// `stream::run_blockage_session` needs to continue mid-session after a
 /// crash.  Demands and blockage states are regenerated deterministically
 /// from the session seed; the cursor pins where in those streams the
@@ -150,10 +147,9 @@ struct StreamCursor {
   /// resume replays the Markov chain and must land on exactly these bits,
   /// otherwise the cursor is stale and gets rejected.
   std::vector<int> blocked;
-  /// Client playout-buffer state at the cursor position (format v4).
-  /// Either one entry per link or empty — empty means "no buffer state"
-  /// (a v3-era file, or a producer without the buffer model): the resumed
-  /// session starts its buffers cold.
+  /// Client playout-buffer state at the cursor position, one entry per
+  /// link.  Any other size degrades the session (parse) or rejects the
+  /// resume (stream::run_blockage_session).
   std::vector<StreamBufferState> buffers;
   StreamSolverCounters counters;
   /// Scoring records of the completed periods, in order (size next_gop).
@@ -181,27 +177,23 @@ struct CgCheckpoint {
   std::vector<sched::Schedule> pool;
   /// Incumbent durations tau^s aligned with `pool` (0 outside the plan).
   std::vector<double> pool_tau;
-  /// Lifecycle metadata aligned with `pool` (format v2).  Empty = cold
-  /// metadata: a v1 checkpoint, or a v2 file whose metadata records were
-  /// semantically out of range (see pool_meta_degraded).
+  /// Lifecycle metadata aligned with `pool`.  Empty = cold metadata: a file
+  /// whose metadata records were semantically out of range (see
+  /// pool_meta_degraded).
   std::vector<PoolColumnMeta> pool_meta;
-  /// True when a v2 checkpoint carried a pool-metadata section that had to
+  /// True when the checkpoint carried a pool-metadata section that had to
   /// be discarded (out-of-range record, or the injected
   /// faults::kCheckpointBadPoolRecord): the columns are still warm capital,
   /// only their scores restarted cold.
   bool pool_meta_degraded = false;
 
-  // ---- Format v3 fields (defaults = what a v1/v2 file loads with) --------
-  /// Compaction counter of the delta log this base belongs to; delta blocks
-  /// bind to it so a stale .delta chain can never replay onto a newer base.
-  std::int64_t base_seq = 0;
   /// PoolManager store() epoch at save time, restored on import so recency
   /// scoring continues instead of restarting at zero.
   std::int64_t pool_epoch = 0;
-  /// The multi-instance neighbour index (v3).  Empty for v1/v2 files and
-  /// when a v3 index section was semantically damaged (pool_index_degraded).
+  /// The multi-instance neighbour index.  Empty when the index section was
+  /// semantically damaged (pool_index_degraded).
   std::vector<PoolIndexEntry> pool_index;
-  /// True when a v3 pool-index section had to be discarded (out-of-range
+  /// True when the pool-index section had to be discarded (out-of-range
   /// record, or the injected faults::kCheckpointBadIndexRecord): the pool
   /// is intact, only the neighbour index restarts empty.
   bool pool_index_degraded = false;
@@ -209,7 +201,7 @@ struct CgCheckpoint {
   bool has_session = false;
   /// The stream-session cursor (meaningful only when has_session).
   StreamCursor session;
-  /// True when a v3 session section had to be discarded (out-of-range
+  /// True when the session section had to be discarded (out-of-range
   /// cursor, or the injected faults::kSessionCursorCorrupt): the solver
   /// pool is intact, only the stream session restarts cold.
   bool session_degraded = false;
@@ -225,6 +217,15 @@ std::uint64_t fnv1a64(std::string_view bytes);
 std::uint64_t instance_fingerprint(
     const net::Network& net, const std::vector<video::LinkDemand>& demands);
 
+/// Scores a finished solve's pool for lifecycle management: reduced cost of
+/// every pool column under the result's final duals, basis membership from
+/// pool_tau, recency = `epoch`.  make_checkpoint persists this metadata
+/// (epoch 0: "age unknown") and PoolManager::store() ingests it.
+std::vector<PoolColumnMeta> score_pool(const net::Network& net,
+                                       const CgResult& result,
+                                       std::uint64_t fingerprint,
+                                       std::int64_t epoch);
+
 /// Snapshot of a finished (or degraded) solve, ready to save.
 CgCheckpoint make_checkpoint(const net::Network& net,
                              const std::vector<video::LinkDemand>& demands,
@@ -235,18 +236,29 @@ std::string serialize_checkpoint(const CgCheckpoint& checkpoint);
 
 /// Strict parser: the exact inverse of serialize_checkpoint.  Returns
 /// kInvalidInput with a one-line diagnosis on ANY deviation — wrong magic,
-/// version skew, checksum mismatch, truncation, out-of-range or
-/// non-numeric fields, trailing garbage.  Never throws on any byte
-/// sequence (fuzzed contract).
+/// any version but kCheckpointVersion, checksum mismatch, truncation,
+/// out-of-range or non-numeric fields, trailing garbage.  Never throws on
+/// any byte sequence (fuzzed contract).
 [[nodiscard]] common::Expected<CgCheckpoint> parse_checkpoint(
     std::string_view text);
 
-/// Atomic write: serialize to `path + ".tmp"`, fsync-free fwrite + rename.
-/// Returns kIoError on any filesystem failure (the fault site
-/// faults::kCheckpointWriteFail scripts one); a failed save never leaves a
-/// half-written file at `path`.
-[[nodiscard]] common::Status save_checkpoint(const CgCheckpoint& checkpoint,
-                               const std::string& path);
+/// Atomic whole-file write: `text` to `path + ".tmp"`, fsync-free fwrite,
+/// then rename over `path`.  kIoError on any filesystem failure, after
+/// which `path` still holds its previous content.  The one durable writer
+/// of the project (checkpoints and the fleet queue manifest).
+[[nodiscard]] common::Status write_file_atomic(const std::string& path,
+                                               std::string_view text);
+
+/// Serializes once and writes through write_file_atomic.  Returns kIoError
+/// on any filesystem failure; a failed save never leaves a half-written
+/// file at `path`.  Two fault sites script the failures:
+/// faults::kCheckpointWriteFail fails before any byte is written, and
+/// faults::kCheckpointTornWrite leaves half of `path + ".tmp"` on disk and
+/// never renames it.  `bytes_written`, when given, receives the size of
+/// the file a successful save wrote.
+[[nodiscard]] common::Status save_checkpoint(
+    const CgCheckpoint& checkpoint, const std::string& path,
+    std::int64_t* bytes_written = nullptr);
 
 /// Reads and strictly parses `path`.  kIoError when unreadable; otherwise
 /// parse_checkpoint's verdict.  The fault site faults::kCheckpointCorrupt

@@ -1,146 +1,72 @@
-// Delta-encoded checkpoint persistence: a base snapshot plus an append-only
-// chain of delta blocks, with periodic compaction.
+// The checkpoint file a long-running session saves every period.
 //
-// save_checkpoint rewrites the whole solver state on every call — O(pool)
-// bytes per period even when one streaming period changed two columns and
-// one gop record.  CheckpointLog makes the steady-state save O(changed
-// columns): the base file at `path` holds a full checkpoint (the ordinary
-// core/checkpoint.h format, loadable by anything that reads checkpoints),
-// and `path + ".delta"` holds checksummed blocks that record column
-// adds/drops/score changes, the refreshed duals/header, the small v3
-// sections, and the newly appended gop records.
+// Every save() is one atomic full rewrite of the file at `path`: the state
+// is serialized once and written through save_checkpoint (temp file +
+// rename).  open() reads that file once.  A crash at any point leaves
+// either the previous save or the new one on disk, never a mix.
 //
-// Contracts (enforced by tests/core/checkpoint_log_test.cpp, the fuzz
-// corpus, and tools/chaos_soak):
-//   * Replay equality: loading base + deltas yields a state whose
-//     serialize_checkpoint output is byte-identical to a full rewrite of
-//     the last saved state; after compact(), the base file itself is
-//     byte-identical to serialize_checkpoint(state).
-//   * Degradation ladder, never a crash: a torn or corrupt delta block
-//     drops the chain tail (load keeps base + the valid prefix); an
-//     unreadable base degrades to a cold start; a failed compaction leaves
-//     the previous base + chain fully loadable and retries on the next
-//     save.  Stale chains cannot misbind: blocks carry the base_seq of the
-//     base they extend and are skipped when it does not match.
-//   * Torn-write atomicity is block-level: the loader validates each
-//     block's byte count and FNV-1a checksum before applying any of it
-//     (faults::kCheckpointDeltaTornWrite and
-//     faults::kCheckpointCompactCrash script the two crash windows).
+// Contracts (enforced by tests/core/checkpoint_test.cpp and
+// tools/chaos_soak):
+//   * a missing file opens cold; an unreadable, corrupt or older-version
+//     file opens cold with base_damaged set, and the next save() replaces
+//     it;
+//   * a failed save (faults::kCheckpointWriteFail, or
+//     faults::kCheckpointTornWrite, which tears the temp file before the
+//     rename) leaves the previous save loadable;
+//   * a leftover `path + ".tmp"` is never read.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "common/status.h"
 #include "core/checkpoint.h"
 
 namespace mmwave::core {
 
-struct CheckpointLogOptions {
-  /// Delta saves between forced compactions.  0 compacts on every save
-  /// (delta encoding disabled); the default keeps chains short enough that
-  /// recovery replays are cheap while steady-state saves stay O(changes).
-  /// Ignored when `adaptive` is set.
-  int compact_every = 8;
-  /// Also account the bytes a full rewrite WOULD have written on each save
-  /// (stats().full_equiv_bytes) — the chaos-soak bench's savings baseline.
-  bool track_full_equiv = false;
-  /// Adaptive compaction policy: instead of the fixed compact_every stride,
-  /// compact when appending the next delta would push the chain past EITHER
-  /// budget below.  Sizes the chain to the state it shadows — small states
-  /// compact often (deltas are a large fraction of a small base), big pools
-  /// amortize across long chains — while still bounding how many blocks a
-  /// crash recovery has to replay.
-  bool adaptive = false;
-  /// Chain-size budget: compact when chain bytes would exceed this fraction
-  /// of the current base snapshot's bytes.
-  double max_chain_fraction = 0.5;
-  /// Replay-cost budget: compact when the chain would exceed this many
-  /// blocks (a recovery replays every block; 0 = no block budget).
-  int max_replay_blocks = 64;
-};
-
 struct CheckpointLogStats {
+  /// Successful saves.
   std::int64_t saves = 0;
-  std::int64_t delta_saves = 0;
-  std::int64_t full_saves = 0;
-  std::int64_t compactions = 0;
-  /// Bytes appended to the delta chain (block headers included).
+  /// Always 0: every save is a full rewrite.  Kept because the end-to-end
+  /// benchmark (perfbench/perf_e2e.cpp) adds it to full_bytes.
   std::int64_t delta_bytes = 0;
-  /// Bytes written as full base snapshots.
+  /// Bytes written by successful saves.
   std::int64_t full_bytes = 0;
-  /// Bytes full rewrites would have cost (when track_full_equiv).
-  std::int64_t full_equiv_bytes = 0;
 };
 
-/// Outcome of binding to on-disk state.  Every damage mode maps to a rung
-/// of the degradation ladder rather than an error: the caller always gets
-/// the best state the files support, possibly "nothing" (cold start).
+/// Outcome of open().  Damage never surfaces as an error: the caller
+/// always gets the best state the file supports, possibly "nothing" (cold
+/// start).
 struct CheckpointLogLoad {
-  /// `state` holds a usable checkpoint (base existed and parsed).
+  /// `state` holds a usable checkpoint.
   bool loaded = false;
-  /// A base file existed but was unreadable/corrupt: cold start, and the
-  /// next save() lays down a fresh base.
+  /// A file existed but was unreadable, corrupt or of another format
+  /// version: cold start.
   bool base_damaged = false;
-  /// The delta chain had a torn/corrupt/stale tail that was dropped;
-  /// `state` reflects base + the longest valid prefix.
-  bool tail_dropped = false;
+  /// Always 0: there is no delta chain to replay.  Kept because the
+  /// end-to-end benchmark (perfbench/perf_e2e.cpp) reads it.
   int deltas_applied = 0;
-  /// Bytes of unusable chain tail discarded (0 when !tail_dropped).
-  std::int64_t tail_bytes_dropped = 0;
   CgCheckpoint state;
 };
 
-/// Read-only recovery: load the base at `path`, replay the valid prefix of
-/// `path + ".delta"`, best-effort truncate the chain to that prefix.  Never
-/// fails on damaged files — damage shows up as the flags above.
-[[nodiscard]] CheckpointLogLoad load_checkpoint_log(const std::string& path);
-
 class CheckpointLog {
  public:
-  explicit CheckpointLog(std::string path, CheckpointLogOptions options = {});
+  explicit CheckpointLog(std::string path) : path_(std::move(path)) {}
 
-  /// Binds the writer to existing on-disk state (missing files = fresh
-  /// log).  Must be called before save(); the returned state is what a
+  /// Reads the file at path() once.  The returned state is what a
   /// recovering process resumes from.
-  [[nodiscard]] CheckpointLogLoad open();
+  [[nodiscard]] CheckpointLogLoad open() const;
 
-  /// Persists `ckpt`: a delta block against the last saved state when the
-  /// change is expressible and the chain is healthy, otherwise a full
-  /// compaction.  kIoError on write failure — after which the on-disk state
-  /// still loads to the previous save, and the next save() self-heals by
-  /// compacting.
+  /// Persists `ckpt` as one atomic full rewrite.  kIoError on write
+  /// failure, after which the file still loads to the previous save.
   [[nodiscard]] common::Status save(const CgCheckpoint& ckpt);
-
-  /// Forces a full base rewrite (atomic) and clears the delta chain.
-  [[nodiscard]] common::Status compact(const CgCheckpoint& ckpt);
 
   const CheckpointLogStats& stats() const { return stats_; }
   const std::string& path() const { return path_; }
-  std::string delta_path() const { return path_ + ".delta"; }
-  std::int64_t base_seq() const { return base_seq_; }
 
  private:
-  [[nodiscard]] bool build_delta_payload(const CgCheckpoint& ckpt,
-                                         std::string* payload) const;
-  [[nodiscard]] common::Status append_block(const std::string& block);
-
   std::string path_;
-  CheckpointLogOptions options_;
-  /// The last state persisted (base + applied deltas): what the next delta
-  /// is diffed against.
-  CgCheckpoint shadow_;
-  bool have_shadow_ = false;
-  /// A torn append or failed compaction left the chain tail suspect: the
-  /// next save must compact instead of appending.
-  bool dirty_tail_ = false;
-  std::int64_t base_seq_ = 0;
-  std::int64_t next_delta_seq_ = 1;
-  int deltas_since_compact_ = 0;
-  /// Current base / live chain sizes, maintained across save()/compact()
-  /// and rebuilt by open(): what the adaptive policy budgets against.
-  std::int64_t base_bytes_ = 0;
-  std::int64_t chain_bytes_ = 0;
   CheckpointLogStats stats_;
 };
 

@@ -72,35 +72,6 @@ double signature_distance(const InstanceSignature& a,
                             : sum / static_cast<double>(a.features.size());
 }
 
-std::vector<PoolColumnMeta> score_pool(const net::Network& net,
-                                       const CgResult& result,
-                                       std::uint64_t fingerprint,
-                                       std::int64_t epoch) {
-  std::vector<PoolColumnMeta> meta(result.pool.size());
-  for (std::size_t s = 0; s < result.pool.size(); ++s) {
-    PoolColumnMeta& m = meta[s];
-    m.fingerprint = fingerprint;
-    m.last_used_epoch = epoch;
-    m.in_basis =
-        s < result.pool_tau.size() && result.pool_tau[s] > 0.0;
-    double priced = 0.0;
-    const auto hp =
-        result.pool[s].rate_column_bits_per_slot(net, net::Layer::Hp);
-    const auto lp =
-        result.pool[s].rate_column_bits_per_slot(net, net::Layer::Lp);
-    for (int l = 0; l < net.num_links(); ++l) {
-      priced += (l < static_cast<int>(result.duals_hp.size())
-                     ? result.duals_hp[l] * hp[l]
-                     : 0.0) +
-                (l < static_cast<int>(result.duals_lp.size())
-                     ? result.duals_lp[l] * lp[l]
-                     : 0.0);
-    }
-    m.last_reduced_cost = std::isfinite(priced) ? 1.0 - priced : 0.0;
-  }
-  return meta;
-}
-
 PoolManager::PoolManager(PoolManagerOptions options)
     : options_(std::move(options)) {
   if (options_.adaptive) {
@@ -312,7 +283,7 @@ void PoolManager::import_checkpoint(const CgCheckpoint& checkpoint) {
     if (have_meta) {
       e.meta = checkpoint.pool_meta[s];
     } else {
-      // Cold metadata (v1 checkpoint or degraded v2): identity from the
+      // Cold metadata (degraded metadata section): identity from the
       // checkpoint header, basis from tau, age/rc unknown.
       e.meta.fingerprint = checkpoint.fingerprint;
       e.meta.last_used_epoch = 0;
@@ -327,7 +298,7 @@ void PoolManager::import_checkpoint(const CgCheckpoint& checkpoint) {
       entries_.push_back(std::move(e));
     }
   }
-  // v3 cross-instance state: advance the epoch clock so restored recency
+  // Cross-instance state: advance the epoch clock so restored recency
   // values stay meaningful, then merge the persisted neighbour index (by
   // fingerprint: refresh known instances, append unknown ones in saved
   // order so seeding stays deterministic).
@@ -378,7 +349,7 @@ CgCheckpoint PoolManager::export_checkpoint(const CgCheckpoint& base) const {
     out.pool_tau.push_back(e.tau);
     out.pool_meta.push_back(e.meta);
   }
-  // Format v3: persist the manager's cross-instance state so a restarted
+  // Persist the manager's cross-instance state so a restarted
   // process recovers neighbour seeding and recency scoring, not just one
   // instance's columns.
   out.pool_epoch = epoch_;

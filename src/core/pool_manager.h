@@ -89,7 +89,8 @@ struct PoolManagerOptions {
 };
 
 // PoolColumnMeta (the per-column lifecycle record this manager scores and
-// evicts on) lives in core/checkpoint.h: format v2 persists it per column.
+// evicts on) lives in core/checkpoint.h: the checkpoint persists it per
+// column.
 
 /// Cheap summary of a problem instance for the fingerprint-distance metric:
 /// the exact fingerprint (identity) plus a feature vector over the direct
@@ -110,15 +111,6 @@ InstanceSignature make_signature(const net::Network& net,
 /// fingerprints, +infinity when the dimensions differ (never comparable).
 double signature_distance(const InstanceSignature& a,
                           const InstanceSignature& b);
-
-/// Scores a finished solve's pool for lifecycle management: reduced cost of
-/// every pool column under the result's final duals, basis membership from
-/// pool_tau, recency = `epoch`.  This is the metadata checkpoint v2
-/// persists (make_checkpoint calls it) and store() ingests.
-std::vector<PoolColumnMeta> score_pool(const net::Network& net,
-                                       const CgResult& result,
-                                       std::uint64_t fingerprint,
-                                       std::int64_t epoch);
 
 /// Cumulative lifecycle accounting (explicit reset via reset_metrics()).
 struct PoolManagerMetrics {
@@ -157,8 +149,8 @@ class PoolManager {
   void store(const InstanceSignature& signature, const net::Network& net,
              const CgResult& result);
 
-  /// Loads a checkpointed pool (columns + v2 metadata; a v1 checkpoint's
-  /// missing metadata defaults to cold scores with basis from pool_tau).
+  /// Loads a checkpointed pool (columns + metadata; a degraded metadata
+  /// section defaults to cold scores with basis from pool_tau).
   void import_checkpoint(const CgCheckpoint& checkpoint);
 
   /// `base` with its pool/pool_tau/pool_meta replaced by the managed pool

@@ -38,6 +38,19 @@ using common::Status;
   return Status::Error(ErrorCode::kInvalidInput, "request: " + what);
 }
 
+/// [A-Za-z0-9._-]{1,64}: an id is written verbatim as one queue-manifest
+/// line and appended to the state path of a stream request's session log,
+/// so a newline or a '/' would break exactly-once or escape that prefix.
+bool valid_id(const std::string& id) {
+  if (id.empty() || id.size() > 64) return false;
+  for (char c : id) {
+    const bool ok = (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
+                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
+    if (!ok) return false;
+  }
+  return true;
+}
+
 /// Byte cursor over one request line.
 struct Cursor {
   const std::string& text;
@@ -242,6 +255,7 @@ struct Cursor {
   }
   if (!cur.at_end()) return bad("trailing bytes after the object");
   if (req.id.empty()) return bad("missing required key 'id'");
+  if (!valid_id(req.id)) return bad("id: expected 1-64 of [A-Za-z0-9._-]");
   for (int l : req.block_links) {
     if (l >= req.links) {
       return bad("block_links: link " + std::to_string(l) + " outside [0, " +

@@ -37,7 +37,9 @@ enum class FleetOp {
 const char* to_string(FleetOp op);
 
 struct FleetRequest {
-  std::string id;  ///< caller-chosen, unique per serve run
+  /// Caller-chosen, unique per serve run; matches [A-Za-z0-9._-]{1,64}, so
+  /// it fits on one queue-manifest line and in a state file name.
+  std::string id;
   FleetOp op = FleetOp::kSolve;
 
   // Instance shape (same defaults and bounds as the CLI instance flags).
@@ -62,7 +64,7 @@ struct FleetRequest {
 };
 
 /// Parses one request line.  Strict: every key must be known, every value
-/// well-typed and in range, `id` present and non-empty.
+/// well-typed and in range, `id` present and of the id grammar above.
 [[nodiscard]] common::Expected<FleetRequest> parse_request_line(
     const std::string& line);
 

@@ -55,15 +55,6 @@ net::NetworkParams params_of(const FleetRequest& req) {
   return params;
 }
 
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 std::string hex64(std::uint64_t value) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
@@ -77,7 +68,7 @@ std::string hex64(std::uint64_t value) {
 //   mmwave-fleet-queue v1
 //   done <id>
 //   pending <raw request line>
-//   end fnv=0x<fnv1a of the body lines>
+//   end fnv=0x<core::fnv1a64 of the body lines>
 // ---------------------------------------------------------------------------
 
 struct QueueManifest {
@@ -100,7 +91,7 @@ QueueManifest load_queue_manifest(const std::string& path) {
   bool saw_end = false;
   while (std::getline(in, line)) {
     if (line.rfind("end fnv=0x", 0) == 0) {
-      if (line.substr(10) != hex64(fnv1a(body))) return manifest;
+      if (line.substr(10) != hex64(core::fnv1a64(body))) return manifest;
       saw_end = true;
       break;
     }
@@ -127,28 +118,9 @@ QueueManifest load_queue_manifest(const std::string& path) {
     return Status::Error(ErrorCode::kIoError,
                          "injected fault: fleet.drain_crash");
   }
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Error(ErrorCode::kIoError,
-                         "queue manifest: cannot open " + tmp);
-  }
-  const std::string full =
-      "mmwave-fleet-queue v1\n" + body + "end fnv=0x" + hex64(fnv1a(body)) +
-      "\n";
-  const std::size_t written = std::fwrite(full.data(), 1, full.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  if (written != full.size() || !closed) {
-    std::remove(tmp.c_str());
-    return Status::Error(ErrorCode::kIoError,
-                         "queue manifest: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Error(ErrorCode::kIoError,
-                         "queue manifest: rename to " + path + " failed");
-  }
-  return Status::Ok();
+  return core::write_file_atomic(
+      path, "mmwave-fleet-queue v1\n" + body + "end fnv=0x" +
+                hex64(core::fnv1a64(body)) + "\n");
 }
 
 [[nodiscard]] Status write_manifest_with_retry(const std::string& path,
@@ -349,12 +321,10 @@ void run_stream_request(const ServerOptions& options, const FleetRequest& req,
             context.manager.export_checkpoint(context.last_checkpoint);
         ckpt.has_session = true;
         ckpt.session = cursor;
-        const Status st = save_with_retry(*log, ckpt, options.io_retries,
-                                          options.retry_backoff_sec);
-        if (!st.ok()) {
-          // Keep streaming: the log self-heals (compacts) on the next save
-          // and the previous on-disk state still loads.
-        }
+        // Keep streaming on failure: the previous save still loads and the
+        // next period's save rewrites the whole file.
+        (void)save_with_retry(*log, ckpt, options.io_retries,
+                              options.retry_backoff_sec);  // lint: discard
       }
       return true;
     };

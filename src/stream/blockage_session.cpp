@@ -279,10 +279,9 @@ BlockageSessionMetrics run_blockage_session(
         resume->carryover_stall >= 0.0 &&
         resume->blocked_fraction_sum >= 0.0 &&
         !common::fault_fires(common::faults::kSessionCursorCorrupt);
-    // Buffer state (v4) is optional — an empty vector starts the buffers
-    // cold — but when present it must be per-link and self-consistent;
-    // damaged QoE counters must never be replayed as truth.
-    if (usable && !resume->buffers.empty()) {
+    // Buffer state must be one self-consistent record per link; damaged
+    // QoE counters must never be replayed as truth.
+    if (usable) {
       if (static_cast<int>(resume->buffers.size()) != num_links ||
           common::fault_fires(common::faults::kSessionBufferCorrupt)) {
         usable = false;
@@ -326,14 +325,12 @@ BlockageSessionMetrics run_blockage_session(
       out.invalidated_periods = resume->invalidated_periods;
       out.exec_transmissions_dropped = resume->exec_transmissions_dropped;
       delivered_bits = resume->delivered_bits;
-      if (!resume->buffers.empty()) {
-        for (int l = 0; l < num_links; ++l) {
-          const core::StreamBufferState& b = resume->buffers[l];
-          buffers[l].restore(b.occupancy_seconds, b.stall_seconds,
-                             b.rebuffer_events, (b.flags & 1) != 0,
-                             (b.flags & 2) != 0, b.hp_gops_delivered,
-                             b.lp_gops_delivered);
-        }
+      for (int l = 0; l < num_links; ++l) {
+        const core::StreamBufferState& b = resume->buffers[l];
+        buffers[l].restore(b.occupancy_seconds, b.stall_seconds,
+                           b.rebuffer_events, (b.flags & 1) != 0,
+                           (b.flags & 2) != 0, b.hp_gops_delivered,
+                           b.lp_gops_delivered);
       }
       // Replayed periods' offered-layer counts are reconstructed from the
       // deterministic demand streams (same expression as the live loop), so

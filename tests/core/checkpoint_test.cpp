@@ -1,9 +1,10 @@
 // Checkpoint round-trip, corruption-matrix and fault-injection tests: the
-// robustness contract of core/checkpoint.h.  A checkpoint must survive a
-// save/load cycle bit-for-bit, and every corruption — truncation at any
-// point, a flipped byte, version skew, a foreign fingerprint — must come
-// back as a structured error that degrades to a cold start, never a crash
-// or a silently wrong warm start.
+// robustness contracts of core/checkpoint.h and core/checkpoint_log.h.  A
+// checkpoint must survive a save/load cycle bit-for-bit, and every
+// corruption — truncation at any point, a flipped byte, any version but
+// the current one, a foreign fingerprint — must come back as a structured
+// error that degrades to a cold start, never a crash or a silently wrong
+// warm start.
 #include "core/checkpoint.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <string>
 
 #include "common/fault_injection.h"
+#include "core/checkpoint_log.h"
 #include "core/column_generation.h"
 #include "core/resolve.h"
 
@@ -177,14 +179,26 @@ TEST(CgCheckpoint, EveryByteFlipIsCaught) {
 
 TEST(CgCheckpoint, VersionSkewIsDiagnosed) {
   const Solved s = solve_and_checkpoint();
-  std::string text = serialize_checkpoint(s.ckpt);
-  // One past the newest version this build writes (v2): must be refused.
+  const std::string text = serialize_checkpoint(s.ckpt);
   const std::string tag = "checkpoint v" + std::to_string(kCheckpointVersion);
-  text.replace(text.find(tag), tag.size(),
-               "checkpoint v" + std::to_string(kCheckpointVersion + 1));
-  const auto parsed = parse_checkpoint(text);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_NE(parsed.status().message().find("version"), std::string::npos);
+  ASSERT_EQ(text.find(tag), std::string("mmwave-cg-").size());
+  // Every older version (v1..v4 were written by earlier builds) and the
+  // next one are refused; the header is outside the checksum, so only the
+  // version check stands between these bytes and a load.
+  for (int version = 0; version <= kCheckpointVersion + 1; ++version) {
+    if (version == kCheckpointVersion) continue;
+    std::string skewed = text;
+    skewed.replace(skewed.find(tag), tag.size(),
+                   "checkpoint v" + std::to_string(version));
+    const auto parsed = parse_checkpoint(skewed);
+    ASSERT_FALSE(parsed.ok()) << "v" << version;
+    EXPECT_EQ(parsed.status().code(), common::ErrorCode::kInvalidInput);
+    EXPECT_NE(parsed.status().message().find(
+                  "unsupported checkpoint version v" +
+                  std::to_string(version)),
+              std::string::npos)
+        << parsed.status().message();
+  }
 }
 
 TEST(CgCheckpoint, RejectsEmptyAndGarbage) {
@@ -208,12 +222,12 @@ TEST(CgCheckpoint, LoadOfMissingFileIsIoError) {
   EXPECT_EQ(loaded.status().code(), common::ErrorCode::kIoError);
 }
 
-// ---- Format v2: pool-metadata section and v1 backward compatibility ------
+// ---- Pool-metadata section -------------------------------------------------
 
 /// Reassembles a checkpoint after editing its payload: fresh checksum over
 /// the mutated payload, requested version in the magic line.  This is how
-/// the tests fabricate v1 files and semantically-damaged v2 files that are
-/// still structurally (checksum-)valid.
+/// the tests fabricate semantically-damaged files that are still
+/// structurally (checksum-)valid.
 std::string reassemble(const std::string& text, int version,
                        const std::function<void(std::string&)>& mutate) {
   const std::size_t first_nl = text.find('\n');
@@ -225,16 +239,6 @@ std::string reassemble(const std::string& text, int version,
                 static_cast<unsigned long long>(fnv1a64(payload)));
   return "mmwave-cg-checkpoint v" + std::to_string(version) +
          "\nchecksum = " + checksum + "\n" + payload;
-}
-
-/// Drops the v2 pool_meta section ("pool_meta = N" and its records),
-/// leaving exactly the v1 payload layout.
-void strip_pool_meta(std::string& payload) {
-  const std::size_t start = payload.find("pool_meta = ");
-  ASSERT_NE(start, std::string::npos);
-  const std::size_t end = payload.find("end\n", start);
-  ASSERT_NE(end, std::string::npos);
-  payload.erase(start, end - start);
 }
 
 TEST(CgCheckpoint, PoolMetadataRoundTrips) {
@@ -257,29 +261,6 @@ TEST(CgCheckpoint, PoolMetadataRoundTrips) {
   // Basis membership in the metadata agrees with the tau vector.
   for (std::size_t i = 0; i < c.pool_meta.size(); ++i)
     EXPECT_EQ(c.pool_meta[i].in_basis, c.pool_tau[i] > 0.0);
-}
-
-TEST(CgCheckpoint, V1CheckpointLoadsWithColdMetadata) {
-  const Solved s = solve_and_checkpoint();
-  const std::string v1 = reassemble(serialize_checkpoint(s.ckpt),
-                                    /*version=*/1, strip_pool_meta);
-  const auto parsed = parse_checkpoint(v1);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  const CgCheckpoint& c = parsed.value();
-  // The warm-start capital is fully preserved; only the lifecycle scores
-  // are absent (cold metadata) — and that is not a degradation.
-  EXPECT_FALSE(c.pool_meta_degraded);
-  EXPECT_TRUE(c.pool_meta.empty());
-  ASSERT_EQ(c.pool.size(), s.ckpt.pool.size());
-  for (std::size_t i = 0; i < c.pool.size(); ++i)
-    EXPECT_EQ(c.pool[i].key(), s.ckpt.pool[i].key());
-  EXPECT_EQ(c.pool_tau, s.ckpt.pool_tau);
-  // A v1 checkpoint resolves just as a v2 one does.
-  const ResolveResult r = resolve(s.net, s.demands, c, CgOptions{});
-  EXPECT_TRUE(r.used_checkpoint);
-  EXPECT_TRUE(r.cg.converged);
-  EXPECT_NEAR(r.cg.total_slots, s.result.total_slots,
-              1e-7 * s.result.total_slots);
 }
 
 TEST(CgCheckpoint, SemanticallyBadMetaRecordDegradesToColdMetadata) {
@@ -409,7 +390,7 @@ TEST(CgCheckpoint, InjectedPayloadCorruptionDegradesToColdStart) {
   std::remove(path.c_str());
 }
 
-// ---- Format v3: pool index + stream-session cursor -----------------------
+// ---- Pool index + stream-session cursor ------------------------------------
 
 StreamCursor make_cursor(int links, int next_gop, int num_gops) {
   StreamCursor c;
@@ -435,6 +416,16 @@ StreamCursor make_cursor(int links, int next_gop, int num_gops) {
   c.counters.transmissions_dropped = 1;
   c.counters.pool_evicted = 3;
   c.counters.pool_neighbour_seeded = 2;
+  for (int l = 0; l < links; ++l) {
+    StreamBufferState b;
+    b.occupancy_seconds = 0.25 * l;
+    b.stall_seconds = l == 0 ? 0.5 : 0.0;
+    b.rebuffer_events = l == 0 ? 1 : 0;
+    b.flags = l == 0 ? 2 : 3;  // link 0 mid-rebuffer, the rest playing
+    b.hp_gops_delivered = next_gop;
+    b.lp_gops_delivered = next_gop - 1;
+    c.buffers.push_back(b);
+  }
   for (int g = 0; g < next_gop; ++g) {
     StreamGopRecord r;
     r.gop = g;
@@ -448,10 +439,9 @@ StreamCursor make_cursor(int links, int next_gop, int num_gops) {
   return c;
 }
 
-/// A solved checkpoint with every v3 field populated.
-Solved solve_with_v3_state() {
+/// A solved checkpoint with the epoch, pool index and session populated.
+Solved solve_with_session_state() {
   Solved s = solve_and_checkpoint();
-  s.ckpt.base_seq = 4;
   s.ckpt.pool_epoch = 17;
   PoolIndexEntry a;
   a.fingerprint = s.ckpt.fingerprint;
@@ -470,25 +460,14 @@ Solved solve_with_v3_state() {
   return s;
 }
 
-/// Turns a v3 payload into a v2 one: drop everything from the delta-binding
-/// line through the session section (the byte range v2 never wrote).
-void strip_v3_sections(std::string& payload) {
-  const std::size_t start = payload.find("base_seq = ");
-  ASSERT_NE(start, std::string::npos);
-  const std::size_t end = payload.find("end\n", start);
-  ASSERT_NE(end, std::string::npos);
-  payload.erase(start, end - start);
-}
-
 TEST(CgCheckpoint, V3SessionAndIndexRoundTrip) {
-  const Solved s = solve_with_v3_state();
+  const Solved s = solve_with_session_state();
   const std::string text = serialize_checkpoint(s.ckpt);
   const auto parsed = parse_checkpoint(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   const CgCheckpoint& c = parsed.value();
   EXPECT_EQ(serialize_checkpoint(c), text);
 
-  EXPECT_EQ(c.base_seq, 4);
   EXPECT_EQ(c.pool_epoch, 17);
   EXPECT_FALSE(c.pool_index_degraded);
   ASSERT_EQ(c.pool_index.size(), 2u);
@@ -508,13 +487,17 @@ TEST(CgCheckpoint, V3SessionAndIndexRoundTrip) {
   EXPECT_EQ(cur.blocked, s.ckpt.session.blocked);
   EXPECT_EQ(cur.plan_digest, s.ckpt.session.plan_digest);
   EXPECT_EQ(cur.counters.pool_neighbour_seeded, 2);
+  ASSERT_EQ(cur.buffers.size(), 5u);
+  EXPECT_EQ(cur.buffers[0].flags, 2);
+  EXPECT_EQ(cur.buffers[4].occupancy_seconds, 1.0);
+  EXPECT_EQ(cur.buffers[3].lp_gops_delivered, 2);
   ASSERT_EQ(cur.gops.size(), 3u);
   EXPECT_EQ(cur.gops[2].gop, 2);
   EXPECT_EQ(cur.gops[1].stall_slots, 0.5);
 }
 
 TEST(CgCheckpoint, V3FileSurvivesSaveAndLoad) {
-  const Solved s = solve_with_v3_state();
+  const Solved s = solve_with_session_state();
   const std::string path = temp_path("ckpt_v3_roundtrip.txt");
   ASSERT_TRUE(save_checkpoint(s.ckpt, path).ok());
   const auto loaded = load_checkpoint(path);
@@ -524,66 +507,52 @@ TEST(CgCheckpoint, V3FileSurvivesSaveAndLoad) {
   std::remove(path.c_str());
 }
 
-TEST(CgCheckpoint, V2FileLoadsWithColdV3Defaults) {
-  const Solved s = solve_with_v3_state();
-  const std::string v2 = reassemble(serialize_checkpoint(s.ckpt),
-                                    /*version=*/2, strip_v3_sections);
-  const auto parsed = parse_checkpoint(v2);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  const CgCheckpoint& c = parsed.value();
-  // Pre-v3 files carry no cursor and no index — and that is not damage.
-  EXPECT_EQ(c.base_seq, 0);
-  EXPECT_EQ(c.pool_epoch, 0);
-  EXPECT_TRUE(c.pool_index.empty());
-  EXPECT_FALSE(c.pool_index_degraded);
-  EXPECT_FALSE(c.has_session);
-  EXPECT_FALSE(c.session_degraded);
-  // The v2 payload itself is fully honoured.
-  ASSERT_EQ(c.pool.size(), s.ckpt.pool.size());
-  EXPECT_EQ(c.pool_tau, s.ckpt.pool_tau);
-  EXPECT_FALSE(c.pool_meta.empty());
-  const ResolveResult r = resolve(s.net, s.demands, c, CgOptions{});
-  EXPECT_TRUE(r.used_checkpoint);
-  EXPECT_TRUE(r.cg.converged);
-  EXPECT_NEAR(r.cg.total_slots, s.result.total_slots,
-              1e-7 * s.result.total_slots);
-}
-
 TEST(CgCheckpoint, V3SectionsInAV2FileAreRejected) {
-  const Solved s = solve_with_v3_state();
-  // Same bytes, version stamp lowered: the v3 sections become trailing
-  // garbage, which the strict parser must refuse.
-  const std::string bad = reassemble(serialize_checkpoint(s.ckpt),
-                                     /*version=*/2, [](std::string&) {});
-  const auto parsed = parse_checkpoint(bad);
+  const Solved s = solve_with_session_state();
+  // Today's sections (session, buffers, index) under a v2 stamp and a valid
+  // checksum: the version check refuses the file before any section is read.
+  const auto parsed = parse_checkpoint(reassemble(
+      serialize_checkpoint(s.ckpt), /*version=*/2, [](std::string&) {}));
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), common::ErrorCode::kInvalidInput);
+  EXPECT_NE(parsed.status().message().find("unsupported checkpoint version v2"),
+            std::string::npos)
+      << parsed.status().message();
 }
 
 TEST(CgCheckpoint, SemanticallyBadCursorDegradesSessionOnly) {
-  const Solved s = solve_with_v3_state();
-  const std::string damaged = reassemble(
-      serialize_checkpoint(s.ckpt), kCheckpointVersion,
+  const Solved s = solve_with_session_state();
+  const std::function<void(std::string&)> damages[] = {
       [](std::string& payload) {
         // next_gop beyond num_gops: structurally fine, semantically stale.
         const std::size_t at = payload.find("cursor = 3 8 ");
         ASSERT_NE(at, std::string::npos);
         payload.replace(at, 13, "cursor = 9 8 ");
-      });
-  const auto parsed = parse_checkpoint(damaged);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  const CgCheckpoint& c = parsed.value();
-  EXPECT_TRUE(c.session_degraded);
-  EXPECT_FALSE(c.has_session);
-  // Solver state is untouched: warm pool, metadata, index all intact.
-  EXPECT_EQ(c.pool.size(), s.ckpt.pool.size());
-  EXPECT_FALSE(c.pool_meta.empty());
-  EXPECT_EQ(c.pool_index.size(), 2u);
-  EXPECT_FALSE(c.pool_index_degraded);
+      },
+      [](std::string& payload) {
+        // No buffer records: a cursor must carry one per link.
+        const std::size_t at = payload.find("buffers = 5 ");
+        ASSERT_NE(at, std::string::npos);
+        payload.replace(at, payload.find('\n', at) - at, "buffers = 0");
+      },
+  };
+  for (const auto& damage : damages) {
+    const auto parsed = parse_checkpoint(reassemble(
+        serialize_checkpoint(s.ckpt), kCheckpointVersion, damage));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+    const CgCheckpoint& c = parsed.value();
+    EXPECT_TRUE(c.session_degraded);
+    EXPECT_FALSE(c.has_session);
+    // Solver state is untouched: warm pool, metadata, index all intact.
+    EXPECT_EQ(c.pool.size(), s.ckpt.pool.size());
+    EXPECT_FALSE(c.pool_meta.empty());
+    EXPECT_EQ(c.pool_index.size(), 2u);
+    EXPECT_FALSE(c.pool_index_degraded);
+  }
 }
 
 TEST(CgCheckpoint, SemanticallyBadIndexRecordDegradesIndexOnly) {
-  const Solved s = solve_with_v3_state();
+  const Solved s = solve_with_session_state();
   const std::string damaged = reassemble(
       serialize_checkpoint(s.ckpt), kCheckpointVersion,
       [](std::string& payload) {
@@ -606,7 +575,7 @@ TEST(CgCheckpoint, SemanticallyBadIndexRecordDegradesIndexOnly) {
 }
 
 TEST(CgCheckpoint, StructuralCursorDamageIsStillAHardError) {
-  const Solved s = solve_with_v3_state();
+  const Solved s = solve_with_session_state();
   const std::string broken = reassemble(
       serialize_checkpoint(s.ckpt), kCheckpointVersion,
       [](std::string& payload) {
@@ -620,7 +589,7 @@ TEST(CgCheckpoint, StructuralCursorDamageIsStillAHardError) {
 }
 
 TEST(CgCheckpoint, InjectedSessionCursorCorruptDegradesSessionOnly) {
-  const Solved s = solve_with_v3_state();
+  const Solved s = solve_with_session_state();
   const std::string text = serialize_checkpoint(s.ckpt);
 
   common::FaultInjector inj;
@@ -643,7 +612,7 @@ TEST(CgCheckpoint, InjectedSessionCursorCorruptDegradesSessionOnly) {
 }
 
 TEST(CgCheckpoint, InjectedBadIndexRecordDegradesIndexOnly) {
-  const Solved s = solve_with_v3_state();
+  const Solved s = solve_with_session_state();
   const std::string text = serialize_checkpoint(s.ckpt);
 
   common::FaultInjector inj;
@@ -656,6 +625,324 @@ TEST(CgCheckpoint, InjectedBadIndexRecordDegradesIndexOnly) {
   EXPECT_TRUE(parsed.value().pool_index.empty());
   EXPECT_TRUE(parsed.value().has_session);
   ASSERT_EQ(parsed.value().pool.size(), s.ckpt.pool.size());
+}
+
+// ---- CheckpointLog: every save one atomic full rewrite ---------------------
+//
+// These tests keep the names they had when the log was a base file plus an
+// appended delta chain.  In the single-file log a "compaction" is the full
+// rewrite every save performs, a "block" or "tail" is the file itself, and
+// a "chain" is a `path + ".delta"` file an older build may have left on
+// disk, which open() never reads.
+
+/// One streaming period's worth of state change: refreshed header and
+/// duals, one column rescored, the session cursor one GOP further.
+CgCheckpoint advance(const CgCheckpoint& prev) {
+  CgCheckpoint next = prev;
+  next.iterations += 1;
+  for (double& d : next.duals_hp) d += 1e-4;
+  if (!next.pool_meta.empty()) {
+    next.pool_meta[0].last_used_epoch += 1;
+    next.pool_meta[0].last_reduced_cost -= 1e-6;
+  }
+  next.pool_epoch = prev.pool_epoch + 1;
+  next.session = make_cursor(next.links, prev.session.next_gop + 1, 16);
+  next.has_session = true;
+  return next;
+}
+
+std::string slurp(const std::string& path) {
+  std::string out;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return out;
+  char buf[1 << 14];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
+  std::fclose(f);
+  return out;
+}
+
+bool spit(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
+  return std::fclose(f) == 0 && written == bytes.size();
+}
+
+bool file_exists(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return false;
+  std::fclose(f);
+  return true;
+}
+
+void remove_log(const std::string& path) {
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
+  std::remove((path + ".delta").c_str());
+}
+
+/// Opens `path` the way a recovering process does.
+CheckpointLogLoad reopen(const std::string& path) {
+  return CheckpointLog(path).open();
+}
+
+/// Puts `bytes` where the checkpoint file belongs and checks that open()
+/// starts cold with base_damaged set and that the next save replaces it.
+void expect_cold_open_then_healed(const std::string& path,
+                                  const std::string& bytes) {
+  remove_log(path);
+  ASSERT_TRUE(spit(path, bytes));
+  CheckpointLog log(path);
+  const CheckpointLogLoad loaded = log.open();
+  EXPECT_FALSE(loaded.loaded);
+  EXPECT_TRUE(loaded.base_damaged);
+  EXPECT_FALSE(loaded.state.has_session);
+  EXPECT_TRUE(loaded.state.pool.empty());
+  const CgCheckpoint fresh = solve_and_checkpoint(3).ckpt;
+  ASSERT_TRUE(log.save(fresh).ok());
+  const CheckpointLogLoad healed = reopen(path);
+  ASSERT_TRUE(healed.loaded);
+  EXPECT_FALSE(healed.base_damaged);
+  EXPECT_EQ(serialize_checkpoint(healed.state), serialize_checkpoint(fresh));
+  remove_log(path);
+}
+
+TEST(CheckpointLog, FreshOpenIsColdAndFirstSaveCompacts) {
+  const std::string path = temp_path("log_fresh.txt");
+  remove_log(path);
+  CheckpointLog log(path);
+  const CheckpointLogLoad opened = log.open();
+  EXPECT_FALSE(opened.loaded);
+  EXPECT_FALSE(opened.base_damaged);
+
+  const CgCheckpoint ckpt = solve_with_session_state().ckpt;
+  ASSERT_TRUE(log.save(ckpt).ok());
+  // The file IS an ordinary checkpoint of the saved state.
+  const std::string text = slurp(path);
+  EXPECT_EQ(text, serialize_checkpoint(ckpt));
+  EXPECT_EQ(log.stats().saves, 1);
+  EXPECT_EQ(log.stats().delta_bytes, 0);
+  EXPECT_EQ(log.stats().full_bytes, static_cast<std::int64_t>(text.size()));
+  remove_log(path);
+}
+
+TEST(CheckpointLog, CompactionIsByteIdenticalAndClearsTheChain) {
+  const std::string path = temp_path("log_compact.txt");
+  remove_log(path);
+  CheckpointLog log(path);
+  CgCheckpoint ckpt = solve_and_checkpoint().ckpt;
+  std::int64_t bytes = 0;
+  for (int step = 0; step < 3; ++step) {
+    ckpt = advance(ckpt);
+    ASSERT_TRUE(log.save(ckpt).ok());
+    // Each save rewrites the whole file as a plain checkpoint of the latest
+    // state and leaves no side file: no chain, and the temp file renamed
+    // away.
+    const std::string text = slurp(path);
+    EXPECT_EQ(text, serialize_checkpoint(ckpt));
+    EXPECT_FALSE(file_exists(path + ".delta"));
+    EXPECT_FALSE(file_exists(path + ".tmp"));
+    bytes += static_cast<std::int64_t>(text.size());
+  }
+  EXPECT_EQ(log.stats().saves, 3);
+  EXPECT_EQ(log.stats().full_bytes, bytes);
+  EXPECT_EQ(log.stats().delta_bytes, 0);
+  remove_log(path);
+}
+
+TEST(CheckpointLog, DeltaReplayEqualsFullRewriteAfterEverySave) {
+  const std::string path = temp_path("log_replay.txt");
+  remove_log(path);
+  CheckpointLog log(path);
+  CgCheckpoint ckpt = solve_and_checkpoint().ckpt;
+  for (int step = 0; step < 5; ++step) {
+    ckpt = advance(ckpt);
+    ASSERT_TRUE(log.save(ckpt).ok());
+    // What a recovering process reads serializes byte-identically to the
+    // state just saved, with nothing replayed on top.
+    const CheckpointLogLoad loaded = reopen(path);
+    ASSERT_TRUE(loaded.loaded);
+    EXPECT_FALSE(loaded.base_damaged);
+    EXPECT_EQ(loaded.deltas_applied, 0);
+    EXPECT_EQ(serialize_checkpoint(loaded.state), serialize_checkpoint(ckpt));
+  }
+  remove_log(path);
+}
+
+TEST(CheckpointLog, OpenResumesTheChainWhereItLeftOff) {
+  const std::string path = temp_path("log_reopen.txt");
+  remove_log(path);
+  CgCheckpoint ckpt = advance(solve_and_checkpoint().ckpt);
+  {
+    CheckpointLog log(path);
+    ASSERT_TRUE(log.save(ckpt).ok());
+  }
+  // A new process binds to the same file, resumes from the last save and
+  // keeps saving.
+  CheckpointLog log(path);
+  const CheckpointLogLoad opened = log.open();
+  ASSERT_TRUE(opened.loaded);
+  EXPECT_FALSE(opened.base_damaged);
+  ASSERT_TRUE(opened.state.has_session);
+  EXPECT_EQ(serialize_checkpoint(opened.state), serialize_checkpoint(ckpt));
+  ckpt = advance(opened.state);
+  ASSERT_TRUE(log.save(ckpt).ok());
+  EXPECT_EQ(log.stats().saves, 1);
+  EXPECT_EQ(serialize_checkpoint(reopen(path).state),
+            serialize_checkpoint(ckpt));
+  remove_log(path);
+}
+
+TEST(CheckpointLog, BitFlippedBlockIsCaughtByItsChecksum) {
+  std::string bytes = serialize_checkpoint(solve_with_session_state().ckpt);
+  bytes[bytes.size() / 2] ^= 0x01;  // one bit, mid-payload
+  expect_cold_open_then_healed(temp_path("log_bitrot.txt"), bytes);
+}
+
+TEST(CheckpointLog, TornTailIsDroppedAndHealedOnDisk) {
+  // A file cut mid-payload, as a copy made outside save() can leave it.
+  const std::string good =
+      serialize_checkpoint(solve_with_session_state().ckpt);
+  expect_cold_open_then_healed(temp_path("log_torn.txt"),
+                               good.substr(0, good.size() / 2));
+}
+
+TEST(CheckpointLog, StaleChainCannotBindToANewerBase) {
+  const std::string path = temp_path("log_stale.txt");
+  remove_log(path);
+  CheckpointLog log(path);
+  const CgCheckpoint ckpt = advance(solve_and_checkpoint().ckpt);
+  ASSERT_TRUE(log.save(ckpt).ok());
+  // A chain file next to the checkpoint is never applied, even when it
+  // holds a well-formed later state.
+  ASSERT_TRUE(spit(path + ".delta", serialize_checkpoint(advance(ckpt))));
+  const CheckpointLogLoad loaded = reopen(path);
+  ASSERT_TRUE(loaded.loaded);
+  EXPECT_EQ(loaded.deltas_applied, 0);
+  EXPECT_EQ(serialize_checkpoint(loaded.state), serialize_checkpoint(ckpt));
+
+  // A base the older build wrote is refused by its version: a valid
+  // payload under a v4 header with a fresh checksum.
+  expect_cold_open_then_healed(
+      path, reassemble(serialize_checkpoint(ckpt), kCheckpointVersion - 1,
+                       [](std::string&) {}));
+}
+
+TEST(CheckpointLog, ChainWithoutABaseIsDiscarded) {
+  const std::string path = temp_path("log_orphan_chain.txt");
+  remove_log(path);
+  // With no checkpoint file a leftover chain is never read: a plain cold
+  // start, not damage.
+  ASSERT_TRUE(spit(path + ".delta",
+                   serialize_checkpoint(solve_and_checkpoint().ckpt)));
+  const CheckpointLogLoad loaded = reopen(path);
+  EXPECT_FALSE(loaded.loaded);
+  EXPECT_FALSE(loaded.base_damaged);
+  EXPECT_TRUE(loaded.state.pool.empty());
+  remove_log(path);
+}
+
+TEST(CheckpointLog, LeftoverTmpFileIsHarmless) {
+  const std::string path = temp_path("log_orphan.txt");
+  remove_log(path);
+  // A temp file without a checkpoint (a first save torn before its rename)
+  // is a plain cold start, not damage.
+  ASSERT_TRUE(spit(path + ".tmp", "mmwave-cg-checkpoint v5\nchecksum = "));
+  CheckpointLog log(path);
+  const CheckpointLogLoad opened = log.open();
+  EXPECT_FALSE(opened.loaded);
+  EXPECT_FALSE(opened.base_damaged);
+
+  // Next to a good checkpoint it is never read, and the next save simply
+  // overwrites it.
+  const CgCheckpoint ckpt = solve_and_checkpoint().ckpt;
+  ASSERT_TRUE(log.save(ckpt).ok());
+  ASSERT_TRUE(spit(path + ".tmp", "garbage"));
+  const CheckpointLogLoad loaded = reopen(path);
+  ASSERT_TRUE(loaded.loaded);
+  EXPECT_EQ(serialize_checkpoint(loaded.state), serialize_checkpoint(ckpt));
+  ASSERT_TRUE(log.save(advance(ckpt)).ok());
+  EXPECT_FALSE(file_exists(path + ".tmp"));
+  remove_log(path);
+}
+
+TEST(CheckpointLog, InjectedCompactCrashLeavesThePreviousStateLoadable) {
+  const std::string path = temp_path("log_fault_compact.txt");
+  remove_log(path);
+  CheckpointLog log(path);
+  const CgCheckpoint ckpt = solve_and_checkpoint().ckpt;
+  ASSERT_TRUE(log.save(ckpt).ok());
+
+  common::FaultInjector inj;
+  inj.arm(common::faults::kCheckpointTornWrite, {.times = 1});
+  common::FaultScope scope(inj);
+
+  const CgCheckpoint next = advance(ckpt);
+  ASSERT_FALSE(log.save(next).ok());
+  EXPECT_EQ(inj.fired(common::faults::kCheckpointTornWrite), 1);
+  // Half of the temp file landed and the rename never ran: the file on
+  // disk is still the previous save, not garbage.
+  const std::string next_text = serialize_checkpoint(next);
+  EXPECT_EQ(slurp(path + ".tmp"), next_text.substr(0, next_text.size() / 2));
+  const CheckpointLogLoad survived = reopen(path);
+  ASSERT_TRUE(survived.loaded);
+  EXPECT_FALSE(survived.base_damaged);
+  EXPECT_EQ(serialize_checkpoint(survived.state), serialize_checkpoint(ckpt));
+  remove_log(path);
+}
+
+TEST(CheckpointLog, InjectedTornWriteFailsTheSaveThenSelfHeals) {
+  const std::string path = temp_path("log_fault_torn.txt");
+  remove_log(path);
+  CheckpointLog log(path);
+  CgCheckpoint ckpt = solve_and_checkpoint().ckpt;
+  ASSERT_TRUE(log.save(ckpt).ok());
+
+  common::FaultInjector inj;
+  inj.arm(common::faults::kCheckpointTornWrite, {.times = 1});
+  common::FaultScope scope(inj);
+
+  ckpt = advance(ckpt);
+  const common::Status torn = log.save(ckpt);
+  ASSERT_FALSE(torn.ok());
+  EXPECT_EQ(torn.code(), common::ErrorCode::kIoError);
+  EXPECT_EQ(inj.fired(common::faults::kCheckpointTornWrite), 1);
+  EXPECT_EQ(log.stats().saves, 1);
+
+  // The next save persists the lost update after all.
+  ASSERT_TRUE(log.save(ckpt).ok());
+  EXPECT_EQ(log.stats().saves, 2);
+  EXPECT_EQ(serialize_checkpoint(reopen(path).state),
+            serialize_checkpoint(ckpt));
+  EXPECT_FALSE(file_exists(path + ".tmp"));
+  remove_log(path);
+}
+
+TEST(CheckpointLog, InjectedWriteFailLeavesThePreviousSaveLoadable) {
+  const std::string path = temp_path("log_fault_write.txt");
+  remove_log(path);
+  CheckpointLog log(path);
+  const CgCheckpoint ckpt = advance(solve_and_checkpoint().ckpt);
+  ASSERT_TRUE(log.save(ckpt).ok());
+
+  common::FaultInjector inj;
+  inj.arm(common::faults::kCheckpointWriteFail, {.times = 1});
+  common::FaultScope scope(inj);
+
+  const CgCheckpoint next = advance(ckpt);
+  const common::Status failed = log.save(next);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.code(), common::ErrorCode::kIoError);
+  EXPECT_EQ(inj.fired(common::faults::kCheckpointWriteFail), 1);
+  EXPECT_EQ(serialize_checkpoint(reopen(path).state),
+            serialize_checkpoint(ckpt));
+
+  // Retry succeeds once the fault window passes.
+  ASSERT_TRUE(log.save(next).ok());
+  EXPECT_EQ(serialize_checkpoint(reopen(path).state),
+            serialize_checkpoint(next));
+  remove_log(path);
 }
 
 }  // namespace

@@ -73,7 +73,6 @@ RunOutput run_lines(Server& server, const std::vector<std::string>& lines,
 
 void remove_state(const std::string& path) {
   std::remove(path.c_str());
-  std::remove((path + ".delta").c_str());
   std::remove((path + ".queue").c_str());
 }
 
@@ -93,6 +92,15 @@ TEST(FleetRequest, ParserIsStrictAboutKeysValuesAndRanges) {
       "{\"id\":\"a\"} trailing",                       // trailing bytes
       "{\"id\":\"a\",\"links\":4,\"block_links\":[4]}",  // link out of range
       "not json at all",
+      // Ids outside [A-Za-z0-9._-]{1,64}: a newline splits the queue
+      // manifest line, a slash escapes the state-path prefix.
+      "{\"id\":\"a\\nb\"}",
+      "{\"id\":\"../x\"}",
+      "{\"id\":\"a\\/b\"}",
+      "{\"id\":\"a b\"}",
+      "{\"id\":\"a\\tb\"}",
+      "{\"id\":\"\xc3\xa9\"}",
+      "{\"id\":\"\"}",
   };
   for (const char* line : bad) {
     const auto parsed = parse_request_line(line);
@@ -100,6 +108,15 @@ TEST(FleetRequest, ParserIsStrictAboutKeysValuesAndRanges) {
     EXPECT_EQ(parsed.status().code(), common::ErrorCode::kInvalidInput)
         << line;
   }
+  const std::string longest(64, 'x');
+  EXPECT_TRUE(parse_request_line("{\"id\":\"" + longest + "\"}").ok());
+  EXPECT_EQ(parse_request_line("{\"id\":\"" + longest + "y\"}")
+                .status()
+                .code(),
+            common::ErrorCode::kInvalidInput);
+  const auto grammar = parse_request_line("{\"id\":\"Run-1.a_B9\"}");
+  ASSERT_TRUE(grammar.ok());
+  EXPECT_EQ(grammar.value().id, "Run-1.a_B9");
 }
 
 TEST(FleetRequest, RecordJsonUsesStableKeyOrder) {

@@ -1,11 +1,9 @@
-// Fuzz target for core::parse_checkpoint and the delta-chain loader — the
-// text surfaces the solver reads back from disk after a crash, i.e. bytes
-// that survived whatever the filesystem did to them.  The contract under
-// fuzz: never crash, never throw, and either return state whose fields are
-// inside their documented ranges (sizes aligned, every transmission
-// in-bounds, v3 index/session either valid or degraded away whole) or a
-// structured kInvalidInput error; for a delta chain, damage may only drop
-// the chain tail, never corrupt the loaded base.
+// Fuzz target for core::parse_checkpoint — the text surface the solver
+// reads back from disk after a crash, i.e. bytes that survived whatever the
+// filesystem did to them.  The contract under fuzz: never crash, never
+// throw, and either return state whose fields are inside their documented
+// ranges (sizes aligned, every transmission in-bounds, index/session either
+// valid or degraded away whole) or a structured kInvalidInput error.
 //
 // Two drivers share this file (same layout as instance_spec_fuzz.cpp):
 //  * LLVMFuzzerTestOneInput: the libFuzzer entry point (clang
@@ -14,24 +12,18 @@
 //  * main(): a deterministic corpus-replay driver replaying every file in
 //    tests/fuzz/corpus_checkpoint/ plus a mutation battery derived from
 //    them, so the ctest run exercises thousands of inputs engine-free.
-//    Corpus entries ending in ".delta" are replayed through
-//    load_checkpoint_log against a fixed valid base; everything else goes
-//    through parse_checkpoint.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <string_view>
 
 #include "common/rng.h"
 #include "core/checkpoint.h"
-#include "core/checkpoint_log.h"
 
 namespace {
 
-/// Range/alignment checks on an ACCEPTED checkpoint (or delta-replayed
-/// state).  Shared by both fuzz surfaces.
+/// Range/alignment checks on an ACCEPTED checkpoint.
 bool sane_state(const mmwave::core::CgCheckpoint& c) {
   bool sane = c.links >= 1 && c.links <= 4096 && c.channels >= 1 &&
               c.channels <= 1024 && c.iterations >= 0 &&
@@ -39,7 +31,7 @@ bool sane_state(const mmwave::core::CgCheckpoint& c) {
               c.duals_hp.size() == static_cast<std::size_t>(c.links) &&
               c.duals_lp.size() == static_cast<std::size_t>(c.links) &&
               c.pool.size() == c.pool_tau.size();
-  // v2 lifecycle metadata: either aligned with the pool or degraded away
+  // Lifecycle metadata: either aligned with the pool or degraded away
   // entirely — a partially-parsed meta section must never be returned.
   sane = sane && (c.pool_meta.empty() || c.pool_meta.size() == c.pool.size());
   if (c.pool_meta_degraded) sane = sane && c.pool_meta.empty();
@@ -55,15 +47,15 @@ bool sane_state(const mmwave::core::CgCheckpoint& c) {
   }
   for (double tau : c.pool_tau) sane = sane && tau >= 0.0;
 
-  // v3 delta binding + pool index: degraded means gone, entries in range.
-  sane = sane && c.base_seq >= 0 && c.pool_epoch >= 0;
+  // Pool index: degraded means gone, entries in range.
+  sane = sane && c.pool_epoch >= 0;
   if (c.pool_index_degraded) sane = sane && c.pool_index.empty();
   for (const auto& e : c.pool_index) {
     sane = sane && e.links >= 1 && e.channels >= 1 && e.last_epoch >= 0;
     for (double f : e.features) sane = sane && std::isfinite(f);
   }
 
-  // v3 session cursor: degraded means absent; a present cursor obeys every
+  // Session cursor: degraded means absent; a present cursor obeys every
   // documented invariant (a half-valid cursor must never be returned).
   if (c.session_degraded) sane = sane && !c.has_session;
   if (c.has_session) {
@@ -87,12 +79,11 @@ bool sane_state(const mmwave::core::CgCheckpoint& c) {
              std::isfinite(s.gops[i].stall_slots) &&
              s.gops[i].stall_slots >= 0.0;
     }
-    // v4 client-buffer state: absent (legacy cursor) or one record per
-    // link; an accepted record is finite, non-negative, its flags encode a
-    // representable (playing, started) pair, and its layer counters cannot
-    // run ahead of the completed-period count.
-    sane = sane && (s.buffers.empty() ||
-                    s.buffers.size() == static_cast<std::size_t>(c.links));
+    // Client-buffer state: one record per link; an accepted record is
+    // finite, non-negative, its flags encode a representable (playing,
+    // started) pair, and its layer counters cannot run ahead of the
+    // completed-period count.
+    sane = sane && s.buffers.size() == static_cast<std::size_t>(c.links);
     for (const mmwave::core::StreamBufferState& b : s.buffers) {
       sane = sane && std::isfinite(b.occupancy_seconds) &&
              b.occupancy_seconds >= 0.0 && std::isfinite(b.stall_seconds) &&
@@ -130,10 +121,33 @@ bool probe(std::string_view text) {
   return true;
 }
 
-/// The fixed base every fuzzed delta chain loads against.  Hand-built (no
-/// solver) so the corpus stays reproducible; dimensions 3x2, empty pool,
-/// a valid two-period session cursor.  Kept in sync with the generator of
-/// corpus_checkpoint/*.delta seeds by construction, not by copying bytes.
+}  // namespace
+
+extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
+                                      std::size_t size) {
+  if (!probe(std::string_view(reinterpret_cast<const char*>(data), size))) {
+    __builtin_trap();
+  }
+  return 0;
+}
+
+#ifndef MMWAVE_FUZZ_ENGINE
+namespace {
+
+std::string read_file(const char* path) {
+  std::string out;
+  if (std::FILE* f = std::fopen(path, "rb")) {
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
+    std::fclose(f);
+  }
+  return out;
+}
+
+/// A hand-built (no solver) checkpoint with every section populated:
+/// dimensions 3x2, empty pool, a two-entry index and a valid two-period
+/// session cursor.  Its serialization is the built-in seed below.
 mmwave::core::CgCheckpoint fuzz_base_checkpoint() {
   using namespace mmwave::core;
   CgCheckpoint c;
@@ -146,7 +160,6 @@ mmwave::core::CgCheckpoint fuzz_base_checkpoint() {
   c.lower_bound = 12.5;
   c.duals_hp = {0.1, 0.2, 0.3};
   c.duals_lp = {0.05, 0.1, 0.15};
-  c.base_seq = 2;
   c.pool_epoch = 5;
   PoolIndexEntry e1;
   e1.fingerprint = c.fingerprint;
@@ -200,78 +213,15 @@ mmwave::core::CgCheckpoint fuzz_base_checkpoint() {
   return c;
 }
 
-bool write_whole_file(const std::string& path, std::string_view bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  return std::fclose(f) == 0 && written == bytes.size();
-}
-
-/// One delta-chain probe: the fuzz input is the .delta file next to a
-/// known-good base.  Contract: the base always loads, damage only ever
-/// drops the chain tail, and the returned state passes the same range
-/// checks as a parsed checkpoint.
-bool probe_delta(std::string_view chain_bytes) {
-  static const std::string base_text =
-      mmwave::core::serialize_checkpoint(fuzz_base_checkpoint());
-  const std::string path = "checkpoint_fuzz_log.tmp";
-  if (!write_whole_file(path, base_text) ||
-      !write_whole_file(path + ".delta", chain_bytes)) {
-    std::fprintf(stderr, "fuzz: cannot stage delta probe files\n");
-    return false;
-  }
-  const auto load = mmwave::core::load_checkpoint_log(path);
-  if (!load.loaded || load.base_damaged) {
-    std::fprintf(stderr, "fuzz: valid base failed to load under delta\n");
-    return false;
-  }
-  if (load.deltas_applied < 0 || load.tail_bytes_dropped < 0 ||
-      (load.tail_bytes_dropped > 0 && !load.tail_dropped)) {
-    std::fprintf(stderr, "fuzz: inconsistent delta-load accounting\n");
-    return false;
-  }
-  if (!sane_state(load.state)) {
-    std::fprintf(stderr, "fuzz: delta replay produced out-of-range state\n");
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
-                                      std::size_t size) {
-  if (!probe(std::string_view(reinterpret_cast<const char*>(data), size))) {
-    __builtin_trap();
-  }
-  return 0;
-}
-
-#ifndef MMWAVE_FUZZ_ENGINE
-namespace {
-
-std::string read_file(const char* path) {
-  std::string out;
-  if (std::FILE* f = std::fopen(path, "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-    std::fclose(f);
-  }
-  return out;
-}
-
-using Probe = std::function<bool(std::string_view)>;
-
 /// Deterministic mutation battery over one corpus entry: truncations,
 /// byte flips, splices and repetitions.
 int replay_with_mutations(const std::string& seed_input,
-                          mmwave::common::Rng& rng, const Probe& fn) {
-  int failures = fn(seed_input) ? 0 : 1;
+                          mmwave::common::Rng& rng) {
+  int failures = probe(seed_input) ? 0 : 1;
   const std::size_t n = seed_input.size();
   for (std::size_t cut = 0; cut <= n && cut <= 512; ++cut) {
-    if (!fn(std::string_view(seed_input).substr(0, cut))) ++failures;
-    if (!fn(std::string_view(seed_input).substr(n - cut))) ++failures;
+    if (!probe(std::string_view(seed_input).substr(0, cut))) ++failures;
+    if (!probe(std::string_view(seed_input).substr(n - cut))) ++failures;
   }
   for (int round = 0; round < 200; ++round) {
     std::string mutated = seed_input;
@@ -291,52 +241,12 @@ int replay_with_mutations(const std::string& seed_input,
           break;
       }
     }
-    if (!fn(mutated)) ++failures;
+    if (!probe(mutated)) ++failures;
   }
   if (n > 1 &&
-      !fn(seed_input.substr(n / 2) + seed_input.substr(0, n / 2)))
+      !probe(seed_input.substr(n / 2) + seed_input.substr(0, n / 2)))
     ++failures;
   return failures;
-}
-
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
-/// A genuine two-block delta chain built against fuzz_base_checkpoint()
-/// through the real writer — the well-formed seed the mutation battery
-/// tears apart.
-std::string built_in_delta_seed() {
-  using namespace mmwave::core;
-  const std::string path = "checkpoint_fuzz_seed.tmp";
-  CheckpointLog log(path, {.compact_every = 100});
-  (void)log.open();
-  CgCheckpoint state = fuzz_base_checkpoint();
-  if (!log.save(state).ok()) return {};
-  for (int step = 0; step < 2; ++step) {
-    state.iterations += 1;
-    state.duals_hp[0] += 0.01;
-    state.pool_epoch += 1;
-    StreamGopRecord r;
-    const int g = state.session.next_gop;
-    r.gop = g;
-    r.demand_bits = 100.0 + g;
-    r.schedule_slots = 5.0 + g;
-    r.budget_slots = 8.0;
-    r.on_time = true;
-    state.session.gops.push_back(r);
-    state.session.next_gop += 1;
-    for (StreamBufferState& b : state.session.buffers) {
-      b.occupancy_seconds += 0.25;
-      b.hp_gops_delivered += 1;
-    }
-    if (!log.save(state).ok()) return {};
-  }
-  std::string chain = read_file((path + ".delta").c_str());
-  std::remove(path.c_str());
-  std::remove((path + ".delta").c_str());
-  return chain;
 }
 
 }  // namespace
@@ -346,42 +256,29 @@ int main(int argc, char** argv) {
   int failures = 0;
   int inputs = 0;
   for (int i = 1; i < argc; ++i) {
-    const std::string text = read_file(argv[i]);
-    const bool is_delta = ends_with(argv[i], ".delta");
-    failures += replay_with_mutations(text, rng,
-                                      is_delta ? Probe(probe_delta)
-                                               : Probe(probe));
+    failures += replay_with_mutations(read_file(argv[i]), rng);
     ++inputs;
   }
   // Hostile built-ins: header-only fragments, oversized counts, and a
   // checksum line pointing at a body that is not there.
   const char* builtins[] = {
       "",
-      "mmwave-cg-checkpoint v1\n",
+      "mmwave-cg-checkpoint v5\n",
       "mmwave-cg-checkpoint v999999\nchecksum = 0x0000000000000000\n",
-      "mmwave-cg-checkpoint v1\nchecksum = 0xcbf29ce484222325\n",
-      "mmwave-cg-checkpoint v1\nchecksum = 0xzzzzzzzzzzzzzzzz\nrest\n",
-      "mmwave-cg-checkpoint v1\nchecksum = 0x0000000000000000\n"
+      "mmwave-cg-checkpoint v5\nchecksum = 0xcbf29ce484222325\n",
+      "mmwave-cg-checkpoint v5\nchecksum = 0xzzzzzzzzzzzzzzzz\nrest\n",
+      "mmwave-cg-checkpoint v5\nchecksum = 0x0000000000000000\n"
       "fingerprint = 0x0000000000000000\nlinks = 4096\nchannels = 1024\n"
       "iterations = 0\nconverged = 0\ntotal_slots = 0\nlower_bound = nan\n"
       "duals_hp = 0\nduals_lp = 0\ncolumns = 999999\n",
   };
   for (const char* b : builtins) {
-    failures += replay_with_mutations(b, rng, Probe(probe));
+    failures += replay_with_mutations(b, rng);
     ++inputs;
   }
-  // The full v3 serializer output and a real delta chain, torn apart by
-  // the same battery.
+  // The full serializer output, torn apart by the same battery.
   failures += replay_with_mutations(
-      mmwave::core::serialize_checkpoint(fuzz_base_checkpoint()), rng,
-      Probe(probe));
-  ++inputs;
-  const std::string delta_seed = built_in_delta_seed();
-  if (delta_seed.empty()) {
-    std::fprintf(stderr, "checkpoint_fuzz: cannot build delta seed\n");
-    return 1;
-  }
-  failures += replay_with_mutations(delta_seed, rng, Probe(probe_delta));
+      mmwave::core::serialize_checkpoint(fuzz_base_checkpoint()), rng);
   ++inputs;
 
   if (failures > 0) {

@@ -612,46 +612,6 @@ TEST(BlockageSession, ResumeMidStallUnderDrainRiskPolicy) {
   EXPECT_NEAR(resumed.layer_delivery_ratio, ref.layer_delivery_ratio, 1e-12);
 }
 
-TEST(BlockageSession, CursorWithoutBufferStateResumesWithColdBuffers) {
-  auto f = make_fixture(47, 5, 2);
-  BlockageSessionConfig cfg = stall_config(6);
-  cfg.session_fingerprint = blockage_session_fingerprint(cfg, 5, 96);
-
-  common::Rng ref_rng(96);
-  const auto ref = run_blockage_session(*f.model, f.params, cfg,
-                                        make_cg_scheduler({}), ref_rng);
-
-  core::StreamCursor cursor;
-  BlockageRunControl stop;
-  stop.on_period = [&](const core::StreamCursor& c, int gop) {
-    cursor = c;
-    return gop != 2;
-  };
-  common::Rng crash_rng(96);
-  (void)run_blockage_session(*f.model, f.params, cfg,
-                             make_cg_scheduler({}), crash_rng, nullptr,
-                             &stop);
-  ASSERT_GT(ref.stall_seconds, 0.0);
-  // A v3-era cursor carries no buffer line.  (Real v3 cursors are also
-  // fingerprint-rejected — the fingerprint gained the policy and buffer
-  // scalars — but the empty-vector degradation is defined behavior: the
-  // scheduling timeline resumes, the buffers restart cold.)
-  cursor.buffers.clear();
-  BlockageRunControl resume;
-  resume.resume = &cursor;
-  common::Rng rng(96);
-  const auto m = run_blockage_session(*f.model, f.params, cfg,
-                                      make_cg_scheduler({}), rng, nullptr,
-                                      &resume);
-  EXPECT_FALSE(m.resume_rejected);
-  EXPECT_EQ(m.start_gop, 3);
-  EXPECT_TRUE(m.completed);
-  // Schedules are untouched by buffer state under the blind policy...
-  EXPECT_EQ(m.plan_digest_chain, ref.plan_digest_chain);
-  // ...but the QoE ledger restarted, so it can only understate the truth.
-  EXPECT_LE(m.stall_seconds, ref.stall_seconds + 1e-12);
-}
-
 TEST(BlockageSession, CorruptBufferRecordsRejectTheResume) {
   auto f = make_fixture(48, 5, 2);
   BlockageSessionConfig cfg = stall_config(6);
@@ -692,6 +652,11 @@ TEST(BlockageSession, CorruptBufferRecordsRejectTheResume) {
   {
     core::StreamCursor bad = cursor;
     bad.buffers.resize(3);  // wrong link count
+    expect_rejected(bad);
+  }
+  {
+    core::StreamCursor bad = cursor;
+    bad.buffers.clear();  // no buffer state at all: one record per link
     expect_rejected(bad);
   }
   {

@@ -1,19 +1,18 @@
 // chaos_soak — seeded crash-recovery soak driver for streaming sessions.
 //
-// Property under test (the PR's acceptance bar): for every seed, a blockage
-// streaming session that is killed at randomized-but-deterministic GOP
-// boundaries and resumed from its delta-checkpoint log produces EXACTLY the
-// uninterrupted run's results — every per-GOP record equal to 1e-7 and the
-// plan digest chain bit-identical — including legs where the registered
-// fault sites tear delta writes (checkpoint.delta_torn_write), crash
-// compactions (checkpoint.compact_crash) and corrupt the saved cursor
+// Property under test: for every seed, a blockage streaming session that is
+// killed at randomized-but-deterministic GOP boundaries and resumed from its
+// checkpoint file produces EXACTLY the uninterrupted run's results — every
+// per-GOP record equal to 1e-7 and the plan digest chain bit-identical —
+// including legs where the registered fault sites fail a save
+// (checkpoint.write_fail), tear a save before its rename
+// (checkpoint.torn_write) and corrupt the saved cursor
 // (session.cursor_corrupt).  Client-buffer QoE state (stall seconds,
 // rebuffer events, layer-delivery counts) rides the same cursor and must
 // replay exactly too; the demand policy rotates by seed parity so both the
 // blind baseline and the drain-risk shaper soak through crashes.  Injected
-// damage may cost re-solved periods
-// (degrading delta chain -> last good base -> cold start); it must never
-// cost correctness and never crash.
+// damage may cost re-solved periods (previous save -> cold start); it must
+// never cost correctness and never crash.
 //
 //   chaos_soak [--seeds=N] [--seed-base=S] [--gops=G] [--links --channels
 //              --levels] [--p-block=p] [--out=BENCH_soak.json]
@@ -32,9 +31,7 @@
 // faults must be absorbed by retry/degradation without touching records.
 //
 // Exit status: 0 when every seed's soak matched, 1 otherwise.  The JSON
-// report also records the delta-vs-full save cost (CheckpointLog's
-// track_full_equiv accounting), the evidence that delta saves are cheaper
-// than rewriting the full checkpoint every period.
+// report also records the saves and bytes written per seed.
 #include <atomic>
 #include <cinttypes>
 #include <cmath>
@@ -132,9 +129,7 @@ stream::BlockageSessionMetrics run_lifetime(const SoakSetup& s,
   sched_opts.heuristic_only = true;
   sched_opts.capture_checkpoint = true;
 
-  core::CheckpointLogOptions log_opts;
-  log_opts.track_full_equiv = true;
-  core::CheckpointLog log(path, log_opts);
+  core::CheckpointLog log(path);
   const core::CheckpointLogLoad loaded = log.open();
   core::StreamCursor cursor;
   stream::BlockageRunControl control;
@@ -149,9 +144,9 @@ stream::BlockageSessionMetrics run_lifetime(const SoakSetup& s,
           context.manager.export_checkpoint(context.last_checkpoint);
       ckpt.has_session = true;
       ckpt.session = cur;
-      // Save failures (torn writes, crashed compactions) are the scenario,
-      // not an error: the next save escalates to a compaction and the next
-      // restart recovers from the last good state.
+      // Save failures (failed or torn writes) are the scenario, not an
+      // error: the file keeps the previous save, the next save rewrites it,
+      // and the next restart recovers from the last good state.
       (void)log.save(ckpt).ok();  // lint: discard
     }
     return gop != kill_gop;
@@ -163,12 +158,7 @@ stream::BlockageSessionMetrics run_lifetime(const SoakSetup& s,
       session_rng, &context, &control);
   if (stats != nullptr) {
     stats->saves += log.stats().saves;
-    stats->delta_saves += log.stats().delta_saves;
-    stats->full_saves += log.stats().full_saves;
-    stats->compactions += log.stats().compactions;
-    stats->delta_bytes += log.stats().delta_bytes;
     stats->full_bytes += log.stats().full_bytes;
-    stats->full_equiv_bytes += log.stats().full_equiv_bytes;
   }
   if (metrics.resume_rejected && allow_resume) {
     // The session itself refused the cursor (stale replay / fingerprint /
@@ -284,7 +274,6 @@ SeedOutcome soak_seed(const SoakSetup& s, std::uint64_t seed,
   const std::string path =
       dir + "/soak_" + std::to_string(seed) + ".ckpt";
   std::remove(path.c_str());
-  std::remove((path + ".delta").c_str());
 
   const auto reference = run_reference(s, seed);
 
@@ -306,16 +295,16 @@ SeedOutcome soak_seed(const SoakSetup& s, std::uint64_t seed,
   stream::BlockageSessionMetrics last;
   for (std::size_t i = 0; i < kills.size(); ++i) {
     // Cycle the fault legs so every site gets exercised across the soak:
-    // 0 none, 1 torn delta append, 2 crashed compaction, 3 corrupted
+    // 0 none, 1 failed save, 2 save torn before its rename, 3 corrupted
     // cursor (forces a cold-start session that must still match).
     common::FaultInjector injector(seed ^ (0xFA017ULL + i));
     const int leg = static_cast<int>(i % 4);
     if (leg == 1) {
-      injector.arm(common::faults::kCheckpointDeltaTornWrite,
+      injector.arm(common::faults::kCheckpointWriteFail,
                    {.skip = static_cast<int>(i % 2), .times = 1});
       ++out.fault_legs;
     } else if (leg == 2) {
-      injector.arm(common::faults::kCheckpointCompactCrash, {.times = 1});
+      injector.arm(common::faults::kCheckpointTornWrite, {.times = 1});
       ++out.fault_legs;
     } else if (leg == 3) {
       injector.arm(common::faults::kSessionCursorCorrupt, {.times = 1});
@@ -332,7 +321,7 @@ SeedOutcome soak_seed(const SoakSetup& s, std::uint64_t seed,
   }
   out.mismatches += compare_runs(reference, last, seed);
   std::remove(path.c_str());
-  std::remove((path + ".delta").c_str());
+  std::remove((path + ".tmp").c_str());
   return out;
 }
 
@@ -376,14 +365,11 @@ std::vector<std::string> fleet_request_lines(std::uint64_t seed, int n) {
 void fleet_cleanup(const std::string& path,
                    const std::vector<std::string>& lines) {
   std::remove(path.c_str());
-  std::remove((path + ".delta").c_str());
   std::remove((path + ".queue").c_str());
   for (const std::string& line : lines) {
     const auto parsed = fleet::parse_request_line(line);
     if (!parsed.ok()) continue;
-    const std::string req = path + ".req_" + parsed.value().id;
-    std::remove(req.c_str());
-    std::remove((req + ".delta").c_str());
+    std::remove((path + ".req_" + parsed.value().id).c_str());
   }
 }
 
@@ -623,16 +609,12 @@ int main(int argc, char** argv) {
   for (int i = 0; i < seeds; ++i) {
     const std::uint64_t seed = seed_base + static_cast<std::uint64_t>(i);
     SeedOutcome o = soak_seed(s, seed, dir);
-    std::printf("seed %llu [%s]: %d lifetimes (%d fault legs), %lld saves "
-                "(%lld delta / %lld full), delta %lld B vs full-equiv "
+    std::printf("seed %llu [%s]: %d lifetimes (%d fault legs), %lld saves, "
                 "%lld B: %s\n",
                 static_cast<unsigned long long>(seed),
                 soak_policy(seed)->name(), o.lifetimes,
                 o.fault_legs, static_cast<long long>(o.stats.saves),
-                static_cast<long long>(o.stats.delta_saves),
-                static_cast<long long>(o.stats.full_saves),
-                static_cast<long long>(o.stats.delta_bytes),
-                static_cast<long long>(o.stats.full_equiv_bytes),
+                static_cast<long long>(o.stats.full_bytes),
                 o.mismatches == 0 ? "MATCH" : "MISMATCH");
     total_mismatches += o.mismatches;
     outcomes.push_back(std::move(o));
@@ -652,23 +634,11 @@ int main(int argc, char** argv) {
         std::fprintf(
             f,
             "%s{\"seed\":%llu,\"lifetimes\":%d,\"fault_legs\":%d,"
-            "\"mismatches\":%d,\"saves\":%lld,\"delta_saves\":%lld,"
-            "\"full_saves\":%lld,\"compactions\":%lld,"
-            "\"delta_bytes\":%lld,"
-            "\"full_equiv_bytes\":%lld,\"delta_savings\":%.4f}",
+            "\"mismatches\":%d,\"saves\":%lld,\"bytes\":%lld}",
             i == 0 ? "" : ",", static_cast<unsigned long long>(o.seed),
             o.lifetimes, o.fault_legs, o.mismatches,
             static_cast<long long>(o.stats.saves),
-            static_cast<long long>(o.stats.delta_saves),
-            static_cast<long long>(o.stats.full_saves),
-            static_cast<long long>(o.stats.compactions),
-            static_cast<long long>(o.stats.delta_bytes),
-            static_cast<long long>(o.stats.full_equiv_bytes),
-            o.stats.full_equiv_bytes > 0
-                ? 1.0 - static_cast<double>(o.stats.delta_bytes +
-                                            o.stats.full_bytes) /
-                            static_cast<double>(o.stats.full_equiv_bytes)
-                : 0.0);
+            static_cast<long long>(o.stats.full_bytes));
       }
       std::fprintf(f, "]}\n");
       std::fclose(f);

@@ -132,10 +132,10 @@ run(2 "error: --pool-policy: .*expected lru\\|rc-hybrid"
     solve --links=4 --channels=2 --pool-policy=bogus)
 run(2 "error: .*out of range" solve --links=4 --channels=2 --pool-cap=-1)
 
-# A v1 checkpoint (no pool_meta section) must still load under the v2-aware
-# parser: columns kept, lifecycle metadata cold, exit 0.  The checksum is the
-# repo's FNV-1a over the payload, precomputed for exactly these bytes — edit
-# the payload and it becomes (correctly) a corrupt-checkpoint case.
+# A v1 checkpoint from an older build is refused by the v5-only parser: the
+# resolve starts cold and still exits 0.  The checksum is the repo's FNV-1a
+# over the payload, precomputed for exactly these bytes, so only the version
+# check rejects the file.
 file(WRITE "${WORK_DIR}/v1_compat.ckpt"
   "mmwave-cg-checkpoint v1\n"
   "checksum = 0xfc15082131e73c01\n"
@@ -150,18 +150,19 @@ file(WRITE "${WORK_DIR}/v1_compat.ckpt"
   "duals_lp = 0 0 0 0\n"
   "columns = 0\n"
   "end\n")
-run(0 "checkpoint: pool [0-9]+ loaded"
+run(0 "checkpoint: unusable, cold start \\(.*unsupported checkpoint version v1"
     resolve --checkpoint=${WORK_DIR}/v1_compat.ckpt --links=4 --channels=2
             --seed=3 --block-links=0 --block-atten=0.05)
 
-# --- stream crash recovery (checkpoint v3 delta log + session cursor) -------
-# stream --checkpoint writes a base + delta chain and reports the save mix;
-# --resume replays the saved cursor (or falls back down the ladder with exit
-# 0 when the state is unusable); --metrics-json emits one JSON line per GOP
-# plus a session summary line.  --repair validates like any other enum flag.
+# --- stream crash recovery (checkpoint file + session cursor) ----------------
+# stream --checkpoint rewrites one checkpoint file per period and reports the
+# saves and bytes; --resume replays the saved cursor (or starts cold with
+# exit 0 when the file is unusable); --metrics-json emits one JSON line per
+# GOP plus a session summary line.  --repair validates like any other enum
+# flag.
 set(SLOG "${WORK_DIR}/smoke_stream.ckpt")
-file(REMOVE "${SLOG}" "${SLOG}.delta")
-run(0 "checkpoints: +[0-9]+ saves"
+file(REMOVE "${SLOG}" "${SLOG}.tmp")
+run(0 "checkpoints: +[1-9][0-9]* saves, [1-9][0-9]* bytes"
     stream --links=4 --channels=2 --seed=7 --gops=4 --p-block=0.2
            --checkpoint=${SLOG})
 if(NOT EXISTS "${SLOG}")
@@ -177,14 +178,19 @@ run(0 "resume: cursor at gop 4/4"
 run(0 "resume: cursor rejected"
     stream --links=4 --channels=2 --seed=8 --gops=4 --p-block=0.2
            --checkpoint=${SLOG} --resume)
-# A torn delta tail degrades, never errors: append garbage to the chain.
-file(APPEND "${SLOG}.delta" "delta = 999 999 128 0xdeadbeefdeadbeef\ntorn")
-run(0 "" stream --links=4 --channels=2 --seed=7 --gops=4 --p-block=0.2
-         --checkpoint=${SLOG} --resume)
+# A truncated checkpoint degrades, never errors: keep the first half of the
+# file and resume from it.
+file(READ "${SLOG}" slog_text)
+string(LENGTH "${slog_text}" slog_len)
+math(EXPR slog_half "${slog_len} / 2")
+string(SUBSTRING "${slog_text}" 0 ${slog_half} slog_torn)
+file(WRITE "${SLOG}" "${slog_torn}")
+run(0 "resume: no usable checkpoint"
+    stream --links=4 --channels=2 --seed=7 --gops=4 --p-block=0.2
+           --checkpoint=${SLOG} --resume)
 # Resuming against a missing file is a cold start, exit 0.  (The run
 # itself then writes that checkpoint, so clear it for re-runs.)
-file(REMOVE "${WORK_DIR}/absent_stream.ckpt"
-            "${WORK_DIR}/absent_stream.ckpt.delta")
+file(REMOVE "${WORK_DIR}/absent_stream.ckpt")
 run(0 "resume: no usable checkpoint"
     stream --links=4 --channels=2 --seed=7 --gops=2
            --checkpoint=${WORK_DIR}/absent_stream.ckpt --resume)

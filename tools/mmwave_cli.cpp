@@ -568,10 +568,10 @@ int cmd_stream(const common::CliFlags& flags) {
   sched_opts.repair = repair.value();
   sched_opts.capture_checkpoint = !ckpt_path.empty();
 
-  // --checkpoint persists the session through a delta log (base + deltas,
-  // compacted periodically); --resume replays the stream cursor saved there
-  // and continues mid-session.  Any unusable state degrades down the ladder
-  // — delta chain, last good base, cold start — never into an error.
+  // --checkpoint rewrites the session's checkpoint file atomically every
+  // period; --resume replays the stream cursor saved there and continues
+  // mid-session.  An unusable file degrades to a cold start, never into an
+  // error.
   stream::BlockageRunControl control;
   core::StreamCursor resume_cursor;
   std::unique_ptr<core::CheckpointLog> log;
@@ -584,10 +584,8 @@ int cmd_stream(const common::CliFlags& flags) {
       if (resume && loaded.state.has_session) {
         resume_cursor = loaded.state.session;
         control.resume = &resume_cursor;
-        std::printf("resume: cursor at gop %d/%d (%d deltas applied%s)\n",
-                    resume_cursor.next_gop, resume_cursor.num_gops,
-                    loaded.deltas_applied,
-                    loaded.tail_dropped ? ", torn tail dropped" : "");
+        std::printf("resume: cursor at gop %d/%d\n", resume_cursor.next_gop,
+                    resume_cursor.num_gops);
       } else if (resume) {
         std::printf("resume: checkpoint has no usable session cursor; "
                     "starting fresh (pool kept)\n");
@@ -643,14 +641,9 @@ int cmd_stream(const common::CliFlags& flags) {
               100.0 * metrics.layer_delivery_ratio,
               metrics.layer_gops_delivered, metrics.layer_gops_offered);
   if (log != nullptr) {
-    const core::CheckpointLogStats& s = log->stats();
-    std::printf("  checkpoints:    %lld saves (%lld delta, %lld full), "
-                "%lld delta bytes, %lld full bytes\n",
-                static_cast<long long>(s.saves),
-                static_cast<long long>(s.delta_saves),
-                static_cast<long long>(s.full_saves),
-                static_cast<long long>(s.delta_bytes),
-                static_cast<long long>(s.full_bytes));
+    std::printf("  checkpoints:    %lld saves, %lld bytes\n",
+                static_cast<long long>(log->stats().saves),
+                static_cast<long long>(log->stats().full_bytes));
   }
   return 0;
 }
@@ -1011,8 +1004,8 @@ int main(int argc, char** argv) {
       "          --pool-cap=N --pool-policy=lru|rc-hybrid (trim the saved\n"
       "          pool to N columns; 0 = unbounded)\n"
       "  stream  also accepts --gops=N --p-block=p --metrics-json\n"
-      "          --checkpoint=FILE (persist the session as base+delta\n"
-      "          checkpoints at every GOP boundary) --resume (continue a\n"
+      "          --checkpoint=FILE (rewrite the session checkpoint\n"
+      "          at every GOP boundary) --resume (continue a\n"
       "          checkpointed session mid-stream) --pool-cap=N\n"
       "          --pool-policy=... --repair=drop|downgrade\n"
       "          --demand-policy=blind|drain-risk (shape next-period\n"

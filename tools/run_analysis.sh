@@ -48,14 +48,14 @@
 #                                         (zero findings allowed; DESIGN §10)
 #  10. chaos soak                         tools/chaos_soak on the sanitized
 #                                         build: seeded kill/restart sessions
-#                                         resumed from the delta-checkpoint
-#                                         log must match the uninterrupted
-#                                         runs to 1e-7 (digest chains
+#                                         resumed from their checkpoint file
+#                                         must match the uninterrupted runs
+#                                         to 1e-7 (digest chains
 #                                         bit-identical), including legs with
-#                                         torn delta writes, compaction
-#                                         crashes and corrupted cursors;
+#                                         failed saves, saves torn before
+#                                         the rename and corrupted cursors;
 #                                         writes BENCH_soak.json with the
-#                                         delta-vs-full save economics
+#                                         saves and bytes per seed
 #  11. fleet gate                          the multi-piconet serve mode on the
 #                                         sanitized build: the fleet server /
 #                                         shared-pool ctest suites, the
@@ -367,7 +367,7 @@ else
 fi
 
 # ---- Leg 10: chaos soak (crash-recovery property) --------------------------
-# Seeded kill/restart sessions resumed from the delta-checkpoint log must
+# Seeded kill/restart sessions resumed from their checkpoint file must
 # match the uninterrupted runs exactly (1e-7 per record, digest chains
 # bit-identical) with the registered fault sites firing.  Runs on the
 # sanitized build so the recovery paths are instrumented; --soak sweeps
