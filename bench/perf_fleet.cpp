@@ -10,12 +10,11 @@
 //     explicit kOverloaded records and bounded latency for what was
 //     admitted, never silent drops or collapse.
 //
-// The bench double-checks the warm-equivalence invariant while it is at
-// it: every worker count (shared pool on) must report the same per-request
-// optimum as the workers=1 shared-pool-off baseline — the per-process
-// solve each fleet record claims to be comparable to.  A mismatch fails
-// the bench (exit 1): a throughput number for a server that changes
-// answers under concurrency would be meaningless.
+// The bench double-checks determinism while it is at it: every request
+// solves cold, so every worker count must report bit for bit the
+// per-request optimum of the workers=1 run.  A mismatch fails the bench
+// (exit 1): a throughput number for a server that changes answers under
+// concurrency would be meaningless.
 //
 //   perf_fleet [--requests=M] [--workers=1,4,16] [--overload-queue=Q]
 //              [--links --channels --levels] [--out=BENCH_fleet.json]
@@ -80,11 +79,10 @@ struct LegResult {
 };
 
 LegResult run_leg(const std::vector<std::string>& lines, int workers,
-                  int max_queue, bool share_pool) {
+                  int max_queue) {
   fleet::ServerOptions opts;
   opts.workers = workers;
   opts.max_queue = max_queue;
-  opts.share_pool = share_pool;
   fleet::Server server(opts);
 
   LegResult leg;
@@ -106,11 +104,6 @@ LegResult run_leg(const std::vector<std::string>& lines, int workers,
   leg.p50_latency = percentile(latencies, 0.50);
   leg.p99_latency = percentile(latencies, 0.99);
   return leg;
-}
-
-bool close_to(double a, double b) {
-  return std::fabs(a - b) <=
-         1e-7 * std::max(1.0, std::max(std::fabs(a), std::fabs(b)));
 }
 
 }  // namespace
@@ -138,9 +131,8 @@ int main(int argc, char** argv) {
   const std::vector<std::string> lines =
       request_lines(requests, links, channels, levels);
 
-  // The per-process answer sheet every worker count must reproduce.
-  const LegResult baseline =
-      run_leg(lines, /*workers=*/1, requests + 8, /*share_pool=*/false);
+  // The answer sheet every worker count must reproduce.
+  const LegResult baseline = run_leg(lines, /*workers=*/1, requests + 8);
 
   struct Row {
     int workers = 0;
@@ -153,8 +145,8 @@ int main(int argc, char** argv) {
     const int w = static_cast<int>(w64);
     Row row;
     row.workers = w;
-    row.ample = run_leg(lines, w, requests + 8, /*share_pool=*/true);
-    row.overload = run_leg(lines, w, overload_queue, /*share_pool=*/true);
+    row.ample = run_leg(lines, w, requests + 8);
+    row.overload = run_leg(lines, w, overload_queue);
 
     if (row.ample.shed != 0 || row.ample.completed != requests) {
       std::fprintf(stderr,
@@ -166,9 +158,9 @@ int main(int argc, char** argv) {
     }
     for (const auto& [id, want] : baseline.slots_by_id) {
       const auto it = row.ample.slots_by_id.find(id);
-      if (it == row.ample.slots_by_id.end() || !close_to(want, it->second)) {
+      if (it == row.ample.slots_by_id.end() || it->second != want) {
         std::fprintf(stderr,
-                     "MISMATCH workers=%d id=%s: per-process %.17g, fleet "
+                     "MISMATCH workers=%d id=%s: workers=1 %.17g, this run "
                      "%.17g\n",
                      w, id.c_str(), want,
                      it == row.ample.slots_by_id.end() ? NAN : it->second);

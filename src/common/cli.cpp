@@ -13,6 +13,18 @@ namespace {
   return Status::Error(ErrorCode::kInvalidInput, "--" + name + ": " + what);
 }
 
+/// Full-token base-10 integer: false on an empty token, trailing bytes or
+/// overflow.
+bool parse_full_int(const std::string& raw, long long* out) {
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(raw.c_str(), &end, 10);
+  if (raw.empty() || end != raw.c_str() + raw.size() || errno == ERANGE)
+    return false;
+  *out = v;
+  return true;
+}
+
 }  // namespace
 
 bool CliFlags::parse(int argc, const char* const* argv) {
@@ -89,10 +101,8 @@ bool CliFlags::get_bool(const std::string& name, bool def) const {
   const std::string* found = find(name);
   if (found == nullptr) return def;
   const std::string& raw = *found;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(raw.c_str(), &end, 10);
-  if (raw.empty() || end != raw.c_str() + raw.size() || errno == ERANGE)
+  long long v = 0;
+  if (!parse_full_int(raw, &v))
     return flag_error(name, "expected an integer, got '" + raw + "'");
   if (v < lo || v > hi)
     return flag_error(name, "value " + std::to_string(v) +
@@ -131,6 +141,25 @@ std::vector<std::int64_t> CliFlags::get_int_list(
     if (!tok.empty()) out.push_back(std::strtoll(tok.c_str(), nullptr, 10));
   }
   return out;
+}
+
+[[nodiscard]] Expected<std::vector<std::int64_t>> CliFlags::get_int_list_checked(
+    const std::string& name, const std::vector<std::int64_t>& def) const {
+  const std::string* raw = find(name);
+  if (raw == nullptr) return def;
+  std::vector<std::int64_t> out;
+  std::size_t pos = 0;
+  while (true) {
+    const std::size_t comma = raw->find(',', pos);
+    long long v = 0;
+    if (!parse_full_int(raw->substr(pos, comma - pos), &v)) {
+      return flag_error(name, "expected a comma-separated integer list, got '" +
+                                  *raw + "'");
+    }
+    out.push_back(v);
+    if (comma == std::string::npos) return out;
+    pos = comma + 1;
+  }
 }
 
 }  // namespace mmwave::common

@@ -51,6 +51,11 @@ class CliFlags {
   /// Comma-separated integer list, e.g. --links=10,15,20.
   std::vector<std::int64_t> get_int_list(
       const std::string& name, const std::vector<std::int64_t>& def) const;
+  /// Strict variant: an absent flag yields the default, but every token of
+  /// a present flag must be a full integer ("--block-links=1,y" and
+  /// "--block-links=1," are kInvalidInput naming the flag, never link 0).
+  [[nodiscard]] Expected<std::vector<std::int64_t>> get_int_list_checked(
+      const std::string& name, const std::vector<std::int64_t>& def) const;
 
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }

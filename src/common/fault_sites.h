@@ -36,36 +36,20 @@ inline constexpr const char* kCheckpointCorrupt = "checkpoint.corrupt_payload";
 /// instance perturbed again under our feet); the column must be dropped,
 /// never entered into the master.
 inline constexpr const char* kResolveDropColumn = "resolve.drop_column";
-/// A checkpoint pool-metadata record reads as semantically bad: the
-/// parser must degrade to cold metadata (columns kept, scores reset),
-/// never reject the checkpoint or crash.
-inline constexpr const char* kCheckpointBadPoolRecord =
-    "checkpoint.v2_bad_pool_record";
-/// PoolManager eviction picks the wrong (best-scored) victim instead of
-/// the worst.  Pool quality decays but the invariants must hold: basis
-/// columns stay, and the resolve optimum is unchanged.
-inline constexpr const char* kPoolEvictWrongColumn =
-    "pool.evict_wrong_column";
 /// save_checkpoint dies after writing half of `path + ".tmp"`, before the
 /// rename.  The save must report kIoError and the file at `path` must still
 /// load to the previous save; the next save rewrites the temp file.
 inline constexpr const char* kCheckpointTornWrite = "checkpoint.torn_write";
 /// A checkpoint session cursor reads as semantically bad: the parser
-/// must degrade to "no session" (solver pool kept, stream restarts the
-/// session cold), never reject the checkpoint or crash.
+/// must degrade to "no session" (solver state kept, stream restarts the
+/// session from period 0), never reject the checkpoint or crash.
 inline constexpr const char* kSessionCursorCorrupt =
     "session.cursor_corrupt";
-/// A checkpoint pool-index record (the multi-instance neighbour index)
-/// reads as semantically bad: the parser must degrade to an empty index
-/// (columns kept, neighbour seeding rebuilt from scratch), never reject the
-/// file.
-inline constexpr const char* kCheckpointBadIndexRecord =
-    "checkpoint.v3_bad_index_record";
 /// The client-buffer state carried by a session cursor reads as
 /// semantically bad at resume time (NaN occupancy after a torn write, a
 /// playing-without-started flags value): run_blockage_session must reject
-/// the resume and run fresh from period 0 (warm pool kept), never replay
-/// garbage QoE counters and never crash.
+/// the resume and run fresh from period 0, never replay garbage QoE
+/// counters and never crash.
 inline constexpr const char* kSessionBufferCorrupt =
     "session.buffer_corrupt";
 /// A fleet request arrives poisoned (undecodable payload past admission):

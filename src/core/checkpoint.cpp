@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 
 #include "common/fault_injection.h"
 #include "common/log.h"
@@ -26,8 +25,6 @@ constexpr int kMaxLinks = 4096;
 constexpr int kMaxChannels = 1024;
 constexpr int kMaxColumns = 1'000'000;
 constexpr int kMaxRateLevels = 64;
-constexpr int kMaxIndexEntries = 100'000;
-constexpr int kMaxFeatures = 65'536;
 constexpr int kMaxGops = 1'000'000;
 
 [[nodiscard]] common::Status parse_error(int line, const std::string& what) {
@@ -286,107 +283,6 @@ void append_column(std::string& out, const sched::Schedule& col,
   return values;
 }
 
-/// Emits one pool-metadata record: `meta = <fingerprint> <epoch> <rc> <basis>`.
-void append_meta_record(std::string& out, const PoolColumnMeta& m) {
-  out += "meta = ";
-  append_hex64(out, m.fingerprint);
-  out += ' ' + std::to_string(m.last_used_epoch) + ' ';
-  append_double(out,
-                std::isfinite(m.last_reduced_cost) ? m.last_reduced_cost : 0.0);
-  out += ' ';
-  out += m.in_basis ? '1' : '0';
-  out += '\n';
-}
-
-/// Parses one `meta = ...` record.  Structural damage (wrong key, wrong
-/// token count, truncation) is a hard error; value-level damage sets
-/// *record_ok = false and leaves *m untouched (the caller degrades the
-/// metadata to cold).
-[[nodiscard]] common::Status parse_meta_record(LineReader& reader,
-                                               PoolColumnMeta* m,
-                                               bool* record_ok) {
-  const int line_no = reader.line();
-  auto tokens = expect_kv(reader, "meta");
-  if (!tokens.ok()) return tokens.status();
-  const auto& t = tokens.value();
-  if (t.size() != 4) {
-    return parse_error(line_no,
-                       "meta: expected '<fingerprint> <epoch> <rc> <basis>'");
-  }
-  long long epoch = 0, basis = 0;
-  double rc = 0.0;
-  std::uint64_t fp = 0;
-  if (!parse_hex64_token(t[0], &fp) ||
-      !parse_int_token(t[1], 0, 9'223'372'036'854'775'806LL, &epoch) ||
-      !parse_double_token(t[2], /*allow_nan=*/false, &rc) ||
-      !parse_int_token(t[3], 0, 1, &basis)) {
-    *record_ok = false;
-    return common::Status::Ok();
-  }
-  m->fingerprint = fp;
-  m->last_used_epoch = epoch;
-  m->last_reduced_cost = rc;
-  m->in_basis = basis != 0;
-  return common::Status::Ok();
-}
-
-/// Emits one neighbour-index record (an `inst = ...` line).
-void append_index_entry(std::string& out, const PoolIndexEntry& e) {
-  out += "inst = ";
-  append_hex64(out, e.fingerprint);
-  out += ' ' + std::to_string(e.links) + ' ' + std::to_string(e.channels) +
-         ' ' + std::to_string(e.last_epoch) + ' ' +
-         std::to_string(e.features.size());
-  for (double f : e.features) {
-    out += ' ';
-    append_double(out, f);
-  }
-  out += '\n';
-}
-
-/// Parses one `inst = ...` record.  Structural damage is a hard error;
-/// semantically nonsense dimensions (links/channels < 1) set
-/// *record_ok = false with *e left untouched.
-[[nodiscard]] common::Status parse_index_entry(LineReader& reader,
-                                               PoolIndexEntry* e,
-                                               bool* record_ok) {
-  const int line_no = reader.line();
-  auto tokens = expect_kv(reader, "inst");
-  if (!tokens.ok()) return tokens.status();
-  const auto& t = tokens.value();
-  std::uint64_t fp = 0;
-  long long links = 0, channels = 0, epoch = 0, nfeat = 0;
-  if (t.size() < 5 || !parse_hex64_token(t[0], &fp) ||
-      !parse_int_token(t[1], 0, kMaxLinks, &links) ||
-      !parse_int_token(t[2], 0, kMaxChannels, &channels) ||
-      !parse_int_token(t[3], 0, 9'223'372'036'854'775'806LL, &epoch) ||
-      !parse_int_token(t[4], 0, kMaxFeatures, &nfeat) ||
-      static_cast<long long>(t.size()) != 5 + nfeat) {
-    return parse_error(line_no,
-                       "inst: expected '<fingerprint> <links> <channels> "
-                       "<epoch> <nfeat> <features...>'");
-  }
-  std::vector<double> features;
-  features.reserve(static_cast<std::size_t>(nfeat));
-  for (long long f = 0; f < nfeat; ++f) {
-    double v = 0.0;
-    if (!parse_double_token(t[5 + f], /*allow_nan=*/false, &v)) {
-      return parse_error(line_no, "inst: non-numeric feature value");
-    }
-    features.push_back(v);
-  }
-  if (links < 1 || channels < 1) {
-    *record_ok = false;
-    return common::Status::Ok();
-  }
-  e->fingerprint = fp;
-  e->links = static_cast<int>(links);
-  e->channels = static_cast<int>(channels);
-  e->last_epoch = epoch;
-  e->features = std::move(features);
-  return common::Status::Ok();
-}
-
 /// Incremental FNV-1a over typed fields (the instance fingerprint).
 class FingerprintHasher {
  public:
@@ -407,86 +303,6 @@ class FingerprintHasher {
  private:
   std::uint64_t hash_ = 1469598103934665603ULL;
 };
-
-/// Parses the pool-metadata section.  Structural damage (wrong key, wrong
-/// token count, truncation) is a hard parse error like everywhere else;
-/// *semantic* damage — a record whose values are out of their documented
-/// ranges, or the injected faults::kCheckpointBadPoolRecord — only degrades
-/// the metadata to cold (pool_meta cleared, pool_meta_degraded set).  The
-/// columns are the expensive artifact; their lifecycle scores are merely
-/// advisory.
-[[nodiscard]] common::Status parse_pool_meta(LineReader& reader,
-                                             CgCheckpoint* ckpt) {
-  long long num_meta = 0;
-  {
-    auto v = expect_int(reader, "pool_meta", 0, kMaxColumns);
-    if (!v.ok()) return v.status();
-    num_meta = v.value();
-  }
-  if (num_meta != 0 &&
-      num_meta != static_cast<long long>(ckpt->pool.size())) {
-    ckpt->pool_meta_degraded = true;  // count skew: scores unusable
-  }
-  ckpt->pool_meta.reserve(static_cast<std::size_t>(num_meta));
-  for (long long s = 0; s < num_meta; ++s) {
-    PoolColumnMeta m;
-    bool record_ok = true;
-    const common::Status st = parse_meta_record(reader, &m, &record_ok);
-    if (!st.ok()) return st;
-    if (!record_ok ||
-        common::fault_fires(common::faults::kCheckpointBadPoolRecord)) {
-      ckpt->pool_meta_degraded = true;
-      continue;  // keep consuming the declared records
-    }
-    ckpt->pool_meta.push_back(m);
-  }
-  if (ckpt->pool_meta_degraded ||
-      ckpt->pool_meta.size() != ckpt->pool.size()) {
-    if (!ckpt->pool_meta.empty() || num_meta > 0) {
-      MMWAVE_LOG_WARN << "checkpoint: pool metadata degraded to cold "
-                         "(columns kept, scores reset)";
-    }
-    ckpt->pool_meta_degraded = num_meta > 0;
-    ckpt->pool_meta.clear();
-  }
-  return common::Status::Ok();
-}
-
-/// Parses the pool-index section.  Structural damage (wrong key, token
-/// count, truncation) is a hard parse error; *semantic* damage — a record
-/// whose values are out of range, or the injected
-/// faults::kCheckpointBadIndexRecord — degrades to an empty index (columns
-/// kept, neighbour seeding restarts from scratch).
-[[nodiscard]] common::Status parse_pool_index(LineReader& reader,
-                                              CgCheckpoint* ckpt) {
-  long long count = 0;
-  {
-    auto v = expect_int(reader, "pool_index", 0, kMaxIndexEntries);
-    if (!v.ok()) return v.status();
-    count = v.value();
-  }
-  ckpt->pool_index.reserve(static_cast<std::size_t>(count));
-  for (long long i = 0; i < count; ++i) {
-    PoolIndexEntry entry;
-    bool record_ok = true;
-    const common::Status st = parse_index_entry(reader, &entry, &record_ok);
-    if (!st.ok()) return st;
-    // Semantic range checks: a structurally sound record whose dimensions
-    // are nonsense degrades the index instead of rejecting the checkpoint.
-    if (!record_ok ||
-        common::fault_fires(common::faults::kCheckpointBadIndexRecord)) {
-      ckpt->pool_index_degraded = true;
-      continue;  // keep consuming the declared records
-    }
-    ckpt->pool_index.push_back(std::move(entry));
-  }
-  if (ckpt->pool_index_degraded) {
-    MMWAVE_LOG_WARN << "checkpoint: pool index degraded to empty "
-                       "(columns kept, neighbour index reset)";
-    ckpt->pool_index.clear();
-  }
-  return common::Status::Ok();
-}
 
 /// Serializes the session section (grammar in DESIGN §8.1).  The vectors
 /// carry explicit counts so the serializer is total over any StreamCursor;
@@ -525,17 +341,6 @@ void append_session(std::string& out, const CgCheckpoint& ckpt) {
            std::to_string(b.hp_gops_delivered) + ' ' +
            std::to_string(b.lp_gops_delivered);
   }
-  const StreamSolverCounters& c = s.counters;
-  out += "\ncontext = " + std::to_string(c.periods) + ' ' +
-         std::to_string(c.resolves) + ' ' + std::to_string(c.pool_hits) +
-         ' ' + std::to_string(c.pool_misses) + ' ' +
-         std::to_string(c.columns_loaded) + ' ' +
-         std::to_string(c.columns_reused) + ' ' +
-         std::to_string(c.columns_repaired) + ' ' +
-         std::to_string(c.columns_dropped) + ' ' +
-         std::to_string(c.transmissions_dropped) + ' ' +
-         std::to_string(c.pool_evicted) + ' ' +
-         std::to_string(c.pool_neighbour_seeded);
   out += "\ngops = " + std::to_string(s.gops.size());
   out += '\n';
   for (const StreamGopRecord& g : s.gops) {
@@ -572,14 +377,14 @@ void append_session(std::string& out, const CgCheckpoint& ckpt) {
   return tokens;
 }
 
-/// Parses the session section.  Same split as the pool index: structural
-/// damage is a hard error, semantic damage degrades to "no session" — the
-/// solver pool stays warm, only the stream restarts its session cold.
-/// Semantic damage is an out-of-range value (negative delivered bits or
-/// measurements, blocked bits outside {0,1}, NaN/negative buffer
-/// occupancies, the playing-without-started flags encoding), a broken
-/// counter identity, a replay-impossible cursor, a per-link vector that is
-/// not one entry per link, or the injected faults::kSessionCursorCorrupt.
+/// Parses the session section.  Structural damage is a hard error, semantic
+/// damage degrades to "no session" — the rest of the checkpoint loads, only
+/// the stream restarts its session from period 0.  Semantic damage is an
+/// out-of-range value (negative delivered bits or measurements, blocked
+/// bits outside {0,1}, NaN/negative buffer occupancies, the
+/// playing-without-started flags encoding), a replay-impossible cursor, a
+/// per-link vector that is not one entry per link, or the injected
+/// faults::kSessionCursorCorrupt.
 [[nodiscard]] common::Status parse_session(LineReader& reader,
                                            CgCheckpoint* ckpt) {
   long long present = 0;
@@ -672,38 +477,6 @@ void append_session(std::string& out, const CgCheckpoint& ckpt) {
       s.buffers.push_back(b);
     }
   }
-  {
-    const int line_no = reader.line();
-    auto tokens = expect_kv(reader, "context");
-    if (!tokens.ok()) return tokens.status();
-    const auto& t = tokens.value();
-    long long v[11] = {};
-    bool ok = t.size() == 11;
-    for (std::size_t i = 0; ok && i < 11; ++i) {
-      ok = parse_int_token(t[i], 0, 9'223'372'036'854'775'806LL, &v[i]);
-    }
-    if (!ok) {
-      return parse_error(line_no, "context: expected 11 non-negative counters");
-    }
-    StreamSolverCounters& c = s.counters;
-    c.periods = static_cast<int>(v[0]);
-    c.resolves = static_cast<int>(v[1]);
-    c.pool_hits = static_cast<int>(v[2]);
-    c.pool_misses = static_cast<int>(v[3]);
-    c.columns_loaded = static_cast<int>(v[4]);
-    c.columns_reused = static_cast<int>(v[5]);
-    c.columns_repaired = static_cast<int>(v[6]);
-    c.columns_dropped = static_cast<int>(v[7]);
-    c.transmissions_dropped = static_cast<int>(v[8]);
-    c.pool_evicted = v[9];
-    c.pool_neighbour_seeded = v[10];
-    // The accounting identities the scheduler maintains; a cursor that
-    // breaks them cannot have come from a real session.
-    if (c.pool_hits + c.pool_misses != c.resolves ||
-        c.columns_reused > c.columns_loaded) {
-      semantic_ok = false;
-    }
-  }
   long long num_gops_records = 0;
   {
     auto v = expect_int(reader, "gops", 0, kMaxGops);
@@ -748,8 +521,8 @@ void append_session(std::string& out, const CgCheckpoint& ckpt) {
                 s.carryover_stall >= 0.0 && s.blocked_fraction_sum >= 0.0 &&
                 !common::fault_fires(common::faults::kSessionCursorCorrupt);
   if (!semantic_ok) {
-    MMWAVE_LOG_WARN << "checkpoint: session cursor degraded (solver pool "
-                       "kept, stream session restarts cold)";
+    MMWAVE_LOG_WARN << "checkpoint: session cursor degraded (stream "
+                       "session restarts from period 0)";
     ckpt->session_degraded = true;
     return common::Status::Ok();
   }
@@ -823,35 +596,6 @@ std::uint64_t instance_fingerprint(
   return h.hash();
 }
 
-std::vector<PoolColumnMeta> score_pool(const net::Network& net,
-                                       const CgResult& result,
-                                       std::uint64_t fingerprint,
-                                       std::int64_t epoch) {
-  std::vector<PoolColumnMeta> meta(result.pool.size());
-  for (std::size_t s = 0; s < result.pool.size(); ++s) {
-    PoolColumnMeta& m = meta[s];
-    m.fingerprint = fingerprint;
-    m.last_used_epoch = epoch;
-    m.in_basis =
-        s < result.pool_tau.size() && result.pool_tau[s] > 0.0;
-    double priced = 0.0;
-    const auto hp =
-        result.pool[s].rate_column_bits_per_slot(net, net::Layer::Hp);
-    const auto lp =
-        result.pool[s].rate_column_bits_per_slot(net, net::Layer::Lp);
-    for (int l = 0; l < net.num_links(); ++l) {
-      priced += (l < static_cast<int>(result.duals_hp.size())
-                     ? result.duals_hp[l] * hp[l]
-                     : 0.0) +
-                (l < static_cast<int>(result.duals_lp.size())
-                     ? result.duals_lp[l] * lp[l]
-                     : 0.0);
-    }
-    m.last_reduced_cost = std::isfinite(priced) ? 1.0 - priced : 0.0;
-  }
-  return meta;
-}
-
 CgCheckpoint make_checkpoint(const net::Network& net,
                              const std::vector<video::LinkDemand>& demands,
                              const CgResult& result) {
@@ -875,9 +619,6 @@ CgCheckpoint make_checkpoint(const net::Network& net,
   ckpt.pool_tau = result.pool_tau;
   if (ckpt.pool_tau.size() != ckpt.pool.size())
     ckpt.pool_tau.assign(ckpt.pool.size(), 0.0);
-  // Cold lifecycle metadata derived from the solve itself; epoch 0 means
-  // "age unknown" to whoever imports this checkpoint.
-  ckpt.pool_meta = score_pool(net, result, ckpt.fingerprint, 0);
   return ckpt;
 }
 
@@ -911,21 +652,6 @@ std::string serialize_checkpoint(const CgCheckpoint& ckpt) {
     append_column(body, ckpt.pool[s],
                   s < ckpt.pool_tau.size() ? ckpt.pool_tau[s] : 0.0);
   }
-  // Pool-metadata section: one record per column when metadata is aligned,
-  // an explicit empty section otherwise (cold metadata).
-  const bool have_meta = ckpt.pool_meta.size() == ckpt.pool.size();
-  body += "pool_meta = " +
-          std::to_string(have_meta ? ckpt.pool_meta.size() : 0);
-  body += '\n';
-  if (have_meta) {
-    for (const PoolColumnMeta& m : ckpt.pool_meta) append_meta_record(body, m);
-  }
-  // The manager epoch, the multi-instance neighbour index, and the
-  // stream-session cursor.
-  body += "pool_epoch = " + std::to_string(ckpt.pool_epoch);
-  body += "\npool_index = " + std::to_string(ckpt.pool_index.size());
-  body += '\n';
-  for (const PoolIndexEntry& e : ckpt.pool_index) append_index_entry(body, e);
   append_session(body, ckpt);
   body += "end\n";
 
@@ -1057,21 +783,7 @@ std::string serialize_checkpoint(const CgCheckpoint& ckpt) {
     ckpt.pool_tau.push_back(tau);
   }
 
-  // ---- Advisory sections: metadata, epoch, index, session ----------------
-  {
-    const common::Status st = parse_pool_meta(reader, &ckpt);
-    if (!st.ok()) return st;
-  }
-  {
-    auto v = expect_int(reader, "pool_epoch", 0,
-                        std::numeric_limits<long long>::max() - 1);
-    if (!v.ok()) return v.status();
-    ckpt.pool_epoch = v.value();
-  }
-  {
-    const common::Status st = parse_pool_index(reader, &ckpt);
-    if (!st.ok()) return st;
-  }
+  // ---- Advisory section: the stream-session cursor -----------------------
   {
     const common::Status st = parse_session(reader, &ckpt);
     if (!st.ok()) return st;

@@ -4,10 +4,11 @@
 // schedules built by pricing; it stays valid (or cheaply repairable) across
 // demand changes and partial topology perturbations.  CgCheckpoint captures
 // that pool plus the surrounding solver state — instance fingerprint,
-// per-column durations, duals, LB/UB, iteration counters, the neighbour
-// index and the stream-session cursor — in one versioned, checksummed,
-// human-readable text format so a scheduling service can survive process
-// death and re-enter CG warm instead of cold.
+// per-column durations, duals, LB/UB, iteration counters and the
+// stream-session cursor — in one versioned, checksummed, human-readable
+// text format.  `solve --resume` and `resolve` re-enter CG warm from a
+// checkpoint's pool; a streaming session saves its cursor without columns
+// and re-solves every period cold after a restart.
 //
 // Robustness contract (enforced by tests/core/checkpoint_test.cpp, the
 // checkpoint fuzz harness, and the fault-injection sites in
@@ -21,11 +22,9 @@
 //     checkpoint;
 //   * fingerprint mismatches are detectable by the caller, so a checkpoint
 //     can never be silently replayed against the wrong instance;
-//   * the pool-metadata, pool-index and session sections are advisory: a
-//     structurally sound file whose records are out of range degrades that
-//     section alone (pool_meta_degraded, pool_index_degraded,
-//     session_degraded) instead of rejecting the checkpoint — hints must
-//     never cost the warm-start capital they describe.
+//   * the session section is advisory: a structurally sound file whose
+//     cursor is out of range degrades that section alone (session_degraded)
+//     instead of rejecting the checkpoint.
 #pragma once
 
 #include <cstdint>
@@ -45,37 +44,7 @@ struct CgResult;  // column_generation.h
 /// The one on-disk format version: the version this build writes and the
 /// only one parse_checkpoint reads.  Older files are refused ("unsupported
 /// checkpoint version"); their callers start cold.
-inline constexpr int kCheckpointVersion = 5;
-
-/// Per-column lifecycle metadata (core::PoolManager's scoring state).  The
-/// default-constructed value is the "cold metadata" a checkpoint whose
-/// metadata records were semantically bad loads with.
-struct PoolColumnMeta {
-  /// Instance fingerprint the column last served under.
-  std::uint64_t fingerprint = 0;
-  /// Manager epoch (store() counter) at the column's last master admission
-  /// with tau > 0; its recency for eviction scoring.
-  std::int64_t last_used_epoch = 0;
-  /// Reduced cost last observed for the column under its master's final
-  /// duals (>= -eps at optimality; lower = more competitive).
-  double last_reduced_cost = 0.0;
-  /// tau > 0 in the most recent master solution: never evicted.
-  bool in_basis = false;
-};
-
-/// One entry of the multi-instance neighbour index (core::PoolManager's
-/// `instances_`), persisted so a restarted session recovers
-/// nearest-neighbour seeding, not just one instance's pool.
-struct PoolIndexEntry {
-  std::uint64_t fingerprint = 0;
-  int links = 0;
-  int channels = 0;
-  /// Manager epoch of the instance's most recent store().
-  std::int64_t last_epoch = 0;
-  /// The signature feature vector (gains/ladder/demands) the neighbour
-  /// distance is computed over; empty = identity-only (no similarity).
-  std::vector<double> features;
-};
+inline constexpr int kCheckpointVersion = 6;
 
 /// Per-GOP scoring record of a completed streaming period (mirrors
 /// stream::GopRecord; lives here because core cannot depend on stream).
@@ -101,22 +70,6 @@ struct StreamBufferState {
   int flags = 0;
   int hp_gops_delivered = 0;
   int lp_gops_delivered = 0;
-};
-
-/// Cumulative stream::SolverContext counters at the cursor position, so a
-/// resumed session's final pool-reuse metrics equal the uninterrupted run's.
-struct StreamSolverCounters {
-  int periods = 0;
-  int resolves = 0;
-  int pool_hits = 0;
-  int pool_misses = 0;
-  int columns_loaded = 0;
-  int columns_reused = 0;
-  int columns_repaired = 0;
-  int columns_dropped = 0;
-  int transmissions_dropped = 0;
-  std::int64_t pool_evicted = 0;
-  std::int64_t pool_neighbour_seeded = 0;
 };
 
 /// The stream-session cursor persisted in the checkpoint: everything
@@ -151,7 +104,6 @@ struct StreamCursor {
   /// link.  Any other size degrades the session (parse) or rejects the
   /// resume (stream::run_blockage_session).
   std::vector<StreamBufferState> buffers;
-  StreamSolverCounters counters;
   /// Scoring records of the completed periods, in order (size next_gop).
   std::vector<StreamGopRecord> gops;
 };
@@ -177,33 +129,13 @@ struct CgCheckpoint {
   std::vector<sched::Schedule> pool;
   /// Incumbent durations tau^s aligned with `pool` (0 outside the plan).
   std::vector<double> pool_tau;
-  /// Lifecycle metadata aligned with `pool`.  Empty = cold metadata: a file
-  /// whose metadata records were semantically out of range (see
-  /// pool_meta_degraded).
-  std::vector<PoolColumnMeta> pool_meta;
-  /// True when the checkpoint carried a pool-metadata section that had to
-  /// be discarded (out-of-range record, or the injected
-  /// faults::kCheckpointBadPoolRecord): the columns are still warm capital,
-  /// only their scores restarted cold.
-  bool pool_meta_degraded = false;
-
-  /// PoolManager store() epoch at save time, restored on import so recency
-  /// scoring continues instead of restarting at zero.
-  std::int64_t pool_epoch = 0;
-  /// The multi-instance neighbour index.  Empty when the index section was
-  /// semantically damaged (pool_index_degraded).
-  std::vector<PoolIndexEntry> pool_index;
-  /// True when the pool-index section had to be discarded (out-of-range
-  /// record, or the injected faults::kCheckpointBadIndexRecord): the pool
-  /// is intact, only the neighbour index restarts empty.
-  bool pool_index_degraded = false;
   /// True when `session` holds a usable stream cursor.
   bool has_session = false;
   /// The stream-session cursor (meaningful only when has_session).
   StreamCursor session;
   /// True when the session section had to be discarded (out-of-range
   /// cursor, or the injected faults::kSessionCursorCorrupt): the solver
-  /// pool is intact, only the stream session restarts cold.
+  /// state is intact, only the stream session restarts from period 0.
   bool session_degraded = false;
 };
 
@@ -216,15 +148,6 @@ std::uint64_t fnv1a64(std::string_view bytes);
 /// bit in those inputs fingerprint differently (up to hash collision).
 std::uint64_t instance_fingerprint(
     const net::Network& net, const std::vector<video::LinkDemand>& demands);
-
-/// Scores a finished solve's pool for lifecycle management: reduced cost of
-/// every pool column under the result's final duals, basis membership from
-/// pool_tau, recency = `epoch`.  make_checkpoint persists this metadata
-/// (epoch 0: "age unknown") and PoolManager::store() ingests it.
-std::vector<PoolColumnMeta> score_pool(const net::Network& net,
-                                       const CgResult& result,
-                                       std::uint64_t fingerprint,
-                                       std::int64_t epoch);
 
 /// Snapshot of a finished (or degraded) solve, ready to save.
 CgCheckpoint make_checkpoint(const net::Network& net,

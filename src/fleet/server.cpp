@@ -20,7 +20,6 @@
 #include "common/thread_pool.h"
 #include "core/checkpoint.h"
 #include "core/column_generation.h"
-#include "core/resolve.h"
 #include "mmwave/blockage.h"
 #include "mmwave/network.h"
 #include "stream/blockage_session.h"
@@ -63,7 +62,7 @@ std::string hex64(std::uint64_t value) {
 
 // ---------------------------------------------------------------------------
 // Queue manifest: the drain-time record of which requests finished and which
-// were parked, written atomically next to the shared-pool log.
+// were parked, written atomically at state_path + ".queue".
 //
 //   mmwave-fleet-queue v1
 //   done <id>
@@ -168,10 +167,6 @@ struct RunState {
   std::map<std::string, std::size_t> by_id;
   /// Finished ids from the resume manifest: skipped on re-feed.
   std::set<std::string> done_ids;
-  /// Base checkpoint the shared-pool export rides on (first finished solve
-  /// wins; which one it is only shapes the file, never any result).
-  bool has_base = false;
-  core::CgCheckpoint base;
 };
 
 /// Emits finished records in admission order; parked slots emit nothing
@@ -214,44 +209,7 @@ void fill_from_cg(const core::CgResult& result, RequestRecord* rec) {
   }
 }
 
-/// Seeds from the shared pool (feasibility-repaired), solves, stores the
-/// result back and feeds the adaptive-cap controller.  The warm-equivalence
-/// invariant keeps the certified optimum independent of pool content.
-void solve_with_shared_pool(const ServerOptions& options,
-                            core::SharedPoolManager* pool, RunState* rs,
-                            const net::Network& net,
-                            const std::vector<video::LinkDemand>& demands,
-                            core::CgOptions opts, RequestRecord* rec) {
-  core::InstanceSignature sig;
-  if (options.share_pool) {
-    sig = core::make_signature(net, demands);
-    const std::vector<sched::Schedule> candidates = pool->seed(sig);
-    if (!candidates.empty()) {
-      core::RepairStats repair_stats;
-      opts.warm_pool = core::repair_pool(net, candidates, &repair_stats);
-    }
-  }
-  const core::CgResult result =
-      core::solve_column_generation(net, demands, opts);
-  fill_from_cg(result, rec);
-  if (result.stop_reason == core::CgStopReason::kInvalidInput) return;
-  if (options.share_pool) {
-    pool->store(sig, net, result);
-    pool->observe(result.profile.warm_hit_rate(),
-                  result.profile.master_seconds);
-  }
-  if (rs != nullptr) {
-    std::lock_guard<std::mutex> lock(rs->mu);
-    if (!rs->has_base) {
-      rs->base = core::make_checkpoint(net, demands, result);
-      rs->has_base = true;
-    }
-  }
-}
-
-void run_solve_request(const ServerOptions& options,
-                       core::SharedPoolManager* pool, RunState* rs,
-                       const FleetRequest& req, RequestRecord* rec) {
+void run_solve_request(const FleetRequest& req, RequestRecord* rec) {
   common::Rng rng(req.seed);
   net::NetworkParams params = params_of(req);
   core::CgOptions opts;
@@ -263,7 +221,7 @@ void run_solve_request(const ServerOptions& options,
     net::Network net = net::Network::table_i(params, rng);
     common::Rng drng = rng.fork(0x5EED);
     const auto demands = video::make_link_demands(req.links, dcfg, drng);
-    solve_with_shared_pool(options, pool, rs, net, demands, opts, rec);
+    fill_from_cg(core::solve_column_generation(net, demands, opts), rec);
   } else {
     // resolve: same gain/demand streams as solve, with the blocked links'
     // receivers attenuated (the CLI resolve construction).
@@ -275,7 +233,7 @@ void run_solve_request(const ServerOptions& options,
     for (int l : req.block_links) scales[l] = req.block_atten;
     net::Network net(params, std::make_unique<net::RxScaledChannelModel>(
                                  &base, std::move(scales)));
-    solve_with_shared_pool(options, pool, rs, net, demands, opts, rec);
+    fill_from_cg(core::solve_column_generation(net, demands, opts), rec);
   }
 }
 
@@ -293,10 +251,7 @@ void run_stream_request(const ServerOptions& options, const FleetRequest& req,
   cfg.session_fingerprint =
       stream::blockage_session_fingerprint(cfg, req.links, req.seed);
 
-  // Streams run on a PRIVATE context, not the shared pool: the session's
-  // plan-digest chain is the determinism witness, and it must depend only
-  // on this request — not on whatever columns other piconets pooled.
-  stream::SolverContext context(options.pool);
+  stream::SolverContext context;
   stream::CgSchedulerOptions sched_opts;
   sched_opts.heuristic_only = req.pricing == core::PricingMode::HeuristicOnly;
 
@@ -308,17 +263,13 @@ void run_stream_request(const ServerOptions& options, const FleetRequest& req,
     log = std::make_unique<core::CheckpointLog>(options.state_path + ".req_" +
                                                 req.id);
     const core::CheckpointLogLoad loaded = log->open();
-    if (loaded.loaded) {
-      context.manager.import_checkpoint(loaded.state);
-      if (loaded.state.has_session) {
-        resume_cursor = loaded.state.session;
-        control.resume = &resume_cursor;
-      }
+    if (loaded.loaded && loaded.state.has_session) {
+      resume_cursor = loaded.state.session;
+      control.resume = &resume_cursor;
     }
     control.on_period = [&](const core::StreamCursor& cursor, int) {
       if (context.has_last_checkpoint) {
-        core::CgCheckpoint ckpt =
-            context.manager.export_checkpoint(context.last_checkpoint);
+        core::CgCheckpoint ckpt = context.last_checkpoint;
         ckpt.has_session = true;
         ckpt.session = cursor;
         // Keep streaming on failure: the previous save still loads and the
@@ -342,15 +293,20 @@ void run_stream_request(const ServerOptions& options, const FleetRequest& req,
   rec->code = ErrorCode::kOk;
 }
 
-/// Worker body for one admitted slot: cancellation point, poison check,
-/// op execution, record finish + in-order emission.
-void execute_slot(const ServerOptions& options, core::SharedPoolManager* pool,
-                  RunState& rs, std::size_t index, const RecordSink& sink) {
+/// Worker body for one admitted slot: drain check, cancellation point,
+/// poison check, op execution, record finish + in-order emission.
+void execute_slot(const ServerOptions& options, RunState& rs,
+                  std::size_t index, const RecordSink& sink,
+                  const std::function<bool()>& should_stop) {
+  // The serving thread polls should_stop() only between its own steps, so
+  // the worker asks too: no request starts once a stop was requested.
+  const bool stop = should_stop && should_stop();
   Slot* slot = nullptr;
   {
     std::lock_guard<std::mutex> lock(rs.mu);
     slot = &rs.slots[index];
     --rs.queued;
+    if (stop) rs.draining = true;
     if (rs.draining) {
       // Park: this request was admitted but never started; the drain
       // manifest carries it to the next serve run.
@@ -387,7 +343,7 @@ void execute_slot(const ServerOptions& options, core::SharedPoolManager* pool,
   } else if (slot->req.op == FleetOp::kStream) {
     run_stream_request(options, slot->req, &rec);
   } else {
-    run_solve_request(options, pool, &rs, slot->req, &rec);
+    run_solve_request(slot->req, &rec);
   }
 
   {
@@ -424,8 +380,7 @@ void execute_slot(const ServerOptions& options, core::SharedPoolManager* pool,
   return st;
 }
 
-Server::Server(ServerOptions options)
-    : options_(std::move(options)), pool_(options_.pool) {
+Server::Server(ServerOptions options) : options_(std::move(options)) {
   if (options_.workers < 1) options_.workers = 1;
   if (options_.max_queue < 1) options_.max_queue = 1;
 }
@@ -447,19 +402,10 @@ ServerReport Server::run(const LineSource& next_line, const RecordSink& sink,
                          const std::function<bool()>& should_stop) {
   RunState rs;
 
-  // Bind to durable state: warm the shared pool from its CheckpointLog and
-  // load the queue manifest of a drained previous run.  Any damaged state
-  // degrades to a cold (full) run, never an error.
-  std::unique_ptr<core::CheckpointLog> pool_log;
+  // Bind to durable state: load the queue manifest of a drained previous
+  // run.  A damaged manifest degrades to a full run, never an error.
   std::vector<std::string> manifest_pending;
   if (!options_.state_path.empty()) {
-    pool_log = std::make_unique<core::CheckpointLog>(options_.state_path);
-    const core::CheckpointLogLoad loaded = pool_log->open();
-    if (loaded.loaded) {
-      pool_.import_checkpoint(loaded.state);
-      rs.base = loaded.state;
-      rs.has_base = true;
-    }
     QueueManifest manifest =
         load_queue_manifest(options_.state_path + ".queue");
     if (manifest.loaded) {
@@ -497,7 +443,8 @@ ServerReport Server::run(const LineSource& next_line, const RecordSink& sink,
   };
 
   // Admits one line: parse -> dedupe/skip -> bounded-queue check -> enqueue.
-  const auto admit = [this, &rs, &sink, &workers](const std::string& line) {
+  const auto admit = [this, &rs, &sink, &workers,
+                      &should_stop](const std::string& line) {
     const auto parsed = parse_request_line(line);
     std::lock_guard<std::mutex> lock(rs.mu);
     const int index = static_cast<int>(rs.slots.size());
@@ -570,8 +517,8 @@ ServerReport Server::run(const LineSource& next_line, const RecordSink& sink,
     ++rs.queued;
     ++rs.report.admitted;
     const std::size_t slot_index = static_cast<std::size_t>(index);
-    workers->submit([this, &rs, slot_index, &sink] {
-      execute_slot(options_, &pool_, rs, slot_index, sink);
+    workers->submit([this, &rs, slot_index, &sink, &should_stop] {
+      execute_slot(options_, rs, slot_index, sink, should_stop);
     });
   };
 
@@ -627,15 +574,16 @@ ServerReport Server::run(const LineSource& next_line, const RecordSink& sink,
   rs.watchdog_cv.notify_all();
   watchdog.join();
 
-  rs.report.drained = stopped;
   {
     std::lock_guard<std::mutex> lock(rs.mu);
+    // A worker may have seen the stop before the polling loop did.
+    rs.report.drained = rs.draining;
     flush_records_locked(rs, sink);
   }
 
   // Persist the drain state: finished ids + parked request lines in the
-  // manifest, warm pool capital through the CheckpointLog.  Transient IO
-  // faults retry with backoff (faults::kFleetDrainCrash scripts one).
+  // manifest.  Transient IO faults retry with backoff
+  // (faults::kFleetDrainCrash scripts one).
   if (!options_.state_path.empty()) {
     std::string body;
     for (const Slot& slot : rs.slots) {
@@ -646,17 +594,9 @@ ServerReport Server::run(const LineSource& next_line, const RecordSink& sink,
       }
     }
     for (const std::string& id : rs.done_ids) body += "done " + id + "\n";
-    Status manifest_st = write_manifest_with_retry(
+    rs.report.state_status = write_manifest_with_retry(
         options_.state_path + ".queue", body, options_.io_retries,
         options_.retry_backoff_sec);
-    Status pool_st = Status::Ok();
-    if (rs.has_base) {
-      core::CgCheckpoint ckpt = pool_.export_checkpoint(rs.base);
-      ckpt.has_session = false;
-      pool_st = save_with_retry(*pool_log, ckpt, options_.io_retries,
-                                options_.retry_backoff_sec);
-    }
-    rs.report.state_status = manifest_st.ok() ? pool_st : manifest_st;
   }
   return rs.report;
 }

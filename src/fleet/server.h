@@ -1,11 +1,10 @@
 // fleet::Server — a long-running multi-piconet scheduling daemon.
 //
 // One Server instance accepts solve/resolve/stream requests for many
-// independent piconets (newline-delimited JSON, fleet/request.h), runs them
-// on a common::ThreadPool under per-request CgOptions deadlines, and shares
-// one column pool (core::SharedPoolManager) across every solve so piconet
-// B's warm-start capital speeds up piconet A.  Results are emitted as one
-// record line per request, in admission order.
+// independent piconets (newline-delimited JSON, fleet/request.h) and runs
+// them on a common::ThreadPool under per-request CgOptions deadlines.
+// Every request solves cold, sharing no solver state with any other.
+// Results are emitted as one record line per request, in admission order.
 //
 // Robustness contract (DESIGN.md section 13; every clause is fault-site
 // scripted and test-enforced by tests/fleet/fleet_server_test.cpp and the
@@ -27,19 +26,15 @@
 //     the watchdog is the second line of defense for a wedged worker.
 //   * Graceful drain: when should_stop() turns true, admission stops,
 //     in-flight requests finish, queued-but-unstarted requests are parked
-//     and written (with the finished ids) to the queue manifest at
-//     state_path + ".queue"; the shared pool is checkpointed through
-//     core::CheckpointLog at state_path.  A restarted run with the same
-//     state_path skips the finished ids and runs only the remainder: no
-//     request is lost or executed twice.  Manifest and pool writes retry
-//     with backoff on transient kIoError (faults::kFleetDrainCrash).
+//     (each worker asks should_stop() before it starts a request, so none
+//     starts after the stop) and written (with the finished ids) to the
+//     queue manifest at state_path + ".queue".  A restarted run with the
+//     same state_path skips the finished ids and runs only the remainder:
+//     no request is lost or executed twice.  Manifest writes retry with
+//     backoff on transient kIoError (faults::kFleetDrainCrash).
 //
-// Determinism: records (minus the timing fields) are a pure function of
-// the request list for any worker count.  Shared-pool seeding only ever
-// hands the master feasibility-repaired columns, and extra feasible
-// columns cannot change the certified optimum (the warm-equivalence
-// invariant) — concurrency moves which requests warm-start, never what
-// they answer.
+// Determinism: records (minus the timing fields) are bit-identical for any
+// worker count — each is a pure function of its own request line.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +45,6 @@
 #include "common/status.h"
 #include "core/checkpoint_log.h"
 #include "core/pool_manager.h"
-#include "core/shared_pool.h"
 #include "fleet/request.h"
 
 namespace mmwave::fleet {
@@ -69,20 +63,17 @@ struct ServerOptions {
   double watchdog_multiple = 8.0;
   /// Watchdog poll period, seconds.
   double watchdog_poll_sec = 0.002;
-  /// Transient-kIoError retries for manifest / pool-checkpoint / stream-
-  /// checkpoint writes, with linear backoff between attempts.
+  /// Transient-kIoError retries for manifest and stream-checkpoint writes,
+  /// with linear backoff between attempts.
   int io_retries = 3;
   double retry_backoff_sec = 0.001;
-  /// Share one column pool across every solve/resolve request.  Off = each
-  /// request solves cold (the per-process baseline the soak compares to).
+  /// Read only by perfbench/perf_e2e.cpp; both are ignored.
   bool share_pool = true;
-  /// Options of the shared pool (and of each stream request's private
-  /// SolverContext pool).
   core::PoolManagerOptions pool;
-  /// Durable-state base path: the shared-pool CheckpointLog lives at this
-  /// path, the queue manifest at state_path + ".queue", and stream
-  /// requests' session logs at state_path + ".req_<id>".  Empty disables
-  /// persistence (no drain manifest, no resume).
+  /// Durable-state base path: the queue manifest lives at state_path +
+  /// ".queue" and stream requests' session logs at state_path +
+  /// ".req_<id>".  Empty disables persistence (no drain manifest, no
+  /// resume).
   std::string state_path;
 };
 
@@ -100,8 +91,8 @@ struct ServerReport {
   std::int64_t parked = 0;
   /// True when the run ended on should_stop() rather than source EOF.
   bool drained = false;
-  /// Outcome of the drain-time manifest + pool persistence (Ok when
-  /// persistence is disabled).
+  /// Outcome of the drain-time manifest write (Ok when persistence is
+  /// disabled).
   common::Status state_status;
 };
 
@@ -118,8 +109,9 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Serves until the source is exhausted (then finishes the queue) or
-  /// should_stop() turns true (then drains).  Reentrant-per-instance: each
-  /// call is one serve run; the shared pool's warm capital carries over.
+  /// should_stop() turns true (then drains).  should_stop() is called from
+  /// the serving thread and from every worker, so it must be safe to call
+  /// concurrently.  Reentrant-per-instance: each call is one serve run.
   ServerReport run(const LineSource& next_line, const RecordSink& sink,
                    const std::function<bool()>& should_stop = {});
 
@@ -129,16 +121,18 @@ class Server {
                    const std::function<bool()>& should_stop = {});
 
   const ServerOptions& options() const { return options_; }
-  core::SharedPoolManager& shared_pool() { return pool_; }
+  /// Read only by perfbench/perf_e2e.cpp; inert (core/pool_manager.h).
+  core::PoolManager& shared_pool() { return pool_; }
 
  private:
   ServerOptions options_;
-  core::SharedPoolManager pool_;
+  core::PoolManager pool_;
 };
 
 /// Saves `ckpt` through `log`, retrying transient kIoError up to `retries`
 /// times with linear backoff (`backoff_sec`, 2x, 3x, ...).  Non-IO errors
-/// do not retry.  Exposed for the drain/restore tests.
+/// do not retry.  Stream requests save their session logs through it;
+/// exposed for the tests.
 [[nodiscard]] common::Status save_with_retry(core::CheckpointLog& log,
                                              const core::CgCheckpoint& ckpt,
                                              int retries, double backoff_sec);

@@ -136,14 +136,6 @@ std::string BlockageSessionMetrics::to_json_line() const {
   out += ',';
   append_json(out, "layer_delivery_ratio", layer_delivery_ratio);
   out += ',';
-  append_json(out, "pool_resolves", pool_resolves);
-  out += ',';
-  append_json(out, "pool_hits", pool_hits);
-  out += ',';
-  append_json(out, "pool_misses", pool_misses);
-  out += ',';
-  append_json(out, "pool_hit_rate", pool_hit_rate);
-  out += ',';
   char digest[32];
   std::snprintf(digest, sizeof(digest), "0x%016" PRIx64, plan_digest_chain);
   out += "\"plan_digest_chain\":\"";
@@ -208,25 +200,6 @@ BlockageSessionMetrics run_blockage_session(
     common::Rng& rng, SolverContext* solver_context,
     const BlockageRunControl* control) {
   BlockageSessionMetrics out;
-  // The context's counters are cumulative across sessions; snapshot them now
-  // so the metrics below report this session's deltas.
-  struct ContextSnapshot {
-    int periods = 0, loaded = 0, reused = 0, repaired = 0, dropped = 0;
-    int resolves = 0, hits = 0, misses = 0;
-    std::int64_t evicted = 0, neighbour_seeded = 0;
-  } before;
-  if (solver_context != nullptr) {
-    before.periods = solver_context->periods;
-    before.loaded = solver_context->columns_loaded;
-    before.reused = solver_context->columns_reused;
-    before.repaired = solver_context->columns_repaired;
-    before.dropped = solver_context->columns_dropped;
-    before.resolves = solver_context->resolves;
-    before.hits = solver_context->pool_hits;
-    before.misses = solver_context->pool_misses;
-    before.evicted = solver_context->manager.metrics().evicted;
-    before.neighbour_seeded = solver_context->manager.metrics().neighbour_seeded;
-  }
   const int num_links = params.num_links;
   const SessionConfig& scfg = config.session;
   const double gop_seconds =
@@ -265,7 +238,7 @@ BlockageSessionMetrics run_blockage_session(
   double blocked_fraction_sum = 0.0;
 
   // ---- Resume: validate the cursor, replay the Markov chain, restore the
-  // ---- session state (scores, deliveries, digest chain, counter offsets).
+  // ---- session state (scores, deliveries, buffers, digest chain).
   int start_gop = 0;
   const core::StreamCursor* resume =
       control != nullptr ? control->resume : nullptr;
@@ -312,8 +285,8 @@ BlockageSessionMetrics run_blockage_session(
       }
     }
     if (!usable) {
-      // Fresh run keeping only the warm pool.  fork() is pure, so re-forking
-      // rebuilds the exact process a fresh session would have seen.
+      // Fresh run from period 0.  fork() is pure, so re-forking rebuilds
+      // the exact process a fresh session would have seen.
       out.resume_rejected = true;
       blockage_rng = rng.fork(0xB10C);
       process =
@@ -354,33 +327,8 @@ BlockageSessionMetrics run_blockage_session(
         out.base.total_stall_slots += rec.stall_slots;
         out.base.gops.push_back(rec);
       }
-      if (solver_context != nullptr) {
-        // Counter-offset trick: the cursor stores the context's cumulative
-        // counters at save time; shifting the snapshot back by them makes
-        // this call's deltas cover the pre-crash periods too, so the final
-        // pool metrics equal the uninterrupted run's.
-        before.periods =
-            solver_context->periods - resume->counters.periods;
-        before.loaded =
-            solver_context->columns_loaded - resume->counters.columns_loaded;
-        before.reused =
-            solver_context->columns_reused - resume->counters.columns_reused;
-        before.repaired = solver_context->columns_repaired -
-                          resume->counters.columns_repaired;
-        before.dropped = solver_context->columns_dropped -
-                         resume->counters.columns_dropped;
-        before.resolves =
-            solver_context->resolves - resume->counters.resolves;
-        before.hits = solver_context->pool_hits - resume->counters.pool_hits;
-        before.misses =
-            solver_context->pool_misses - resume->counters.pool_misses;
-        before.evicted = solver_context->manager.metrics().evicted -
-                         resume->counters.pool_evicted;
-        before.neighbour_seeded =
-            solver_context->manager.metrics().neighbour_seeded -
-            resume->counters.pool_neighbour_seeded;
+      if (solver_context != nullptr)
         solver_context->plan_digest_chain = resume->plan_digest;
-      }
     }
   }
   out.start_gop = start_gop;
@@ -497,22 +445,8 @@ BlockageSessionMetrics run_blockage_session(
         b.hp_gops_delivered = buffers[l].hp_gops_delivered();
         b.lp_gops_delivered = buffers[l].lp_gops_delivered();
       }
-      if (solver_context != nullptr) {
+      if (solver_context != nullptr)
         cur.plan_digest = solver_context->plan_digest_chain;
-        cur.counters.periods = solver_context->periods;
-        cur.counters.resolves = solver_context->resolves;
-        cur.counters.pool_hits = solver_context->pool_hits;
-        cur.counters.pool_misses = solver_context->pool_misses;
-        cur.counters.columns_loaded = solver_context->columns_loaded;
-        cur.counters.columns_reused = solver_context->columns_reused;
-        cur.counters.columns_repaired = solver_context->columns_repaired;
-        cur.counters.columns_dropped = solver_context->columns_dropped;
-        cur.counters.transmissions_dropped =
-            solver_context->transmissions_dropped;
-        cur.counters.pool_evicted = solver_context->manager.metrics().evicted;
-        cur.counters.pool_neighbour_seeded =
-            solver_context->manager.metrics().neighbour_seeded;
-      }
       cur.gops.reserve(out.base.gops.size());
       for (const GopRecord& r : out.base.gops) {
         core::StreamGopRecord sr;
@@ -560,29 +494,8 @@ BlockageSessionMetrics run_blockage_session(
       layer_offered > 0
           ? static_cast<double>(out.layer_gops_delivered) / layer_offered
           : 1.0;
-  if (solver_context != nullptr) {
-    out.pool_periods = solver_context->periods - before.periods;
-    out.pool_columns_loaded = solver_context->columns_loaded - before.loaded;
-    out.pool_columns_reused = solver_context->columns_reused - before.reused;
-    out.pool_columns_repaired =
-        solver_context->columns_repaired - before.repaired;
-    out.pool_columns_dropped =
-        solver_context->columns_dropped - before.dropped;
-    out.pool_hit_rate =
-        out.pool_columns_loaded > 0
-            ? static_cast<double>(out.pool_columns_reused) /
-                  out.pool_columns_loaded
-            : 0.0;
-    out.pool_resolves = solver_context->resolves - before.resolves;
-    out.pool_hits = solver_context->pool_hits - before.hits;
-    out.pool_misses = solver_context->pool_misses - before.misses;
-    out.pool_evicted =
-        solver_context->manager.metrics().evicted - before.evicted;
-    out.pool_neighbour_seeded =
-        solver_context->manager.metrics().neighbour_seeded -
-        before.neighbour_seeded;
+  if (solver_context != nullptr)
     out.plan_digest_chain = solver_context->plan_digest_chain;
-  }
   return out;
 }
 

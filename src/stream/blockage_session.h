@@ -58,7 +58,7 @@ struct BlockageRunControl {
   /// session (fingerprint, horizon, dimensions, and a Markov-chain replay
   /// of the blockage states are all validated; any mismatch sets
   /// BlockageSessionMetrics::resume_rejected and the session runs fresh
-  /// from period 0 — the solver pool, if any, is kept).
+  /// from period 0).
   const core::StreamCursor* resume = nullptr;
   /// Called after each completed period with the cursor describing the
   /// session state at that GOP boundary; return false to stop the run there
@@ -96,24 +96,13 @@ struct BlockageSessionMetrics {
   /// layer_gops_delivered / layer_gops_offered (1.0 when nothing offered).
   double layer_delivery_ratio = 1.0;
 
-  // --- Pool-reuse accounting (populated when a SolverContext is threaded
-  // --- through run_blockage_session; zeros otherwise).  All values are
-  // --- THIS session's deltas: the context's counters are cumulative, so a
-  // --- context reused across sessions still reports per-session numbers.
-  int pool_periods = 0;           ///< periods solved through the context
-  int pool_columns_loaded = 0;    ///< columns offered for cross-period reuse
-  int pool_columns_reused = 0;    ///< columns that re-entered a master
-  int pool_columns_repaired = 0;  ///< reused only after repair
-  int pool_columns_dropped = 0;   ///< discarded as irreparable
-  double pool_hit_rate = 0.0;     ///< reused / loaded
-  int pool_resolves = 0;          ///< context-routed solves this session
-  int pool_hits = 0;              ///< resolves with >=1 seeded survivor
-  int pool_misses = 0;            ///< resolves seeded with nothing usable
-  /// Columns evicted by the manager's cap policy during this session.
+  // --- Read only by perfbench/perf_e2e.cpp; always 0 (every period
+  // --- solves cold, no columns are carried across periods).
+  int pool_columns_loaded = 0;
+  int pool_columns_reused = 0;
+  int pool_columns_repaired = 0;
+  int pool_columns_dropped = 0;
   std::int64_t pool_evicted = 0;
-  /// Seeded columns that came from a neighbour instance (different
-  /// fingerprint) — the multi-instance sharing payoff.
-  std::int64_t pool_neighbour_seeded = 0;
 
   // --- Crash-recovery accounting ------------------------------------------
   /// First period this call actually executed (> 0 only after a resume).
@@ -123,7 +112,7 @@ struct BlockageSessionMetrics {
   /// cursor does not carry per-period served flags).
   int start_gop = 0;
   /// A resume cursor was offered but failed validation or blockage replay;
-  /// the session ran fresh from period 0 (the warm pool was kept).
+  /// the session ran fresh from period 0.
   bool resume_rejected = false;
   /// False when BlockageRunControl::on_period stopped the run early.
   bool completed = true;
@@ -148,15 +137,15 @@ std::string period_json_line(const core::StreamCursor& cursor);
 /// process and the demand streams both derive from `rng`.
 ///
 /// `solver_context`, when non-null, must be the same context the scheduler
-/// was built with (make_cg_scheduler overload): the session then reports its
-/// cross-period pool-reuse counters in the returned metrics.  Passing a
-/// context the scheduler does not use is harmless (the counters stay zero).
+/// was built with (make_cg_scheduler overload): the session then reports
+/// its plan digest chain.  Passing a context the scheduler does not use is
+/// harmless (the chain stays zero).
 ///
 /// `control`, when non-null, adds crash recovery: `control->resume` replays
 /// a saved cursor and continues mid-session, `control->on_period` surfaces
 /// a fresh cursor at every GOP boundary (and can stop the run, simulating a
-/// crash).  Resuming restores the solver context's digest chain and offsets
-/// the pool counters so the final metrics equal the uninterrupted run's.
+/// crash).  Resuming restores the solver context's digest chain, so the
+/// final metrics equal the uninterrupted run's.
 BlockageSessionMetrics run_blockage_session(
     const net::ChannelModel& base_model, const net::NetworkParams& params,
     const BlockageSessionConfig& config, const Scheduler& scheduler,

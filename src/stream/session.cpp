@@ -7,7 +7,6 @@
 #include "baselines/baselines.h"
 #include "core/checkpoint.h"
 #include "core/column_generation.h"
-#include "core/resolve.h"
 
 namespace mmwave::stream {
 
@@ -45,38 +44,8 @@ Scheduler make_cg_scheduler(const CgSchedulerOptions& options,
                      ? core::PricingMode::HeuristicOnly
                      : core::PricingMode::HeuristicThenExact;
     cg.verify = options.verify;
-    core::InstanceSignature signature;
-    int seeded_survivors = 0;
-    if (context != nullptr) {
-      signature = core::make_signature(net, demands);
-      // The manager hands back the nearest known instances' columns; repair
-      // against the current gains so only columns re-proven feasible on
-      // *this* network enter the master.
-      const std::vector<sched::Schedule> candidates =
-          context->manager.seed(signature);
-      if (!candidates.empty()) {
-        core::RepairStats stats;
-        cg.warm_pool =
-            core::repair_pool(net, candidates, &stats, {}, options.repair);
-        context->columns_loaded += stats.loaded;
-        context->columns_reused += stats.survivors();
-        context->columns_repaired += stats.repaired;
-        context->columns_dropped += stats.dropped;
-        context->transmissions_dropped += stats.transmissions_dropped;
-        seeded_survivors = stats.survivors();
-      }
-    }
     const auto result = core::solve_column_generation(net, demands, cg);
     if (context != nullptr) {
-      context->manager.store(signature, net, result);
-      context->pool = result.pool;
-      ++context->periods;
-      ++context->resolves;
-      if (seeded_survivors > 0) {
-        ++context->pool_hits;
-      } else {
-        ++context->pool_misses;
-      }
       if (options.verify && !result.verification.errors.empty()) {
         ++context->verify_failures;
       }
@@ -91,6 +60,8 @@ Scheduler make_cg_scheduler(const CgSchedulerOptions& options,
       context->plan_digest_chain = core::fnv1a64(chain_bytes);
       if (options.capture_checkpoint) {
         context->last_checkpoint = core::make_checkpoint(net, demands, result);
+        context->last_checkpoint.pool.clear();
+        context->last_checkpoint.pool_tau.clear();
         context->has_last_checkpoint = true;
       }
     }

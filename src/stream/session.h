@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/checkpoint.h"
 #include "core/pool_manager.h"
-#include "core/resolve.h"
 #include "mmwave/network.h"
 #include "sched/timeline.h"
 #include "video/demand.h"
@@ -39,50 +39,20 @@ struct SchedulerResult {
 using Scheduler = std::function<SchedulerResult(
     const net::Network&, const std::vector<video::LinkDemand>&)>;
 
-/// Persistent solver state carried across scheduling periods.  A scheduler
-/// bound to one (see the make_cg_scheduler overload) asks the embedded
-/// core::PoolManager for warm-start candidates — the nearest known
-/// instances' surviving columns, not just the previous period's — repairs
-/// them against the current network (blockage may have invalidated
-/// columns), seeds the survivors into the master, and stores the new pool
-/// back after the solve under the manager's cap/eviction policy.
-///
-/// All counters are CUMULATIVE across every period routed through this
-/// context, across sessions if the context is reused; call reset_metrics()
-/// to start a fresh accounting window (the pool itself is kept — resetting
-/// metrics must not cost warm-start capital).  Accounting identity,
-/// asserted by the blockage-session tests: pool_hits + pool_misses ==
-/// resolves.
+/// Per-session solver record threaded through a CG scheduler (the
+/// make_cg_scheduler overload).  Every period solves cold: the context
+/// carries no columns from one solve to the next, only the crash-recovery
+/// snapshot of the latest solve and the plan digests a resumed session is
+/// checked against.
 struct SolverContext {
-  SolverContext() = default;
-  explicit SolverContext(core::PoolManagerOptions pool_options)
-      : manager(std::move(pool_options)) {}
-
-  /// Owns the cross-period, cross-instance column pool (cap + eviction).
+  /// Read only by perfbench/perf_e2e.cpp; inert (core/pool_manager.h).
   core::PoolManager manager;
-  /// Column pool left by the most recent solve (master order) — the
-  /// single-period view; the manager holds the full multi-instance pool.
-  std::vector<sched::Schedule> pool;
-  /// Periods that solved through this context.
-  int periods = 0;
-  /// Context-routed solves (== periods; kept separate so the hit/miss
-  /// identity reads against the quantity it is defined over).
-  int resolves = 0;
-  /// Resolves where at least one seeded column survived into the master.
-  int pool_hits = 0;
-  /// Resolves where no seeded column survived (cold or fully invalidated).
-  int pool_misses = 0;
-  // Cumulative repair accounting (core::RepairStats summed over periods):
-  int columns_loaded = 0;    ///< pool columns offered for reuse
-  int columns_reused = 0;    ///< survived (intact or repaired) into the master
-  int columns_repaired = 0;  ///< survived only after dropping transmissions
-  int columns_dropped = 0;   ///< discarded as irreparable
-  int transmissions_dropped = 0;
 
   // ---- Crash-recovery state (populated by make_cg_scheduler) -------------
   /// Snapshot of the most recent solve (CgSchedulerOptions::
-  /// capture_checkpoint): the raw make_checkpoint output, which callers
-  /// typically route through manager.export_checkpoint() before persisting.
+  /// capture_checkpoint) without its columns: a resumed session re-solves
+  /// cold from the cursor, so the caller persists this with the cursor
+  /// attached.
   core::CgCheckpoint last_checkpoint;
   bool has_last_checkpoint = false;
   /// FNV digest of the most recent solve's timeline, and the rolling chain
@@ -93,32 +63,15 @@ struct SolverContext {
   /// Solves whose certificate re-check (CgSchedulerOptions::verify)
   /// reported at least one error.  Stays 0 on healthy runs.
   int verify_failures = 0;
-
-  /// Fraction of offered pool columns that re-entered a master.
-  double hit_rate() const {
-    return columns_loaded > 0
-               ? static_cast<double>(columns_reused) / columns_loaded
-               : 0.0;
-  }
-
-  /// Zeroes every counter (including the manager's) without touching the
-  /// pool: the next session reports from a clean slate but stays warm.
-  void reset_metrics() {
-    periods = resolves = pool_hits = pool_misses = 0;
-    columns_loaded = columns_reused = columns_repaired = columns_dropped = 0;
-    transmissions_dropped = 0;
-    last_plan_digest = plan_digest_chain = 0;
-    verify_failures = 0;
-    manager.reset_metrics();
-  }
 };
 
 /// Built-in scheduler adapters.
 Scheduler make_cg_scheduler(const struct CgSchedulerOptions& options);
-/// CG scheduler threading solver state across periods: when `context` is
-/// non-null, each invocation warm-starts from the repaired previous pool and
-/// persists the resulting pool.  `context` must outlive the scheduler and is
-/// not thread-safe (one session loop at a time).
+/// The same cold CG scheduler, recording each solve into `context` when it
+/// is non-null: the plan digest chain, verification failures and (with
+/// capture_checkpoint) the latest solve's checkpoint.  The plans are those
+/// of the context-free overload.  `context` must outlive the scheduler and
+/// is not thread-safe (one session loop at a time).
 Scheduler make_cg_scheduler(const struct CgSchedulerOptions& options,
                             SolverContext* context);
 Scheduler make_tdma_scheduler();
@@ -134,9 +87,6 @@ struct CgSchedulerOptions {
   /// Re-check LP certificates and column feasibility after every solve;
   /// failures are counted in SolverContext::verify_failures.
   bool verify = false;
-  /// Repair policy applied to warm-start candidates (satellite: a downgrade
-  /// step down the SINR ladder can keep more columns alive under blockage).
-  core::RepairPolicy repair = core::RepairPolicy::kDropTransmissions;
 };
 
 struct SessionConfig {

@@ -58,6 +58,22 @@ TEST(Cli, IntListDefault) {
   ASSERT_EQ(v.size(), 2u);
 }
 
+TEST(Cli, IntListCheckedRejectsEveryNonIntegerToken) {
+  auto v = parse({"--links=1,-2,30"}).get_int_list_checked("links", {});
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v.value(), (std::vector<std::int64_t>{1, -2, 30}));
+  EXPECT_EQ(parse({}).get_int_list_checked("links", {7}).value(),
+            (std::vector<std::int64_t>{7}));
+  for (const char* bad : {"--links=x", "--links=1,y", "--links=1,,2",
+                          "--links=1,", "--links=", "--links=2x",
+                          "--links=99999999999999999999", "--links"}) {
+    const auto r = parse({bad}).get_int_list_checked("links", {});
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), ErrorCode::kInvalidInput) << bad;
+    EXPECT_EQ(r.status().message().rfind("--links: ", 0), 0u) << bad;
+  }
+}
+
 TEST(Cli, Positional) {
   auto f = parse({"run", "--n=3", "fast"});
   ASSERT_EQ(f.positional().size(), 2u);

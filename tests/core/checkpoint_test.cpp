@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <set>
 #include <string>
 
 #include "common/fault_injection.h"
@@ -182,7 +183,7 @@ TEST(CgCheckpoint, VersionSkewIsDiagnosed) {
   const std::string text = serialize_checkpoint(s.ckpt);
   const std::string tag = "checkpoint v" + std::to_string(kCheckpointVersion);
   ASSERT_EQ(text.find(tag), std::string("mmwave-cg-").size());
-  // Every older version (v1..v4 were written by earlier builds) and the
+  // Every older version (v1..v5 were written by earlier builds) and the
   // next one are refused; the header is outside the checksum, so only the
   // version check stands between these bytes and a load.
   for (int version = 0; version <= kCheckpointVersion + 1; ++version) {
@@ -222,7 +223,7 @@ TEST(CgCheckpoint, LoadOfMissingFileIsIoError) {
   EXPECT_EQ(loaded.status().code(), common::ErrorCode::kIoError);
 }
 
-// ---- Pool-metadata section -------------------------------------------------
+// ---- Semantic damage under a valid checksum ---------------------------------
 
 /// Reassembles a checkpoint after editing its payload: fresh checksum over
 /// the mutated payload, requested version in the magic line.  This is how
@@ -241,92 +242,13 @@ std::string reassemble(const std::string& text, int version,
          "\nchecksum = " + checksum + "\n" + payload;
 }
 
-TEST(CgCheckpoint, PoolMetadataRoundTrips) {
-  const Solved s = solve_and_checkpoint();
-  ASSERT_EQ(s.ckpt.pool_meta.size(), s.ckpt.pool.size());
-  const auto parsed = parse_checkpoint(serialize_checkpoint(s.ckpt));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  const CgCheckpoint& c = parsed.value();
-  EXPECT_FALSE(c.pool_meta_degraded);
-  ASSERT_EQ(c.pool_meta.size(), s.ckpt.pool_meta.size());
-  for (std::size_t i = 0; i < c.pool_meta.size(); ++i) {
-    EXPECT_EQ(c.pool_meta[i].fingerprint, s.ckpt.pool_meta[i].fingerprint);
-    EXPECT_EQ(c.pool_meta[i].last_used_epoch,
-              s.ckpt.pool_meta[i].last_used_epoch);
-    EXPECT_EQ(c.pool_meta[i].in_basis, s.ckpt.pool_meta[i].in_basis);
-    // %.17g round-trips doubles bit-exactly.
-    EXPECT_EQ(c.pool_meta[i].last_reduced_cost,
-              s.ckpt.pool_meta[i].last_reduced_cost);
-  }
-  // Basis membership in the metadata agrees with the tau vector.
-  for (std::size_t i = 0; i < c.pool_meta.size(); ++i)
-    EXPECT_EQ(c.pool_meta[i].in_basis, c.pool_tau[i] > 0.0);
-}
-
-TEST(CgCheckpoint, SemanticallyBadMetaRecordDegradesToColdMetadata) {
-  const Solved s = solve_and_checkpoint();
-  ASSERT_GE(s.ckpt.pool_meta.size(), 1u);
-  const std::string bad = reassemble(
-      serialize_checkpoint(s.ckpt), kCheckpointVersion,
-      [](std::string& payload) {
-        // Poison the first record's reduced cost: "nan" is token-shaped
-        // (structure intact) but semantically out of range for rc.
-        const std::size_t meta = payload.find("\nmeta = ");
-        ASSERT_NE(meta, std::string::npos);
-        const std::size_t eol = payload.find('\n', meta + 1);
-        std::string line = payload.substr(meta + 1, eol - meta - 1);
-        const std::size_t last_space = line.rfind(' ');
-        const std::size_t rc_space = line.rfind(' ', last_space - 1);
-        line.replace(rc_space + 1, last_space - rc_space - 1, "nan");
-        payload.replace(meta + 1, eol - meta - 1, line);
-      });
-  const auto parsed = parse_checkpoint(bad);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  // Columns kept, scores reset: never reject the checkpoint over advisory
-  // metadata.
-  EXPECT_TRUE(parsed.value().pool_meta_degraded);
-  EXPECT_TRUE(parsed.value().pool_meta.empty());
-  EXPECT_EQ(parsed.value().pool.size(), s.ckpt.pool.size());
-}
-
-TEST(CgCheckpoint, MetaCountSkewDegradesToColdMetadata) {
-  const Solved s = solve_and_checkpoint();
-  ASSERT_GE(s.ckpt.pool_meta.size(), 2u);
-  const std::string skewed = reassemble(
-      serialize_checkpoint(s.ckpt), kCheckpointVersion,
-      [&s](std::string& payload) {
-        // Declare one record fewer and drop the last one: structurally
-        // sound, but the count no longer matches the column count.
-        const std::size_t n = s.ckpt.pool_meta.size();
-        const std::string decl = "pool_meta = " + std::to_string(n);
-        const std::size_t at = payload.find(decl);
-        ASSERT_NE(at, std::string::npos);
-        payload.replace(at, decl.size(),
-                        "pool_meta = " + std::to_string(n - 1));
-        const std::size_t last = payload.rfind("meta = ");
-        const std::size_t eol = payload.find('\n', last);
-        payload.erase(last, eol - last + 1);
-      });
-  const auto parsed = parse_checkpoint(skewed);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  EXPECT_TRUE(parsed.value().pool_meta_degraded);
-  EXPECT_TRUE(parsed.value().pool_meta.empty());
-  EXPECT_EQ(parsed.value().pool.size(), s.ckpt.pool.size());
-}
-
-TEST(CgCheckpoint, StructuralMetaDamageIsStillAHardError) {
-  const Solved s = solve_and_checkpoint();
-  const std::string broken = reassemble(
-      serialize_checkpoint(s.ckpt), kCheckpointVersion,
-      [](std::string& payload) {
-        // A misspelled record key is structural damage, not a bad value.
-        const std::size_t at = payload.find("\nmeta = ");
-        ASSERT_NE(at, std::string::npos);
-        payload.replace(at, 8, "\nmta = x");
-      });
-  const auto parsed = parse_checkpoint(broken);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), common::ErrorCode::kInvalidInput);
+/// A payload edit for reassemble(): replaces the first `from` with `to`.
+std::function<void(std::string&)> edit(std::string from, std::string to) {
+  return [from = std::move(from), to = std::move(to)](std::string& payload) {
+    const std::size_t at = payload.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    payload.replace(at, from.size(), to);
+  };
 }
 
 // ---- Fault injection -----------------------------------------------------
@@ -345,28 +267,6 @@ TEST(CgCheckpoint, InjectedWriteFailureIsIoError) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   EXPECT_EQ(f, nullptr);
   if (f != nullptr) std::fclose(f);
-}
-
-TEST(CgCheckpoint, InjectedBadPoolRecordDegradesMetadataOnly) {
-  const Solved s = solve_and_checkpoint();
-  const std::string text = serialize_checkpoint(s.ckpt);
-
-  common::FaultInjector inj;
-  inj.arm(common::faults::kCheckpointBadPoolRecord, {.times = 1});
-  common::FaultScope scope(inj);
-  const auto parsed = parse_checkpoint(text);
-  EXPECT_EQ(inj.fired(common::faults::kCheckpointBadPoolRecord), 1);
-  // The injected bad record costs the metadata, never the checkpoint: the
-  // pool is intact and a resolve from it still certifies the optimum.
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  EXPECT_TRUE(parsed.value().pool_meta_degraded);
-  EXPECT_TRUE(parsed.value().pool_meta.empty());
-  ASSERT_EQ(parsed.value().pool.size(), s.ckpt.pool.size());
-  const ResolveResult r = resolve(s.net, s.demands, parsed.value(), CgOptions{});
-  EXPECT_TRUE(r.used_checkpoint);
-  EXPECT_TRUE(r.cg.converged);
-  EXPECT_NEAR(r.cg.total_slots, s.result.total_slots,
-              1e-7 * s.result.total_slots);
 }
 
 TEST(CgCheckpoint, InjectedPayloadCorruptionDegradesToColdStart) {
@@ -390,7 +290,7 @@ TEST(CgCheckpoint, InjectedPayloadCorruptionDegradesToColdStart) {
   std::remove(path.c_str());
 }
 
-// ---- Pool index + stream-session cursor ------------------------------------
+// ---- Stream-session cursor --------------------------------------------------
 
 StreamCursor make_cursor(int links, int next_gop, int num_gops) {
   StreamCursor c;
@@ -405,17 +305,6 @@ StreamCursor make_cursor(int links, int next_gop, int num_gops) {
   c.delivered_bits.assign(links, 1234.5);
   c.blocked.assign(links, 0);
   c.blocked[0] = 1;
-  c.counters.periods = next_gop;
-  c.counters.resolves = next_gop;
-  c.counters.pool_hits = next_gop - 1;
-  c.counters.pool_misses = 1;
-  c.counters.columns_loaded = 7;
-  c.counters.columns_reused = 6;
-  c.counters.columns_repaired = 1;
-  c.counters.columns_dropped = 1;
-  c.counters.transmissions_dropped = 1;
-  c.counters.pool_evicted = 3;
-  c.counters.pool_neighbour_seeded = 2;
   for (int l = 0; l < links; ++l) {
     StreamBufferState b;
     b.occupancy_seconds = 0.25 * l;
@@ -439,22 +328,9 @@ StreamCursor make_cursor(int links, int next_gop, int num_gops) {
   return c;
 }
 
-/// A solved checkpoint with the epoch, pool index and session populated.
+/// A solved checkpoint with the session populated.
 Solved solve_with_session_state() {
   Solved s = solve_and_checkpoint();
-  s.ckpt.pool_epoch = 17;
-  PoolIndexEntry a;
-  a.fingerprint = s.ckpt.fingerprint;
-  a.links = 5;
-  a.channels = 2;
-  a.last_epoch = 17;
-  a.features = {0.5, 1.25, -3.0};
-  PoolIndexEntry b;
-  b.fingerprint = 0xFEEDFACEFEEDFACEULL;
-  b.links = 5;
-  b.channels = 2;
-  b.last_epoch = 9;
-  s.ckpt.pool_index = {a, b};
   s.ckpt.has_session = true;
   s.ckpt.session = make_cursor(5, 3, 8);
   return s;
@@ -467,14 +343,20 @@ TEST(CgCheckpoint, V3SessionAndIndexRoundTrip) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   const CgCheckpoint& c = parsed.value();
   EXPECT_EQ(serialize_checkpoint(c), text);
-
-  EXPECT_EQ(c.pool_epoch, 17);
-  EXPECT_FALSE(c.pool_index_degraded);
-  ASSERT_EQ(c.pool_index.size(), 2u);
-  EXPECT_EQ(c.pool_index[0].fingerprint, s.ckpt.fingerprint);
-  EXPECT_EQ(c.pool_index[0].features, s.ckpt.pool_index[0].features);
-  EXPECT_EQ(c.pool_index[1].last_epoch, 9);
-  EXPECT_TRUE(c.pool_index[1].features.empty());
+  // Every payload line is one of the v6 records: solver state, columns and
+  // the session cursor, nothing else.
+  const std::set<std::string> keys = {
+      "fingerprint", "links",   "channels", "iterations", "converged",
+      "total_slots", "lower_bound", "duals_hp", "duals_lp", "columns",
+      "column",      "tx",      "session",  "cursor",     "delivered",
+      "blocked",     "buffers", "gops",     "gop"};
+  std::size_t pos = text.find('\n', text.find('\n') + 1) + 1;
+  for (std::size_t nl; (nl = text.find('\n', pos)) != std::string::npos;
+       pos = nl + 1) {
+    const std::string line = text.substr(pos, nl - pos);
+    if (line == "end") continue;
+    EXPECT_EQ(keys.count(line.substr(0, line.find(" ="))), 1u) << line;
+  }
 
   ASSERT_TRUE(c.has_session);
   EXPECT_FALSE(c.session_degraded);
@@ -486,7 +368,6 @@ TEST(CgCheckpoint, V3SessionAndIndexRoundTrip) {
   EXPECT_EQ(cur.delivered_bits, s.ckpt.session.delivered_bits);
   EXPECT_EQ(cur.blocked, s.ckpt.session.blocked);
   EXPECT_EQ(cur.plan_digest, s.ckpt.session.plan_digest);
-  EXPECT_EQ(cur.counters.pool_neighbour_seeded, 2);
   ASSERT_EQ(cur.buffers.size(), 5u);
   EXPECT_EQ(cur.buffers[0].flags, 2);
   EXPECT_EQ(cur.buffers[4].occupancy_seconds, 1.0);
@@ -509,7 +390,7 @@ TEST(CgCheckpoint, V3FileSurvivesSaveAndLoad) {
 
 TEST(CgCheckpoint, V3SectionsInAV2FileAreRejected) {
   const Solved s = solve_with_session_state();
-  // Today's sections (session, buffers, index) under a v2 stamp and a valid
+  // Today's sections (session, buffers) under a v2 stamp and a valid
   // checksum: the version check refuses the file before any section is read.
   const auto parsed = parse_checkpoint(reassemble(
       serialize_checkpoint(s.ckpt), /*version=*/2, [](std::string&) {}));
@@ -535,6 +416,8 @@ TEST(CgCheckpoint, SemanticallyBadCursorDegradesSessionOnly) {
         ASSERT_NE(at, std::string::npos);
         payload.replace(at, payload.find('\n', at) - at, "buffers = 0");
       },
+      // Period records out of order.
+      edit("\ngop = 1 ", "\ngop = 2 "),
   };
   for (const auto& damage : damages) {
     const auto parsed = parse_checkpoint(reassemble(
@@ -543,49 +426,58 @@ TEST(CgCheckpoint, SemanticallyBadCursorDegradesSessionOnly) {
     const CgCheckpoint& c = parsed.value();
     EXPECT_TRUE(c.session_degraded);
     EXPECT_FALSE(c.has_session);
-    // Solver state is untouched: warm pool, metadata, index all intact.
+    // Solver state is untouched: the column pool and the duals load.
     EXPECT_EQ(c.pool.size(), s.ckpt.pool.size());
-    EXPECT_FALSE(c.pool_meta.empty());
-    EXPECT_EQ(c.pool_index.size(), 2u);
-    EXPECT_FALSE(c.pool_index_degraded);
+    EXPECT_EQ(c.duals_hp, s.ckpt.duals_hp);
   }
 }
 
-TEST(CgCheckpoint, SemanticallyBadIndexRecordDegradesIndexOnly) {
+TEST(CgCheckpoint, StructuralSolverStateDamageIsAHardError) {
   const Solved s = solve_with_session_state();
-  const std::string damaged = reassemble(
-      serialize_checkpoint(s.ckpt), kCheckpointVersion,
-      [](std::string& payload) {
-        // links = 0 parses but no instance can have it.
-        const std::size_t inst = payload.find("inst = ");
-        ASSERT_NE(inst, std::string::npos);
-        const std::size_t dims = payload.find(" 5 2 ", inst);
-        ASSERT_NE(dims, std::string::npos);
-        payload.replace(dims, 5, " 0 2 ");
-      });
-  const auto parsed = parse_checkpoint(damaged);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  const CgCheckpoint& c = parsed.value();
-  EXPECT_TRUE(c.pool_index_degraded);
-  EXPECT_TRUE(c.pool_index.empty());
-  // The cursor and the solver pool ride through unharmed.
-  EXPECT_TRUE(c.has_session);
-  EXPECT_FALSE(c.session_degraded);
-  EXPECT_EQ(c.pool.size(), s.ckpt.pool.size());
+  const std::string text = serialize_checkpoint(s.ckpt);
+  // Each edit keeps the checksum valid (reassemble recomputes it), so only
+  // the field-level parse stands between these bytes and a load.
+  const std::function<void(std::string&)> damages[] = {
+      edit("fingerprint = 0x", "fingerprint = 0y"),
+      edit("total_slots = ", "total_slots = -"),
+      edit("duals_hp = ", "duals_hp = 0 "),  // one value too many
+      [](std::string& payload) {  // a negative dual
+        const std::size_t at = payload.find("duals_lp = ") + 11;
+        payload.replace(at, payload.find(' ', at) - at, "-1");
+      },
+      edit("column = tau ", "column = tua "),
+      edit("\ntx = 0 ", "\ntx = 99 "),  // link out of range
+      edit("end\n", "fin\n"),
+      [](std::string& payload) {  // cut after a record: a key is missing
+        payload.erase(payload.find("channels = "));
+      },
+  };
+  for (const auto& damage : damages) {
+    const auto parsed =
+        parse_checkpoint(reassemble(text, kCheckpointVersion, damage));
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), common::ErrorCode::kInvalidInput);
+    EXPECT_EQ(parsed.status().message().rfind("checkpoint line ", 0), 0u)
+        << parsed.status().message();
+  }
 }
 
 TEST(CgCheckpoint, StructuralCursorDamageIsStillAHardError) {
   const Solved s = solve_with_session_state();
-  const std::string broken = reassemble(
-      serialize_checkpoint(s.ckpt), kCheckpointVersion,
-      [](std::string& payload) {
-        const std::size_t at = payload.find("\ndelivered = ");
-        ASSERT_NE(at, std::string::npos);
-        payload.replace(at, 13, "\ndelivred = x");
-      });
-  const auto parsed = parse_checkpoint(broken);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), common::ErrorCode::kInvalidInput);
+  const std::function<void(std::string&)> damages[] = {
+      edit("\ndelivered = ", "\ndelivred = x"),
+      edit("cursor = 3 8 ", "cursor = 3 "),  // a field short
+      edit("delivered = 5 1234.5", "delivered = 5 x"),
+      edit("blocked = 5 1", "blocked = 5 y"),
+      edit("buffers = 5 0 ", "buffers = 5 z "),
+      edit("\ngop = 0 ", "\ngop = x "),
+  };
+  for (const auto& damage : damages) {
+    const auto parsed = parse_checkpoint(reassemble(
+        serialize_checkpoint(s.ckpt), kCheckpointVersion, damage));
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), common::ErrorCode::kInvalidInput);
+  }
 }
 
 TEST(CgCheckpoint, InjectedSessionCursorCorruptDegradesSessionOnly) {
@@ -611,22 +503,6 @@ TEST(CgCheckpoint, InjectedSessionCursorCorruptDegradesSessionOnly) {
               1e-7 * s.result.total_slots);
 }
 
-TEST(CgCheckpoint, InjectedBadIndexRecordDegradesIndexOnly) {
-  const Solved s = solve_with_session_state();
-  const std::string text = serialize_checkpoint(s.ckpt);
-
-  common::FaultInjector inj;
-  inj.arm(common::faults::kCheckpointBadIndexRecord, {.times = 1});
-  common::FaultScope scope(inj);
-  const auto parsed = parse_checkpoint(text);
-  EXPECT_EQ(inj.fired(common::faults::kCheckpointBadIndexRecord), 1);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  EXPECT_TRUE(parsed.value().pool_index_degraded);
-  EXPECT_TRUE(parsed.value().pool_index.empty());
-  EXPECT_TRUE(parsed.value().has_session);
-  ASSERT_EQ(parsed.value().pool.size(), s.ckpt.pool.size());
-}
-
 // ---- CheckpointLog: every save one atomic full rewrite ---------------------
 //
 // These tests keep the names they had when the log was a base file plus an
@@ -636,16 +512,12 @@ TEST(CgCheckpoint, InjectedBadIndexRecordDegradesIndexOnly) {
 // disk, which open() never reads.
 
 /// One streaming period's worth of state change: refreshed header and
-/// duals, one column rescored, the session cursor one GOP further.
+/// duals, one column's duration moved, the session cursor one GOP further.
 CgCheckpoint advance(const CgCheckpoint& prev) {
   CgCheckpoint next = prev;
   next.iterations += 1;
   for (double& d : next.duals_hp) d += 1e-4;
-  if (!next.pool_meta.empty()) {
-    next.pool_meta[0].last_used_epoch += 1;
-    next.pool_meta[0].last_reduced_cost -= 1e-6;
-  }
-  next.pool_epoch = prev.pool_epoch + 1;
+  if (!next.pool_tau.empty()) next.pool_tau[0] += 1e-6;
   next.session = make_cursor(next.links, prev.session.next_gop + 1, 16);
   next.has_session = true;
   return next;
@@ -823,7 +695,7 @@ TEST(CheckpointLog, StaleChainCannotBindToANewerBase) {
   EXPECT_EQ(serialize_checkpoint(loaded.state), serialize_checkpoint(ckpt));
 
   // A base the older build wrote is refused by its version: a valid
-  // payload under a v4 header with a fresh checksum.
+  // payload under a v5 header with a fresh checksum.
   expect_cold_open_then_healed(
       path, reassemble(serialize_checkpoint(ckpt), kCheckpointVersion - 1,
                        [](std::string&) {}));
@@ -848,7 +720,7 @@ TEST(CheckpointLog, LeftoverTmpFileIsHarmless) {
   remove_log(path);
   // A temp file without a checkpoint (a first save torn before its rename)
   // is a plain cold start, not damage.
-  ASSERT_TRUE(spit(path + ".tmp", "mmwave-cg-checkpoint v5\nchecksum = "));
+  ASSERT_TRUE(spit(path + ".tmp", "mmwave-cg-checkpoint v6\nchecksum = "));
   CheckpointLog log(path);
   const CheckpointLogLoad opened = log.open();
   EXPECT_FALSE(opened.loaded);

@@ -2,7 +2,7 @@
 // reads back from disk after a crash, i.e. bytes that survived whatever the
 // filesystem did to them.  The contract under fuzz: never crash, never
 // throw, and either return state whose fields are inside their documented
-// ranges (sizes aligned, every transmission in-bounds, index/session either
+// ranges (sizes aligned, every transmission in-bounds, the session either
 // valid or degraded away whole) or a structured kInvalidInput error.
 //
 // Two drivers share this file (same layout as instance_spec_fuzz.cpp):
@@ -31,14 +31,6 @@ bool sane_state(const mmwave::core::CgCheckpoint& c) {
               c.duals_hp.size() == static_cast<std::size_t>(c.links) &&
               c.duals_lp.size() == static_cast<std::size_t>(c.links) &&
               c.pool.size() == c.pool_tau.size();
-  // Lifecycle metadata: either aligned with the pool or degraded away
-  // entirely — a partially-parsed meta section must never be returned.
-  sane = sane && (c.pool_meta.empty() || c.pool_meta.size() == c.pool.size());
-  if (c.pool_meta_degraded) sane = sane && c.pool_meta.empty();
-  for (const auto& m : c.pool_meta) {
-    sane = sane && m.last_used_epoch >= 0 &&
-           std::isfinite(m.last_reduced_cost);
-  }
   for (const auto& col : c.pool) {
     for (const auto& tx : col.transmissions()) {
       sane = sane && tx.link >= 0 && tx.link < c.links && tx.channel >= 0 &&
@@ -46,14 +38,6 @@ bool sane_state(const mmwave::core::CgCheckpoint& c) {
     }
   }
   for (double tau : c.pool_tau) sane = sane && tau >= 0.0;
-
-  // Pool index: degraded means gone, entries in range.
-  sane = sane && c.pool_epoch >= 0;
-  if (c.pool_index_degraded) sane = sane && c.pool_index.empty();
-  for (const auto& e : c.pool_index) {
-    sane = sane && e.links >= 1 && e.channels >= 1 && e.last_epoch >= 0;
-    for (double f : e.features) sane = sane && std::isfinite(f);
-  }
 
   // Session cursor: degraded means absent; a present cursor obeys every
   // documented invariant (a half-valid cursor must never be returned).
@@ -68,12 +52,6 @@ bool sane_state(const mmwave::core::CgCheckpoint& c) {
            s.invalidated_periods >= 0 && s.exec_transmissions_dropped >= 0;
     for (double v : s.delivered_bits) sane = sane && v >= 0.0;
     for (int b : s.blocked) sane = sane && (b == 0 || b == 1);
-    const mmwave::core::StreamSolverCounters& k = s.counters;
-    sane = sane && k.periods >= 0 && k.resolves >= 0 && k.pool_hits >= 0 &&
-           k.pool_misses >= 0 && k.columns_loaded >= 0 &&
-           k.columns_reused >= 0 && k.columns_repaired >= 0 &&
-           k.columns_dropped >= 0 && k.transmissions_dropped >= 0 &&
-           k.pool_evicted >= 0 && k.pool_neighbour_seeded >= 0;
     for (std::size_t i = 0; i < s.gops.size(); ++i) {
       sane = sane && s.gops[i].gop == static_cast<int>(i) &&
              std::isfinite(s.gops[i].stall_slots) &&
@@ -146,8 +124,8 @@ std::string read_file(const char* path) {
 }
 
 /// A hand-built (no solver) checkpoint with every section populated:
-/// dimensions 3x2, empty pool, a two-entry index and a valid two-period
-/// session cursor.  Its serialization is the built-in seed below.
+/// dimensions 3x2, empty pool and a valid two-period session cursor.  Its
+/// serialization is the built-in seed below.
 mmwave::core::CgCheckpoint fuzz_base_checkpoint() {
   using namespace mmwave::core;
   CgCheckpoint c;
@@ -160,19 +138,6 @@ mmwave::core::CgCheckpoint fuzz_base_checkpoint() {
   c.lower_bound = 12.5;
   c.duals_hp = {0.1, 0.2, 0.3};
   c.duals_lp = {0.05, 0.1, 0.15};
-  c.pool_epoch = 5;
-  PoolIndexEntry e1;
-  e1.fingerprint = c.fingerprint;
-  e1.links = 3;
-  e1.channels = 2;
-  e1.last_epoch = 5;
-  e1.features = {1.0, 2.0, 0.5};
-  PoolIndexEntry e2;
-  e2.fingerprint = 0xFEEDFACEFEEDFACEULL;
-  e2.links = 3;
-  e2.channels = 2;
-  e2.last_epoch = 3;
-  c.pool_index = {e1, e2};
   StreamCursor s;
   s.next_gop = 2;
   s.num_gops = 6;
@@ -184,10 +149,6 @@ mmwave::core::CgCheckpoint fuzz_base_checkpoint() {
   s.plan_digest = 0xBBBBBBBBBBBBBBBBULL;
   s.delivered_bits = {10.0, 20.0, 30.0};
   s.blocked = {1, 0, 0};
-  s.counters.periods = 2;
-  s.counters.resolves = 2;
-  s.counters.pool_hits = 1;
-  s.counters.pool_misses = 1;
   for (int l = 0; l < 3; ++l) {
     StreamBufferState b;
     b.occupancy_seconds = 0.5 * (l + 1);
@@ -263,11 +224,11 @@ int main(int argc, char** argv) {
   // checksum line pointing at a body that is not there.
   const char* builtins[] = {
       "",
-      "mmwave-cg-checkpoint v5\n",
+      "mmwave-cg-checkpoint v6\n",
       "mmwave-cg-checkpoint v999999\nchecksum = 0x0000000000000000\n",
-      "mmwave-cg-checkpoint v5\nchecksum = 0xcbf29ce484222325\n",
-      "mmwave-cg-checkpoint v5\nchecksum = 0xzzzzzzzzzzzzzzzz\nrest\n",
-      "mmwave-cg-checkpoint v5\nchecksum = 0x0000000000000000\n"
+      "mmwave-cg-checkpoint v6\nchecksum = 0xcbf29ce484222325\n",
+      "mmwave-cg-checkpoint v6\nchecksum = 0xzzzzzzzzzzzzzzzz\nrest\n",
+      "mmwave-cg-checkpoint v6\nchecksum = 0x0000000000000000\n"
       "fingerprint = 0x0000000000000000\nlinks = 4096\nchannels = 1024\n"
       "iterations = 0\nconverged = 0\ntotal_slots = 0\nlower_bound = nan\n"
       "duals_hp = 0\nduals_lp = 0\ncolumns = 999999\n",

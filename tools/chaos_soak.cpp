@@ -24,8 +24,8 @@
 // The two segments together must reproduce the uninterrupted run exactly —
 // same record-id set, no request served twice, per-id outcome/code/optimum
 // equal to 1e-7 and stream digest messages bit-identical — including legs
-// that fault the drain manifest write (fleet.drain_crash), the pool
-// checkpoint write (checkpoint.write_fail) and a request payload
+// that fault the drain manifest write (fleet.drain_crash), a stream
+// request's session-log save (checkpoint.write_fail) and a request payload
 // (fleet.request_poison).  Answer-changing faults (poison) are armed
 // identically on the reference run so it stays comparable; persistence
 // faults must be absorbed by retry/degradation without touching records.
@@ -104,21 +104,14 @@ stream::BlockageSessionConfig config_of(const SoakSetup& s,
 /// `seed`, opens the checkpoint log at `path`, resumes from its cursor when
 /// one is present, and runs until `kill_gop` (on_period refuses to continue
 /// there, simulating a crash at that GOP boundary; -1 = run to completion).
-/// Every completed period is persisted through the log.
-///
-/// Degradation-ladder discipline: the pool is imported ONLY together with a
-/// usable cursor.  A lifetime whose cursor is missing, degraded, or
-/// rejected replays the whole session fully cold — determinism then makes
-/// the cold rerun bit-identical to the uninterrupted run, which is exactly
-/// the property the soak asserts.  (A warm pool without its cursor could
-/// steer column generation to a different optimal timeline: same objective,
-/// different digest chain.)
+/// Every completed period is persisted through the log.  Every period
+/// solves cold, so a lifetime whose cursor is missing, degraded or rejected
+/// runs the session from period 0 exactly as the uninterrupted run does.
 stream::BlockageSessionMetrics run_lifetime(const SoakSetup& s,
                                             std::uint64_t seed,
                                             const std::string& path,
                                             int kill_gop,
-                                            core::CheckpointLogStats* stats,
-                                            bool allow_resume = true) {
+                                            core::CheckpointLogStats* stats) {
   common::Rng rng(seed);
   net::NetworkParams params = params_of(s);
   net::TableIChannelModel base(s.links, s.channels, params.noise_watts, rng);
@@ -133,15 +126,13 @@ stream::BlockageSessionMetrics run_lifetime(const SoakSetup& s,
   const core::CheckpointLogLoad loaded = log.open();
   core::StreamCursor cursor;
   stream::BlockageRunControl control;
-  if (allow_resume && loaded.loaded && loaded.state.has_session) {
-    context.manager.import_checkpoint(loaded.state);
+  if (loaded.loaded && loaded.state.has_session) {
     cursor = loaded.state.session;
     control.resume = &cursor;
   }
   control.on_period = [&](const core::StreamCursor& cur, int gop) {
     if (context.has_last_checkpoint) {
-      core::CgCheckpoint ckpt =
-          context.manager.export_checkpoint(context.last_checkpoint);
+      core::CgCheckpoint ckpt = context.last_checkpoint;
       ckpt.has_session = true;
       ckpt.session = cur;
       // Save failures (failed or torn writes) are the scenario, not an
@@ -159,12 +150,6 @@ stream::BlockageSessionMetrics run_lifetime(const SoakSetup& s,
   if (stats != nullptr) {
     stats->saves += log.stats().saves;
     stats->full_bytes += log.stats().full_bytes;
-  }
-  if (metrics.resume_rejected && allow_resume) {
-    // The session itself refused the cursor (stale replay / fingerprint /
-    // injected corruption): bottom of the ladder, rerun fully cold.
-    return run_lifetime(s, seed, path, kill_gop, stats,
-                        /*allow_resume=*/false);
   }
   return metrics;
 }
@@ -361,10 +346,9 @@ std::vector<std::string> fleet_request_lines(std::uint64_t seed, int n) {
 }
 
 /// Removes every durable artifact a serve run at `path` can leave behind:
-/// the pool log, the queue manifest, and each stream request's session log.
+/// the queue manifest and each stream request's session log.
 void fleet_cleanup(const std::string& path,
                    const std::vector<std::string>& lines) {
-  std::remove(path.c_str());
   std::remove((path + ".queue").c_str());
   for (const std::string& line : lines) {
     const auto parsed = fleet::parse_request_line(line);
@@ -426,16 +410,17 @@ FleetSeedOutcome fleet_soak_seed(std::uint64_t seed, int leg,
   fleet_cleanup(chaos_path, lines);
 
   // Legs 1/2 fault persistence (answer-neutral: retry or degradation must
-  // absorb them); leg 3 faults a request payload (answer-changing, so the
-  // reference arms it identically — execution order is deterministic at
-  // workers=1, both runs poison the same request).
-  const auto arm = [leg](common::FaultInjector* injector) {
-    if (leg == 1)
-      injector->arm(common::faults::kFleetDrainCrash, {.times = 1});
-    else if (leg == 2)
-      injector->arm(common::faults::kCheckpointWriteFail, {.times = 1});
-    else if (leg == 3)
-      injector->arm(common::faults::kFleetRequestPoison, {.times = 1});
+  // absorb them): leg 1 the drain manifest, leg 2 the first session-log
+  // save of the first stream request.  Leg 3 faults a request payload
+  // (answer-changing, so the reference arms it identically — execution
+  // order is deterministic at workers=1, both runs poison the same
+  // request).
+  const char* const site = leg == 1   ? common::faults::kFleetDrainCrash
+                          : leg == 2 ? common::faults::kCheckpointWriteFail
+                          : leg == 3 ? common::faults::kFleetRequestPoison
+                                     : nullptr;
+  const auto arm = [site](common::FaultInjector* injector) {
+    if (site != nullptr) injector->arm(site, {.times = 1});
   };
   const auto fail = [&](const char* what) {
     std::fprintf(stderr, "MISMATCH seed=%llu fleet: %s\n",
@@ -473,6 +458,8 @@ FleetSeedOutcome fleet_soak_seed(std::uint64_t seed, int leg,
     out.resume_skipped = second.resume_skipped;
     if (first.shed + second.shed != 0)
       fail("unexpected shedding with max_queue >= request count");
+    if (site != nullptr && injector.fired(site) == 0)
+      fail("the leg's fault site never fired");
   }
   if (chaos_duplicates != 0)
     fail("a request id was served twice across the drain/restart pair");
@@ -556,7 +543,7 @@ int main(int argc, char** argv) {
     for (int i = 0; i < seeds; ++i) {
       const std::uint64_t seed = seed_base + static_cast<std::uint64_t>(i);
       // Cycle the fleet fault legs: 0 none, 1 drain-manifest kIoError,
-      // 2 pool checkpoint write failure, 3 poisoned request payload.
+      // 2 stream session-log write failure, 3 poisoned request payload.
       FleetSeedOutcome o = fleet_soak_seed(seed, i % 4, dir, n);
       std::printf("seed %llu: fleet leg %d, drain after %d record(s), "
                   "%lld parked, %lld resume-skipped: %s\n",

@@ -74,6 +74,12 @@ run(2 "error: .*expected a number"   solve --links=4 --gamma-scale=big)
 run(2 "error: .*out of range"        solve --links=4 --deadline=-1)
 run(2 "error: "                      stream --links=4 --channels=2 --p-block=2)
 run(2 "error: .*expected an integer" check --links=4 --seed=1.5)
+# --warm-start is 0 or 1: "yes" used to read as 0 (a silent cold run) and
+# any other integer as 1.
+run(2 "error: --warm-start: expected an integer"
+    solve --links=4 --channels=2 --seed=3 --warm-start=yes)
+run(2 "error: --warm-start: .*out of range"
+    solve --links=4 --channels=2 --seed=3 --warm-start=2)
 
 # --- exit 2: a flag the command does not accept is named before any work ----
 # (a typo like --linkz used to solve the default instance and exit 0).
@@ -119,20 +125,28 @@ run(2 "error: --resume requires --checkpoint"
     solve --links=4 --channels=2 --resume)
 run(2 "error: resolve requires --checkpoint"
     resolve --links=4 --channels=2)
+# Every --block-links token must be an integer: a non-numeric token used to
+# block link 0.  --repair validates like any other enum flag.
+run(2 "error: --block-links: expected a comma-separated integer list"
+    resolve --checkpoint=${CKPT} --links=4 --channels=2 --seed=3
+            --block-links=x)
+run(2 "error: --block-links: expected a comma-separated integer list"
+    resolve --checkpoint=${CKPT} --links=4 --channels=2 --seed=3
+            --block-links=1,y)
+run(2 "error: --block-links: link 4 outside \\[0, 4\\)"
+    resolve --checkpoint=${CKPT} --links=4 --channels=2 --seed=3
+            --block-links=4)
+run(0 "checkpoint: pool [0-9]+ loaded"
+    resolve --checkpoint=${CKPT} --links=4 --channels=2 --seed=3
+            --block-links=0 --repair=downgrade)
+run(2 "error: --repair: expected drop\\|downgrade"
+    resolve --checkpoint=${CKPT} --links=4 --channels=2 --repair=polish)
 file(WRITE "${WORK_DIR}/corrupt.ckpt" "mmwave-cg-checkpoint v1\nchecksum = 0x0123456789abcdef\nnot a checkpoint\n")
 run(0 "checkpoint: unusable, cold start"
     solve --links=4 --channels=2 --seed=3
           --checkpoint=${WORK_DIR}/corrupt.ckpt --resume)
 
-# --- pool lifecycle flags ---------------------------------------------------
-# --pool-cap=0 means unbounded: a plain solve must run clean; a malformed
-# policy is an exit-2 flag error like any other.
-run(0 "" solve --links=4 --channels=2 --seed=3 --pool-cap=0)
-run(2 "error: --pool-policy: .*expected lru\\|rc-hybrid"
-    solve --links=4 --channels=2 --pool-policy=bogus)
-run(2 "error: .*out of range" solve --links=4 --channels=2 --pool-cap=-1)
-
-# A v1 checkpoint from an older build is refused by the v5-only parser: the
+# A v1 checkpoint from an older build is refused by the v6-only parser: the
 # resolve starts cold and still exits 0.  The checksum is the repo's FNV-1a
 # over the payload, precomputed for exactly these bytes, so only the version
 # check rejects the file.
@@ -158,8 +172,8 @@ run(0 "checkpoint: unusable, cold start \\(.*unsupported checkpoint version v1"
 # stream --checkpoint rewrites one checkpoint file per period and reports the
 # saves and bytes; --resume replays the saved cursor (or starts cold with
 # exit 0 when the file is unusable); --metrics-json emits one JSON line per
-# GOP plus a session summary line.  --repair validates like any other enum
-# flag.
+# GOP plus a session summary line.  Every period solves cold, so stream
+# takes no --repair.
 set(SLOG "${WORK_DIR}/smoke_stream.ckpt")
 file(REMOVE "${SLOG}" "${SLOG}.tmp")
 run(0 "checkpoints: +[1-9][0-9]* saves, [1-9][0-9]* bytes"
@@ -197,9 +211,8 @@ run(0 "resume: no usable checkpoint"
 run(0 "\"type\":\"gop\".*\"type\":\"session\""
     stream --links=4 --channels=2 --seed=7 --gops=3 --p-block=0.1
            --metrics-json)
-run(0 "" stream --links=4 --channels=2 --seed=7 --gops=3 --repair=downgrade)
-run(2 "error: --repair: expected drop\\|downgrade"
-    stream --links=4 --channels=2 --gops=3 --repair=polish)
+run(2 "error: unknown flag --repair"
+    stream --links=4 --channels=2 --seed=7 --gops=3 --repair=downgrade)
 run(2 "error: --resume requires --checkpoint"
     stream --links=4 --channels=2 --gops=3 --resume)
 # QoE flags: drain-risk shaping runs; the per-GOP lines carry the buffer

@@ -16,11 +16,15 @@
 //       print the metric table.
 //   mmwave_cli stream  [instance flags] [--gops=N] [--p-block=p]
 //                      [--demand-policy=blind|drain-risk] [--buffer-*=s]
+//                      [--checkpoint=FILE] [--resume] [--metrics-json]
 //       Multi-GOP streaming session (optionally under Markov blockage),
 //       with per-link client playout buffers and an optional drain-risk
 //       demand-shaping policy (QoE: stall seconds, layer-delivery ratio).
+//       Every period solves cold; --checkpoint saves the session cursor
+//       after each period and --resume continues from it.
 //   mmwave_cli resolve --checkpoint=FILE [instance flags]
 //                      [--block-links=0,3] [--block-atten=a] [--update]
+//                      [--repair=drop|downgrade]
 //       Warm re-solve from a saved checkpoint against the (optionally
 //       perturbed) instance: blocked links attenuate all paths into their
 //       receivers by --block-atten, the pooled columns are repaired against
@@ -34,7 +38,7 @@
 //       (tools/run_analysis.sh).
 //   mmwave_cli serve   [--requests=FILE|FIFO|-] [--out=FILE] [--workers=N]
 //                      [--max-queue=N] [--watchdog-multiple=x]
-//                      [--state=PATH] [--share-pool=0|1] [--io-retries=N]
+//                      [--state=PATH] [--io-retries=N]
 //       Fleet daemon (fleet::Server): newline-delimited JSON requests in,
 //       one record line per request out, admission order.  SIGTERM/SIGINT
 //       drains gracefully: in-flight requests finish, the queue is
@@ -60,6 +64,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cinttypes>
 #include <csignal>
@@ -77,7 +82,6 @@
 #include "common/table.h"
 #include "core/checkpoint.h"
 #include "core/checkpoint_log.h"
-#include "core/pool_manager.h"
 #include "core/column_generation.h"
 #include "core/resolve.h"
 #include "fleet/server.h"
@@ -244,27 +248,8 @@ Instance build_instance(const InstanceFlags& f) {
   return {std::move(net), std::move(demands)};
 }
 
-/// --pool-cap / --pool-policy: the column-pool lifecycle knobs (core::
-/// PoolManager).  Cap 0 = unbounded (the pre-lifecycle behaviour).
-[[nodiscard]] common::Expected<core::PoolManagerOptions> parse_pool_flags(
-    const common::CliFlags& flags) {
-  core::PoolManagerOptions opts;
-  const auto cap = flags.get_int_checked("pool-cap", 0, 0, 1 << 20);
-  if (!cap.ok()) return cap.status();
-  opts.cap = static_cast<int>(cap.value());
-  const auto policy = core::parse_pool_policy(
-      flags.get_string("pool-policy", core::to_string(opts.policy)));
-  if (!policy.ok()) {
-    return common::Status::Error(
-        common::ErrorCode::kInvalidInput,
-        "--pool-policy: " + policy.status().message());
-  }
-  opts.policy = policy.value();
-  return opts;
-}
-
-/// --repair: how SINR-violated pooled transmissions are fixed (drop them,
-/// or first step down the rate ladder — core::RepairPolicy).
+/// --repair (resolve): how SINR-violated pooled transmissions are fixed
+/// (drop them, or first step down the rate ladder — core::RepairPolicy).
 [[nodiscard]] common::Expected<core::RepairPolicy> parse_repair_flag(
     const common::CliFlags& flags) {
   const std::string repair = flags.get_string("repair", "drop");
@@ -294,14 +279,10 @@ void report_checkpoint_use(const core::ResolveResult& r) {
 }
 
 /// Saves the post-solve state to `path`; false (with a message) on failure.
-/// When `manager` is non-null its eviction policy trims the saved pool to
-/// its cap first (a no-op at cap 0).
 bool write_checkpoint(const net::Network& net,
                       const std::vector<video::LinkDemand>& demands,
-                      const core::CgResult& result, const std::string& path,
-                      const core::PoolManager* manager = nullptr) {
-  core::CgCheckpoint ckpt = core::make_checkpoint(net, demands, result);
-  if (manager != nullptr) manager->trim_checkpoint(&ckpt);
+                      const core::CgResult& result, const std::string& path) {
+  const core::CgCheckpoint ckpt = core::make_checkpoint(net, demands, result);
   const common::Status st = core::save_checkpoint(ckpt, path);
   if (!st.ok()) {
     std::fprintf(stderr, "error: checkpoint save: %s\n",
@@ -326,24 +307,22 @@ int cmd_solve(const common::CliFlags& flags) {
     std::fprintf(stderr, "error: --resume requires --checkpoint=FILE\n");
     return kExitInvalidInput;
   }
-  const auto pool_flags = parse_pool_flags(flags);
-  if (!pool_flags.ok()) {
+  const auto warm_start = flags.get_int_checked("warm-start", 1, 0, 1);
+  if (!warm_start.ok()) {
     std::fprintf(stderr, "error: %s\n",
-                 pool_flags.status().message().c_str());
+                 warm_start.status().message().c_str());
     return kExitInvalidInput;
   }
-  const bool warm_start = flags.get_int("warm-start", 1) != 0;
   const bool profile = flags.has("profile");
   const bool csv = flags.has("csv");
   const std::string csv_path = flags.get_string("csv", "plan.csv");
   if (reject_unknown_flags(flags)) return kExitInvalidInput;
-  const core::PoolManager pool_manager(pool_flags.value());
   Instance inst = build_instance(f);
   core::CgOptions opts;
   opts.pricing = f.pricing;
   opts.lp_pricing = f.lp_pricing;
   opts.deadline_sec = f.deadline_sec;
-  opts.warm_start_master = warm_start;
+  opts.warm_start_master = warm_start.value() != 0;
   core::CgResult result;
   if (resume) {
     // --resume asserts the instance is the one checkpointed, so the
@@ -360,8 +339,7 @@ int cmd_solve(const common::CliFlags& flags) {
   const int health = report_solve_health(result);
   if (health == kExitInvalidInput) return health;
   if (!ckpt_path.empty() &&
-      !write_checkpoint(inst.net, inst.demands, result, ckpt_path,
-                        &pool_manager)) {
+      !write_checkpoint(inst.net, inst.demands, result, ckpt_path)) {
     return kExitInvalidInput;
   }
 
@@ -525,14 +503,6 @@ int cmd_stream(const common::CliFlags& flags) {
     std::fprintf(stderr, "error: --resume requires --checkpoint=FILE\n");
     return kExitInvalidInput;
   }
-  const auto pool_flags = parse_pool_flags(flags);
-  const auto repair = parse_repair_flag(flags);
-  if (!pool_flags.ok() || !repair.ok()) {
-    const common::Status& bad =
-        pool_flags.ok() ? repair.status() : pool_flags.status();
-    std::fprintf(stderr, "error: %s\n", bad.message().c_str());
-    return kExitInvalidInput;
-  }
   if (reject_unknown_flags(flags)) return kExitInvalidInput;
 
   common::Rng rng(f.seed);
@@ -562,10 +532,9 @@ int cmd_stream(const common::CliFlags& flags) {
   cfg.session_fingerprint =
       stream::blockage_session_fingerprint(cfg, f.links, f.seed);
 
-  stream::SolverContext context(pool_flags.value());
+  stream::SolverContext context;
   stream::CgSchedulerOptions sched_opts;
   sched_opts.heuristic_only = f.pricing == core::PricingMode::HeuristicOnly;
-  sched_opts.repair = repair.value();
   sched_opts.capture_checkpoint = !ckpt_path.empty();
 
   // --checkpoint rewrites the session's checkpoint file atomically every
@@ -577,22 +546,20 @@ int cmd_stream(const common::CliFlags& flags) {
   std::unique_ptr<core::CheckpointLog> log;
   if (!ckpt_path.empty()) {
     log = std::make_unique<core::CheckpointLog>(ckpt_path);
+  }
+  if (resume) {
     const core::CheckpointLogLoad loaded = log->open();
-    if (loaded.loaded) {
-      // The saved pool is warm capital with or without a cursor.
-      context.manager.import_checkpoint(loaded.state);
-      if (resume && loaded.state.has_session) {
-        resume_cursor = loaded.state.session;
-        control.resume = &resume_cursor;
-        std::printf("resume: cursor at gop %d/%d\n", resume_cursor.next_gop,
-                    resume_cursor.num_gops);
-      } else if (resume) {
-        std::printf("resume: checkpoint has no usable session cursor; "
-                    "starting fresh (pool kept)\n");
-      }
-    } else if (resume) {
+    if (!loaded.loaded) {
       std::printf("resume: no usable checkpoint at %s; cold start\n",
                   ckpt_path.c_str());
+    } else if (!loaded.state.has_session) {
+      std::printf("resume: checkpoint has no usable session cursor; "
+                  "starting fresh\n");
+    } else {
+      resume_cursor = loaded.state.session;
+      control.resume = &resume_cursor;
+      std::printf("resume: cursor at gop %d/%d\n", resume_cursor.next_gop,
+                  resume_cursor.num_gops);
     }
   }
   if (log != nullptr || metrics_json) {
@@ -601,8 +568,7 @@ int cmd_stream(const common::CliFlags& flags) {
         std::printf("%s\n", stream::period_json_line(cur).c_str());
       }
       if (log != nullptr && context.has_last_checkpoint) {
-        core::CgCheckpoint ckpt =
-            context.manager.export_checkpoint(context.last_checkpoint);
+        core::CgCheckpoint ckpt = context.last_checkpoint;
         ckpt.has_session = true;
         ckpt.session = cur;
         const common::Status st = log->save(ckpt);
@@ -666,17 +632,15 @@ int cmd_resolve(const common::CliFlags& flags) {
     std::fprintf(stderr, "error: %s\n", atten.status().message().c_str());
     return kExitInvalidInput;
   }
-  const auto pool_flags = parse_pool_flags(flags);
   const auto repair = parse_repair_flag(flags);
-  if (!pool_flags.ok() || !repair.ok()) {
+  const auto blocked_flag = flags.get_int_list_checked("block-links", {});
+  if (!repair.ok() || !blocked_flag.ok()) {
     const common::Status& bad =
-        pool_flags.ok() ? repair.status() : pool_flags.status();
+        repair.ok() ? blocked_flag.status() : repair.status();
     std::fprintf(stderr, "error: %s\n", bad.message().c_str());
     return kExitInvalidInput;
   }
-  core::PoolManager pool_manager(pool_flags.value());
-  const std::vector<std::int64_t> blocked =
-      flags.get_int_list("block-links", {});
+  const std::vector<std::int64_t>& blocked = blocked_flag.value();
   for (std::int64_t l : blocked) {
     if (l < 0 || l >= f.links) {
       std::fprintf(stderr,
@@ -709,25 +673,8 @@ int cmd_resolve(const common::CliFlags& flags) {
   opts.deadline_sec = f.deadline_sec;
   core::ResolveOptions ropts;
   ropts.repair = repair.value();
-  core::ResolveResult r;
-  const auto loaded = core::load_checkpoint(ckpt_path);
-  if (loaded.ok() && pool_manager.options().cap > 0) {
-    // Route the saved pool through the lifecycle manager so resolve seeds
-    // from at most --pool-cap columns (eviction under --pool-policy).
-    const std::size_t saved = loaded.value().pool.size();
-    pool_manager.import_checkpoint(loaded.value());
-    const core::CgCheckpoint capped =
-        pool_manager.export_checkpoint(loaded.value());
-    std::printf("pool: cap %d (%s): %zu of %zu saved columns retained\n",
-                pool_manager.options().cap,
-                core::to_string(pool_manager.options().policy),
-                capped.pool.size(), saved);
-    r = core::resolve(net, demands, capped, opts, ropts);
-  } else {
-    // Unbounded pool, or an unusable file: resolve_from_file keeps the
-    // established degrade-to-cold behaviour (and its diagnostics).
-    r = core::resolve_from_file(ckpt_path, net, demands, opts, ropts);
-  }
+  const core::ResolveResult r =
+      core::resolve_from_file(ckpt_path, net, demands, opts, ropts);
   report_checkpoint_use(r);
   const int health = report_solve_health(r.cg);
   if (health == kExitInvalidInput) return health;
@@ -750,8 +697,7 @@ int cmd_resolve(const common::CliFlags& flags) {
   for (int l : r.cg.unserved_links)
     std::printf("WARNING: link %d unservable (no reachable rate level)\n", l);
 
-  if (update &&
-      !write_checkpoint(net, demands, r.cg, ckpt_path, &pool_manager)) {
+  if (update && !write_checkpoint(net, demands, r.cg, ckpt_path)) {
     return kExitInvalidInput;
   }
   return health;
@@ -830,8 +776,12 @@ int cmd_check(const common::CliFlags& flags) {
 // serve: the fleet daemon front end.
 // ---------------------------------------------------------------------------
 
-volatile std::sig_atomic_t g_serve_stop = 0;
-void serve_signal_handler(int) { g_serve_stop = 1; }
+// Set by the signal handler, read by the serving thread and every worker
+// (fleet::Server asks should_stop() from each): a lock-free atomic is both
+// signal-safe and race-free.
+std::atomic<bool> g_serve_stop{false};
+static_assert(std::atomic<bool>::is_always_lock_free);
+void serve_signal_handler(int) { g_serve_stop.store(true); }
 
 /// Line reader over a poll()ed file descriptor: works for regular files,
 /// pipes and FIFOs alike, and stays interruptible — a SIGTERM mid-wait
@@ -859,13 +809,13 @@ struct FdLineReader {
         }
         return false;
       }
-      if (g_serve_stop != 0) return false;
+      if (g_serve_stop.load()) return false;
       struct pollfd pfd;
       pfd.fd = fd;
       pfd.events = POLLIN;
       pfd.revents = 0;
       const int ready = ::poll(&pfd, 1, 100);
-      if (g_serve_stop != 0) return false;
+      if (g_serve_stop.load()) return false;
       if (ready <= 0) continue;
       char chunk[4096];
       const ssize_t n = ::read(fd, chunk, sizeof(chunk));
@@ -886,13 +836,11 @@ int cmd_serve(const common::CliFlags& flags) {
   const auto watchdog =
       flags.get_double_checked("watchdog-multiple", 8.0, 1.0, 1e6);
   const auto io_retries = flags.get_int_checked("io-retries", 3, 0, 100);
-  const auto pool_flags = parse_pool_flags(flags);
   for (const common::Status& st :
        {workers.ok() ? common::Status::Ok() : workers.status(),
         max_queue.ok() ? common::Status::Ok() : max_queue.status(),
         watchdog.ok() ? common::Status::Ok() : watchdog.status(),
-        io_retries.ok() ? common::Status::Ok() : io_retries.status(),
-        pool_flags.ok() ? common::Status::Ok() : pool_flags.status()}) {
+        io_retries.ok() ? common::Status::Ok() : io_retries.status()}) {
     if (!st.ok()) {
       std::fprintf(stderr, "error: %s\n", st.message().c_str());
       return kExitInvalidInput;
@@ -903,8 +851,6 @@ int cmd_serve(const common::CliFlags& flags) {
   opts.max_queue = static_cast<int>(max_queue.value());
   opts.watchdog_multiple = watchdog.value();
   opts.io_retries = static_cast<int>(io_retries.value());
-  opts.share_pool = flags.get_int("share-pool", 1) != 0;
-  opts.pool = pool_flags.value();
   opts.state_path = flags.get_string("state", "");
   const std::string requests = flags.get_string("requests", "-");
   const std::string out_path = flags.get_string("out", "");
@@ -938,7 +884,7 @@ int cmd_serve(const common::CliFlags& flags) {
     }
   }
 
-  g_serve_stop = 0;
+  g_serve_stop.store(false);
   std::signal(SIGTERM, serve_signal_handler);
   std::signal(SIGINT, serve_signal_handler);
 
@@ -951,7 +897,7 @@ int cmd_serve(const common::CliFlags& flags) {
         std::fprintf(out, "%s\n", record.to_json_line().c_str());
         std::fflush(out);
       },
-      [] { return g_serve_stop != 0; });
+      [] { return g_serve_stop.load(); });
 
   std::signal(SIGTERM, SIG_DFL);
   std::signal(SIGINT, SIG_DFL);
@@ -1001,13 +947,10 @@ int main(int argc, char** argv) {
       "  solve   also accepts --csv=plan.csv --profile --warm-start=0|1\n"
       "          --checkpoint=FILE (save solver state) --resume (warm-start\n"
       "          from that checkpoint; fingerprint must match)\n"
-      "          --pool-cap=N --pool-policy=lru|rc-hybrid (trim the saved\n"
-      "          pool to N columns; 0 = unbounded)\n"
       "  stream  also accepts --gops=N --p-block=p --metrics-json\n"
       "          --checkpoint=FILE (rewrite the session checkpoint\n"
       "          at every GOP boundary) --resume (continue a\n"
-      "          checkpointed session mid-stream) --pool-cap=N\n"
-      "          --pool-policy=... --repair=drop|downgrade\n"
+      "          checkpointed session mid-stream)\n"
       "          --demand-policy=blind|drain-risk (shape next-period\n"
       "          demands from client-buffer state) --buffer-startup=s\n"
       "          --buffer-rebuffer=s --buffer-target=s (playout thresholds)\n"
@@ -1016,16 +959,15 @@ int main(int argc, char** argv) {
       "          --block-links=0,3 --block-atten=a --update: repairs the\n"
       "          saved column pool against the perturbed instance and\n"
       "          re-solves warm (corrupt/mismatched checkpoint = cold start)\n"
-      "          --pool-cap=N --pool-policy=lru|rc-hybrid cap the seeded pool\n"
       "          --repair=drop|downgrade (step SINR-violated transmissions\n"
       "          down the rate ladder instead of dropping them)\n"
       "  check   runs the solve under the certificate checkers and exits\n"
       "          non-zero on any violated certificate\n"
       "  serve   fleet daemon: --requests=FILE|FIFO|- (JSON lines)\n"
       "          --out=FILE --workers=N --max-queue=N\n"
-      "          --watchdog-multiple=x --state=PATH --share-pool=0|1\n"
-      "          --io-retries=N; SIGTERM drains (queue checkpointed under\n"
-      "          --state, restart resumes without losing a request)\n"
+      "          --watchdog-multiple=x --state=PATH --io-retries=N;\n"
+      "          SIGTERM drains (queue checkpointed under --state,\n"
+      "          restart resumes without losing a request)\n"
       "exit status: 0 ok | 1 check failed / unknown command |\n"
       "             2 unknown flag, invalid flag value or instance |\n"
       "             3 degraded solve\n");

@@ -15,16 +15,14 @@
 #   5. ThreadSanitizer                    thread-pool + warm-equivalence
 #                                         tests and a --threads bench smoke
 #                                         under MMWAVE_SANITIZE=thread
-#   6. perf bench                         perf_solvers + perf_resolve +
-#                                         perf_pool (google-benchmark) on the
-#                                         plain build; writes BENCH_cg.json
-#                                         (warm/cold CG master comparison),
-#                                         BENCH_resolve.json (checkpoint
-#                                         restart/repair economics) and
-#                                         BENCH_pool.json (master-LP time and
-#                                         warm-hit rate vs pool cap)
+#   6. perf bench                         perf_solvers + perf_resolve
+#                                         (google-benchmark) on the plain
+#                                         build; writes BENCH_cg.json
+#                                         (warm/cold CG master comparison)
+#                                         and BENCH_resolve.json (checkpoint
+#                                         restart/repair economics)
 #   7. robustness                         fault-injection + anytime-contract
-#                                         + checkpoint/resolve/pool suites
+#                                         + checkpoint/resolve suites
 #                                         and the simplex/LU suites (their
 #                                         sparse index bookkeeping) re-run
 #                                         under ASan+UBSan, plus the
@@ -57,8 +55,8 @@
 #                                         writes BENCH_soak.json with the
 #                                         saves and bytes per seed
 #  11. fleet gate                          the multi-piconet serve mode on the
-#                                         sanitized build: the fleet server /
-#                                         shared-pool ctest suites, the
+#                                         sanitized build: the fleet server
+#                                         ctest suites, the
 #                                         chaos_soak --fleet drain/restart
 #                                         sweep (records must match the
 #                                         uninterrupted fleet exactly across
@@ -96,7 +94,7 @@
 #                 run only leg 10 (the chaos-soak driver, deeper seed sweep
 #                 than the smoke ctest) plus the checkpoint-log suites.
 #   --fleet       the CI fleet gate: build the ASan+UBSan tree and run only
-#                 leg 11 (fleet/shared-pool suites + chaos_soak --fleet with
+#                 leg 11 (fleet suites + chaos_soak --fleet with
 #                 a deeper seed sweep + perf_fleet).
 #   --qoe         the CI QoE gate: build the ASan+UBSan tree and run only
 #                 leg 12 (buffer/policy/session suites + perf_qoe with a
@@ -251,7 +249,7 @@ fi
 if [[ "$FAST" == 0 && "$ROBUSTNESS" == 0 && "$COVERAGE_ONLY" == 0 \
       && "$LINT_ONLY" == 0 && "$SOAK_ONLY" == 0 && "$FLEET_ONLY" == 0 \
       && "$QOE_ONLY" == 0 ]]; then
-  note "leg 6: perf bench (perf_solvers -> BENCH_cg.json, perf_resolve -> BENCH_resolve.json, perf_pool -> BENCH_pool.json)"
+  note "leg 6: perf bench (perf_solvers -> BENCH_cg.json, perf_resolve -> BENCH_resolve.json)"
   PERF="$ROOT/build-analysis-rel/bench/perf_solvers"
   if [[ -x "$PERF" ]]; then
     "$PERF" --benchmark_min_time=0.1 \
@@ -269,15 +267,6 @@ if [[ "$FAST" == 0 && "$ROBUSTNESS" == 0 && "$COVERAGE_ONLY" == 0 \
     [[ -s "$ROOT/BENCH_resolve.json" ]] || leg_failed "BENCH_resolve.json not written"
   else
     leg_failed "perf_resolve missing (bench targets fell out of the build?)"
-  fi
-  PERF_POOL="$ROOT/build-analysis-rel/bench/perf_pool"
-  if [[ -x "$PERF_POOL" ]]; then
-    "$PERF_POOL" --benchmark_min_time=0.1 \
-        --benchmark_out="$ROOT/BENCH_pool.json" --benchmark_out_format=json \
-      || leg_failed "perf_pool"
-    [[ -s "$ROOT/BENCH_pool.json" ]] || leg_failed "BENCH_pool.json not written"
-  else
-    leg_failed "perf_pool missing (bench targets fell out of the build?)"
   fi
 else
   note "leg 6 skipped"
@@ -317,7 +306,7 @@ if [[ "$COVERAGE_ONLY" == 1 || "$LINT_ONLY" == 1 || "$SOAK_ONLY" == 1 \
   echo "leg 7 skipped (--coverage/--lint/--soak/--fleet/--qoe)"
 elif [[ -d "$ASAN_DIR" ]]; then
   (cd "$ASAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-      -R 'CgAnytime|Theorem1Guard|MilpLimits|FaultInjector|InstanceValidator|ParseInstanceSpec|CgCheckpoint|CheckpointLog|CgResolve|PoolManager|PoolPolicy|InstanceSignature|BlockageSession|Simplex|LuFactor|cli_smoke') \
+      -R 'CgAnytime|Theorem1Guard|MilpLimits|FaultInjector|InstanceValidator|ParseInstanceSpec|CgCheckpoint|CheckpointLog|CgResolve|BlockageSession|Simplex|LuFactor|cli_smoke') \
     || leg_failed "ctest (robustness suites under ASan+UBSan)"
   run_fuzz instance_spec_fuzz "$ROOT/tests/fuzz/corpus"
   run_fuzz checkpoint_fuzz "$ROOT/tests/fuzz/corpus_checkpoint"
@@ -399,7 +388,7 @@ fi
 
 # ---- Leg 11: fleet gate (serve mode) ---------------------------------------
 # The multi-piconet serve mode end to end on the sanitized build: the fleet
-# server / shared-pool unit suites, the chaos_soak --fleet drain/restart
+# server unit suites, the chaos_soak --fleet drain/restart
 # sweep (the fleet analogue of leg 10: resumed record streams must match the
 # uninterrupted ones exactly, with the fleet fault sites firing), and
 # perf_fleet, which is both the throughput/latency bench and the cross-worker
@@ -411,8 +400,8 @@ if [[ "$ROBUSTNESS" == 0 && "$COVERAGE_ONLY" == 0 && "$LINT_ONLY" == 0 \
   [[ "$FLEET_ONLY" == 1 ]] && FLEET_SEEDS=8
   if [[ "$FLEET_ONLY" == 1 ]]; then
     (cd "$ASAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-        -R 'FleetServer|FleetRequest|SharedPoolManager|PoolManager|chaos_soak_fleet_smoke|bench_fleet_smoke|cli_smoke') \
-      || leg_failed "ctest (fleet + shared-pool suites under ASan+UBSan)"
+        -R 'FleetServer|FleetRequest|chaos_soak_fleet_smoke|bench_fleet_smoke|cli_smoke') \
+      || leg_failed "ctest (fleet suites under ASan+UBSan)"
   fi
   FLEET_SOAK="$ASAN_DIR/tools/chaos_soak"
   if [[ -x "$FLEET_SOAK" ]]; then
