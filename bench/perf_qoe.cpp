@@ -18,10 +18,14 @@
 //            [--p-recover=r] [--block-atten=a] [--min-improved=K]
 //            [--out=BENCH_qoe.json]
 //
+// Exit status: 0 gate passed, 1 gate failed, 2 a malformed or out-of-range
+// flag value (K must lie in [0, N]) or a flag the bench does not accept.
+//
 // Everything reported is deterministic (no timing fields), so the JSON is a
 // pinnable artifact of the policy's effect, not a machine-speed sample.
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -87,23 +91,42 @@ RunResult run_once(const BenchConfig& bc, std::uint64_t seed,
 int main(int argc, char** argv) {
   common::CliFlags flags;
   flags.parse(argc, argv);
+  // Strict flags: a malformed or out-of-range value, or a flag the bench
+  // does not accept, exits 2 naming the flag — a typo must never loosen
+  // the gate.
+  common::Status bad;
+  const auto int_flag = [&](const char* name, std::int64_t def,
+                            std::int64_t lo, std::int64_t hi) {
+    const auto v = flags.get_int_checked(name, def, lo, hi);
+    if (!v.ok() && bad.ok()) bad = v.status();
+    return static_cast<int>(v.ok() ? v.value() : def);
+  };
+  const auto double_flag = [&](const char* name, double def, double lo,
+                               double hi) {
+    const auto v = flags.get_double_checked(name, def, lo, hi);
+    if (!v.ok() && bad.ok()) bad = v.status();
+    return v.ok() ? v.value() : def;
+  };
   BenchConfig bc;
-  const int seeds = static_cast<int>(flags.get_int("seeds", 8));
-  bc.gops = static_cast<int>(flags.get_int("gops", 24));
-  bc.links = static_cast<int>(flags.get_int("links", 5));
-  bc.channels = static_cast<int>(flags.get_int("channels", 2));
-  bc.p_block = flags.get_double("p-block", 0.4);
-  bc.p_recover = flags.get_double("p-recover", 0.5);
-  bc.attenuation = flags.get_double("block-atten", 1e-3);
-  const int min_improved =
-      static_cast<int>(flags.get_int("min-improved", 3));
+  const int seeds = int_flag("seeds", 8, 1, 1 << 20);
+  bc.gops = int_flag("gops", bc.gops, 1, 1 << 20);
+  bc.links = int_flag("links", bc.links, 1, 4096);
+  bc.channels = int_flag("channels", bc.channels, 1, 1024);
+  bc.p_block = double_flag("p-block", bc.p_block, 0.0, 1.0);
+  bc.p_recover = double_flag("p-recover", bc.p_recover, 0.0, 1.0);
+  bc.attenuation =
+      double_flag("block-atten", bc.attenuation,
+                  std::numeric_limits<double>::min(), 1.0);
+  const int min_improved = int_flag("min-improved", 3, 0, seeds);
   const std::string out_path = flags.get_string("out", "");
-  if (seeds < 1 || bc.gops < 1 || bc.links < 1 || bc.channels < 1 ||
-      min_improved > seeds) {
-    std::fprintf(stderr,
-                 "error: need --seeds>=1, --gops>=1, --links>=1, "
-                 "--channels>=1 and --min-improved<=--seeds\n");
-    return 1;
+  const std::vector<std::string> unread = flags.unread();
+  if (bad.ok() && !unread.empty()) {
+    bad = common::Status::Error(common::ErrorCode::kInvalidInput,
+                                "unknown flag --" + unread.front());
+  }
+  if (!bad.ok()) {
+    std::fprintf(stderr, "error: %s\n", bad.message().c_str());
+    return 2;
   }
 
   const std::unique_ptr<stream::DemandPolicy> blind =

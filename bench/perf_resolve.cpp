@@ -1,20 +1,20 @@
-// Warm-resolve vs cold-solve microbenchmark (google-benchmark): the
-// checkpoint layer's economics.  A deterministic Markov blockage trace
-// perturbs one instance period by period; the cold arm re-solves every
-// period from scratch, the warm arm repairs the previous period's column
-// pool and seeds the survivors (core::resolve).  Counters report iteration
-// savings and pool hit rate alongside wall time.
+// Checkpoint-restart microbenchmark (google-benchmark): the one warm start
+// left.  One instance is solved cold and resolved warm from its own
+// checkpoint (the `solve --resume` path, core::resolve), and the
+// checkpoint round trip is timed on its own.  A resolve against any other
+// instance is the cold solve, which every other bench already measures.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/checkpoint.h"
 #include "core/resolve.h"
-#include "mmwave/blockage.h"
+#include "mmwave/network.h"
 #include "video/demand.h"
 
 namespace {
@@ -24,51 +24,27 @@ using namespace mmwave;
 constexpr int kLinks = 6;
 constexpr int kChannels = 2;
 constexpr int kLevels = 3;
-constexpr int kPeriods = 6;
 
-struct Trace {
-  net::NetworkParams params;
-  std::unique_ptr<net::TableIChannelModel> base;
-  /// Per-period receiver attenuation vectors (the blockage states).
-  std::vector<std::vector<double>> scales;
+struct Instance {
+  net::Network net;
   std::vector<video::LinkDemand> demands;
 };
 
-Trace make_trace(std::uint64_t seed) {
-  Trace t;
-  t.params.num_links = kLinks;
-  t.params.num_channels = kChannels;
-  t.params.sinr_thresholds.resize(kLevels);
-  for (int q = 0; q < kLevels; ++q)
-    t.params.sinr_thresholds[q] = 0.1 * (q + 1);
+Instance make_instance(std::uint64_t seed) {
+  net::NetworkParams params;
+  params.num_links = kLinks;
+  params.num_channels = kChannels;
+  params.sinr_thresholds.resize(kLevels);
+  for (int q = 0; q < kLevels; ++q) params.sinr_thresholds[q] = 0.1 * (q + 1);
   common::Rng rng(seed);
-  t.base = std::make_unique<net::TableIChannelModel>(
-      kLinks, kChannels, t.params.noise_watts, rng);
-
-  net::BlockageConfig bcfg;
-  bcfg.p_block = 0.3;
-  bcfg.attenuation = 0.05;
-  common::Rng brng = rng.fork(0xB10C);
-  net::BlockageProcess process(kLinks, bcfg, brng);
-  for (int g = 0; g < kPeriods; ++g) {
-    if (g > 0) process.advance(brng);
-    std::vector<double> s(kLinks);
-    for (int l = 0; l < kLinks; ++l) s[l] = process.rx_attenuation(l);
-    t.scales.push_back(std::move(s));
-  }
-
+  net::Network net = net::Network::table_i(params, rng);
   common::Rng drng = rng.fork(0x5EED);
-  t.demands.resize(kLinks);
-  for (auto& d : t.demands) {
+  std::vector<video::LinkDemand> demands(kLinks);
+  for (auto& d : demands) {
     d.hp_bits = drng.uniform(500.0, 2000.0);
     d.lp_bits = drng.uniform(500.0, 2000.0);
   }
-  return t;
-}
-
-net::Network period_net(const Trace& t, int g) {
-  return net::Network(t.params, std::make_unique<net::RxScaledChannelModel>(
-                                    t.base.get(), t.scales[g]));
+  return {std::move(net), std::move(demands)};
 }
 
 core::CgOptions solve_options() {
@@ -77,78 +53,15 @@ core::CgOptions solve_options() {
   return opts;
 }
 
-/// Cold arm: every period solved from scratch.
-void BM_ResolveColdTrace(benchmark::State& state) {
-  const Trace t = make_trace(17);
-  std::int64_t iterations = 0;
-  double slots = 0.0;
-  for (auto _ : state) {
-    for (int g = 0; g < kPeriods; ++g) {
-      const net::Network net = period_net(t, g);
-      const core::CgResult r =
-          core::solve_column_generation(net, t.demands, solve_options());
-      iterations += r.iterations;
-      slots += r.total_slots;
-      benchmark::DoNotOptimize(slots);
-    }
-  }
-  const double n =
-      static_cast<double>(std::max<std::int64_t>(1, state.iterations()));
-  state.counters["cg_iterations"] = static_cast<double>(iterations) / n;
-  state.counters["slots"] = slots / n;
-}
-BENCHMARK(BM_ResolveColdTrace);
-
-/// Warm arm: each period resolves from the previous period's checkpoint,
-/// repairing the pool against the new blockage state.
-void BM_ResolveWarmTrace(benchmark::State& state) {
-  const Trace t = make_trace(17);
-  std::int64_t iterations = 0;
-  std::int64_t loaded = 0;
-  std::int64_t reused = 0;
-  double slots = 0.0;
-  for (auto _ : state) {
-    core::CgCheckpoint ckpt;
-    bool have_ckpt = false;
-    for (int g = 0; g < kPeriods; ++g) {
-      const net::Network net = period_net(t, g);
-      core::CgResult r;
-      if (have_ckpt) {
-        const core::ResolveResult rr =
-            core::resolve(net, t.demands, ckpt, solve_options());
-        loaded += rr.repair.loaded;
-        reused += rr.repair.survivors();
-        r = std::move(rr.cg);
-      } else {
-        r = core::solve_column_generation(net, t.demands, solve_options());
-      }
-      iterations += r.iterations;
-      slots += r.total_slots;
-      benchmark::DoNotOptimize(slots);
-      ckpt = core::make_checkpoint(net, t.demands, r);
-      have_ckpt = true;
-    }
-  }
-  const double n =
-      static_cast<double>(std::max<std::int64_t>(1, state.iterations()));
-  state.counters["cg_iterations"] = static_cast<double>(iterations) / n;
-  state.counters["slots"] = slots / n;
-  state.counters["pool_hit_rate"] =
-      loaded > 0 ? static_cast<double>(reused) / loaded : 0.0;
-}
-BENCHMARK(BM_ResolveWarmTrace);
-
 /// Crash-restart pair: the same instance solved cold vs resolved warm from
-/// its own checkpoint (the `solve --resume` path).  This is where the
-/// checkpoint pays hardest — the warm master re-certifies the old optimum
-/// in one or two iterations instead of re-deriving the pool.
+/// its own checkpoint.  The warm master re-certifies the old optimum in
+/// one or two iterations instead of re-deriving the pool.
 void BM_RestartCold(benchmark::State& state) {
-  const Trace t = make_trace(17);
-  const net::Network net = period_net(t, 0);
+  const Instance inst = make_instance(17);
   std::int64_t iterations = 0;
   for (auto _ : state) {
     const core::CgResult r =
-        core::solve_column_generation(net, t.demands, solve_options());
+        core::solve_column_generation(inst.net, inst.demands, solve_options());
     iterations += r.iterations;
     benchmark::DoNotOptimize(iterations);
   }
@@ -159,15 +72,15 @@ void BM_RestartCold(benchmark::State& state) {
 BENCHMARK(BM_RestartCold);
 
 void BM_RestartWarm(benchmark::State& state) {
-  const Trace t = make_trace(17);
-  const net::Network net = period_net(t, 0);
+  const Instance inst = make_instance(17);
   const core::CgResult first =
-      core::solve_column_generation(net, t.demands, solve_options());
-  const core::CgCheckpoint ckpt = core::make_checkpoint(net, t.demands, first);
+      core::solve_column_generation(inst.net, inst.demands, solve_options());
+  const core::CgCheckpoint ckpt =
+      core::make_checkpoint(inst.net, inst.demands, first);
   std::int64_t iterations = 0;
   for (auto _ : state) {
     const core::ResolveResult r =
-        core::resolve(net, t.demands, ckpt, solve_options());
+        core::resolve(inst.net, inst.demands, ckpt, solve_options());
     iterations += r.cg.iterations;
     benchmark::DoNotOptimize(iterations);
   }
@@ -177,69 +90,14 @@ void BM_RestartWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_RestartWarm);
 
-/// Repair-policy comparison on the blockage trace (the `stream --repair`
-/// decision): drop discards every SINR-violated transmission, downgrade
-/// first steps the rate level down the SINR ladder and only drops from the
-/// ladder floor.  Downgrade keeps more of the pool alive across blockage
-/// transitions (higher pool_hit_rate, more columns seeded warm) for a
-/// slightly costlier repair pass; the two arms quantify that trade.
-template <core::RepairPolicy Policy>
-void BM_RepairPolicyTrace(benchmark::State& state) {
-  const Trace t = make_trace(17);
-  core::ResolveOptions ropts;
-  ropts.repair = Policy;
-  std::int64_t iterations = 0;
-  std::int64_t loaded = 0;
-  std::int64_t reused = 0;
-  std::int64_t dropped_tx = 0;
-  std::int64_t downgraded_tx = 0;
-  double slots = 0.0;
-  for (auto _ : state) {
-    core::CgCheckpoint ckpt;
-    bool have_ckpt = false;
-    for (int g = 0; g < kPeriods; ++g) {
-      const net::Network net = period_net(t, g);
-      core::CgResult r;
-      if (have_ckpt) {
-        const core::ResolveResult rr =
-            core::resolve(net, t.demands, ckpt, solve_options(), ropts);
-        loaded += rr.repair.loaded;
-        reused += rr.repair.survivors();
-        dropped_tx += rr.repair.transmissions_dropped;
-        downgraded_tx += rr.repair.transmissions_downgraded;
-        r = std::move(rr.cg);
-      } else {
-        r = core::solve_column_generation(net, t.demands, solve_options());
-      }
-      iterations += r.iterations;
-      slots += r.total_slots;
-      benchmark::DoNotOptimize(slots);
-      ckpt = core::make_checkpoint(net, t.demands, r);
-      have_ckpt = true;
-    }
-  }
-  const double n =
-      static_cast<double>(std::max<std::int64_t>(1, state.iterations()));
-  state.counters["cg_iterations"] = static_cast<double>(iterations) / n;
-  state.counters["slots"] = slots / n;
-  state.counters["pool_hit_rate"] =
-      loaded > 0 ? static_cast<double>(reused) / loaded : 0.0;
-  state.counters["tx_dropped"] = static_cast<double>(dropped_tx) / n;
-  state.counters["tx_downgraded"] = static_cast<double>(downgraded_tx) / n;
-}
-BENCHMARK(BM_RepairPolicyTrace<core::RepairPolicy::kDropTransmissions>)
-    ->Name("BM_RepairDropTrace");
-BENCHMARK(BM_RepairPolicyTrace<core::RepairPolicy::kDowngradeRate>)
-    ->Name("BM_RepairDowngradeTrace");
-
 /// Serialization overhead: the full save path (serialize + checksum) and
 /// the strict parse, on a real solved checkpoint.
 void BM_CheckpointRoundTrip(benchmark::State& state) {
-  const Trace t = make_trace(17);
-  const net::Network net = period_net(t, 0);
+  const Instance inst = make_instance(17);
   const core::CgResult r =
-      core::solve_column_generation(net, t.demands, solve_options());
-  const core::CgCheckpoint ckpt = core::make_checkpoint(net, t.demands, r);
+      core::solve_column_generation(inst.net, inst.demands, solve_options());
+  const core::CgCheckpoint ckpt =
+      core::make_checkpoint(inst.net, inst.demands, r);
   for (auto _ : state) {
     const std::string text = core::serialize_checkpoint(ckpt);
     auto parsed = core::parse_checkpoint(text);

@@ -32,10 +32,6 @@ inline constexpr const char* kCheckpointWriteFail = "checkpoint.write_fail";
 /// load_checkpoint reads a bit-flipped payload; the checksum must catch it
 /// and the caller must degrade to a cold start.
 inline constexpr const char* kCheckpointCorrupt = "checkpoint.corrupt_payload";
-/// resolve()'s pool repair sees a column invalidated mid-solve (the
-/// instance perturbed again under our feet); the column must be dropped,
-/// never entered into the master.
-inline constexpr const char* kResolveDropColumn = "resolve.drop_column";
 /// save_checkpoint dies after writing half of `path + ".tmp"`, before the
 /// rename.  The save must report kIoError and the file at `path` must still
 /// load to the previous save; the next save rewrites the temp file.

@@ -1,14 +1,14 @@
 // Checkpoint/restore of the column-generation solver state.
 //
 // The most expensive artifact of one P1 solve is the pool of feasible
-// schedules built by pricing; it stays valid (or cheaply repairable) across
-// demand changes and partial topology perturbations.  CgCheckpoint captures
-// that pool plus the surrounding solver state — instance fingerprint,
-// per-column durations, duals, LB/UB, iteration counters and the
-// stream-session cursor — in one versioned, checksummed, human-readable
-// text format.  `solve --resume` and `resolve` re-enter CG warm from a
-// checkpoint's pool; a streaming session saves its cursor without columns
-// and re-solves every period cold after a restart.
+// schedules built by pricing.  CgCheckpoint captures that pool plus the
+// surrounding solver state — instance fingerprint, per-column durations,
+// duals, LB/UB, iteration counters and the stream-session cursor — in one
+// versioned, checksummed, human-readable text format.  `solve --resume`
+// and `resolve` re-enter CG warm from a checkpoint's pool only when its
+// fingerprint matches the instance (core::resolve); a streaming session
+// saves its cursor without columns and re-solves every period cold after
+// a restart.
 //
 // Robustness contract (enforced by tests/core/checkpoint_test.cpp, the
 // checkpoint fuzz harness, and the fault-injection sites in

@@ -243,7 +243,7 @@ CgResult solve_cg_impl(const net::Network& net,
     master.add_column(s);
   }
 
-  // Warm pool (checkpoint restore / cross-period reuse).  Every column is
+  // Warm pool (checkpoint restore).  Every column is
   // re-validated against THIS instance before entry: a stale or corrupted
   // pool can cost a rejected column, never a wrong master.
   for (const sched::Schedule& s : options.warm_pool) {

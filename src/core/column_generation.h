@@ -118,8 +118,8 @@ struct CgOptions {
 
   // --- Warm pool (checkpoint/resolve layer) -----------------------------
   /// Columns seeded into the master ahead of the CG loop, after the TDMA
-  /// initialization columns — the surviving pool of a checkpoint restore
-  /// (core::resolve / repair_pool).  Each column is defensively
+  /// initialization columns — the verified pool of a checkpoint of the
+  /// same instance (core::resolve).  Each column is defensively
   /// re-validated against *this* instance before entry; invalid ones are
   /// skipped (counted in CgProfile), never allowed to poison the master.
   /// Extra feasible columns cannot change the P1 optimum, only how fast CG

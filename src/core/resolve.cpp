@@ -1,168 +1,38 @@
 #include "core/resolve.h"
 
-#include <unordered_set>
-#include <utility>
-
-#include "common/fault_injection.h"
+#include "check/schedule_verifier.h"
 #include "common/log.h"
 
 namespace mmwave::core {
 
-const char* to_string(RepairPolicy policy) {
-  switch (policy) {
-    case RepairPolicy::kDropTransmissions:
-      return "drop";
-    case RepairPolicy::kDowngradeRate:
-      return "downgrade";
-  }
-  return "unknown";
-}
-
-bool repair_schedule(sched::Schedule& schedule,
-                     const check::ScheduleVerifier& verifier,
-                     int* transmissions_dropped, RepairPolicy policy,
-                     int* transmissions_downgraded) {
-  if (schedule.empty()) return false;
-  // Each pass removes a transmission or steps one down the rate ladder (or
-  // terminates), so the potential sum(rate levels) + size bounds the loop
-  // even against an adversarial verifier.
-  std::size_t max_passes = schedule.size() + 1;
-  if (policy == RepairPolicy::kDowngradeRate) {
-    for (const sched::Transmission& tx : schedule.transmissions()) {
-      max_passes += static_cast<std::size_t>(
-          tx.rate_level > 0 ? tx.rate_level : 0);
-    }
-  }
-  for (std::size_t pass = 0; pass < max_passes; ++pass) {
-    const check::VerifyReport report = verifier.verify(schedule);
-    if (report.ok()) return !schedule.empty();
-
-    std::unordered_set<int> drop_links;
-    std::unordered_set<int> downgrade_links;
-    for (const check::Violation& v : report.violations) {
-      // A violation with no offending link (structural damage the verifier
-      // cannot pin down) makes the whole column irreparable.
-      if (v.link < 0) return false;
-      // Only an SINR shortfall is fixable by a lower MCS; every structural
-      // violation (half-duplex, power cap, duplicates...) still drops.
-      if (policy == RepairPolicy::kDowngradeRate &&
-          v.kind == check::ViolationKind::SinrBelowThreshold) {
-        downgrade_links.insert(v.link);
-      } else {
-        drop_links.insert(v.link);
-      }
-    }
-
-    std::vector<sched::Transmission> kept;
-    kept.reserve(schedule.size());
-    int dropped = 0;
-    int downgraded = 0;
-    for (const sched::Transmission& tx : schedule.transmissions()) {
-      if (drop_links.count(tx.link) != 0) {
-        ++dropped;
-        continue;
-      }
-      sched::Transmission next = tx;
-      if (downgrade_links.count(tx.link) != 0) {
-        if (next.rate_level > 0) {
-          --next.rate_level;
-          ++downgraded;
-        } else {
-          ++dropped;  // already at the ladder floor: nothing left to try
-          continue;
-        }
-      }
-      kept.push_back(next);
-    }
-    if (dropped == 0 && downgraded == 0) return false;  // no progress
-    if (transmissions_dropped != nullptr) *transmissions_dropped += dropped;
-    if (transmissions_downgraded != nullptr)
-      *transmissions_downgraded += downgraded;
-    if (kept.empty()) return false;
-    schedule = sched::Schedule(std::move(kept));
-  }
-  return false;
-}
-
-std::vector<sched::Schedule> repair_pool(
-    const net::Network& net, const std::vector<sched::Schedule>& pool,
-    RepairStats* stats, const check::VerifyOptions& options,
-    RepairPolicy policy) {
-  const check::ScheduleVerifier verifier(net, options);
-  RepairStats local;
-  local.loaded = static_cast<int>(pool.size());
-  std::vector<sched::Schedule> survivors;
-  survivors.reserve(pool.size());
-  for (const sched::Schedule& column : pool) {
-    if (common::fault_fires(common::faults::kResolveDropColumn)) {
-      ++local.dropped;
-      continue;
-    }
-    sched::Schedule candidate = column;
-    int txs_dropped = 0;
-    int txs_downgraded = 0;
-    if (!repair_schedule(candidate, verifier, &txs_dropped, policy,
-                         &txs_downgraded)) {
-      ++local.dropped;
-      continue;
-    }
-    if (txs_dropped == 0 && txs_downgraded == 0) {
-      ++local.intact;
-    } else {
-      ++local.repaired;
-      local.transmissions_dropped += txs_dropped;
-      local.transmissions_downgraded += txs_downgraded;
-    }
-    survivors.push_back(std::move(candidate));
-  }
-  if (stats != nullptr) *stats = local;
-  return survivors;
-}
-
 ResolveResult resolve(const net::Network& net,
                       const std::vector<video::LinkDemand>& demands,
                       const CgCheckpoint& checkpoint,
-                      const CgOptions& cg_options,
-                      const ResolveOptions& options) {
+                      const CgOptions& cg_options) {
   ResolveResult result;
-  result.fingerprint_matched =
-      checkpoint.fingerprint == instance_fingerprint(net, demands);
+  if (checkpoint.fingerprint != instance_fingerprint(net, demands)) {
+    result.checkpoint_status = common::Status::Error(
+        common::ErrorCode::kInvalidInput,
+        "checkpoint fingerprint differs from the current instance");
+    MMWAVE_LOG_INFO << "resolve: " << result.checkpoint_status.message()
+                    << "; cold start";
+    result.cg = solve_column_generation(net, demands, cg_options);
+    return result;
+  }
 
+  // Legality must agree with the solve, so the verifier inherits its
+  // layer-split setting.
+  check::VerifyOptions verify;
+  verify.allow_layer_split = cg_options.exact.allow_layer_split;
+  const check::ScheduleVerifier verifier(net, verify);
   CgOptions warm = cg_options;
-  if (checkpoint.links != net.num_links() ||
-      checkpoint.channels != net.num_channels()) {
-    result.checkpoint_status = common::Status::Error(
-        common::ErrorCode::kInvalidInput,
-        "checkpoint is for a " + std::to_string(checkpoint.links) + "x" +
-            std::to_string(checkpoint.channels) + " instance, current is " +
-            std::to_string(net.num_links()) + "x" +
-            std::to_string(net.num_channels()) + "; cold start");
-  } else if (options.require_fingerprint_match &&
-             !result.fingerprint_matched) {
-    result.checkpoint_status = common::Status::Error(
-        common::ErrorCode::kInvalidInput,
-        "checkpoint fingerprint does not match the current instance "
-        "(require_fingerprint_match); cold start");
-  } else {
-    check::VerifyOptions verify = options.verify;
-    verify.allow_layer_split = cg_options.exact.allow_layer_split;
-    warm.warm_pool = repair_pool(net, checkpoint.pool, &result.repair,
-                                 verify, options.repair);
-    result.used_checkpoint = true;
-    MMWAVE_LOG_INFO << "resolve: pool " << result.repair.loaded
-                    << " loaded, " << result.repair.intact << " intact, "
-                    << result.repair.repaired << " repaired ("
-                    << result.repair.transmissions_dropped
-                    << " transmissions dropped, "
-                    << result.repair.transmissions_downgraded
-                    << " downgraded, policy "
-                    << to_string(options.repair) << "), "
-                    << result.repair.dropped << " dropped";
+  warm.warm_pool.clear();
+  for (const sched::Schedule& column : checkpoint.pool) {
+    if (verifier.verify(column).ok()) warm.warm_pool.push_back(column);
   }
-  if (!result.checkpoint_status.ok()) {
-    MMWAVE_LOG_WARN << "resolve: " << result.checkpoint_status.message();
-  }
-
+  MMWAVE_LOG_INFO << "resolve: " << warm.warm_pool.size() << " of "
+                  << checkpoint.pool.size() << " pooled columns verified";
+  result.used_checkpoint = true;
   result.cg = solve_column_generation(net, demands, warm);
   return result;
 }
@@ -170,8 +40,7 @@ ResolveResult resolve(const net::Network& net,
 ResolveResult resolve_from_file(const std::string& path,
                                 const net::Network& net,
                                 const std::vector<video::LinkDemand>& demands,
-                                const CgOptions& cg_options,
-                                const ResolveOptions& options) {
+                                const CgOptions& cg_options) {
   common::Expected<CgCheckpoint> loaded = load_checkpoint(path);
   if (!loaded.ok()) {
     MMWAVE_LOG_WARN << "resolve: checkpoint '" << path
@@ -182,7 +51,7 @@ ResolveResult resolve_from_file(const std::string& path,
     result.cg = solve_column_generation(net, demands, cg_options);
     return result;
   }
-  return resolve(net, demands, loaded.value(), cg_options, options);
+  return resolve(net, demands, loaded.value(), cg_options);
 }
 
 }  // namespace mmwave::core

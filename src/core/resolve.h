@@ -1,26 +1,28 @@
-// Warm re-solve from a checkpoint against a (possibly perturbed) instance.
+// Warm re-solve from a checkpoint of the same instance.
 //
-// The resolve path is the blockage-survival half of the checkpoint layer:
-// given saved solver state and the *current* network — links may have been
-// blocked, gains rescaled, demands regenerated — it revalidates every pooled
-// column with the independent check::ScheduleVerifier, repairs what a
-// perturbation broke (dropping only the transmissions that now violate
-// feasibility), discards the irreparable, and enters column generation with
-// the surviving pool as a warm start.
+// A checkpoint seeds the solve only when its fingerprint
+// (instance_fingerprint: dimensions, parameters, rate ladder, every gain,
+// the demands) equals the current instance's — `solve --resume` after a
+// crash, or `resolve` under the blockage its checkpoint was last
+// `--update`d with.  Every pooled column then passes the independent
+// check::ScheduleVerifier first: a matching fingerprint and checksum prove
+// the file holds the bytes that were written, not that its columns are
+// feasible.  A rejected column is dropped, never repaired.
 //
-// Guarantee (test-enforced by tests/core/resolve_test.cpp): because every
-// surviving column is re-proven feasible on the *perturbed* instance and
-// extra feasible columns cannot change the P1 optimum — the master only ever
-// selects among them — resolve() converges to the same optimum a cold
-// solve_column_generation() reaches, just faster.  A checkpoint that is
-// corrupt, missing, or from the wrong instance degrades to exactly that cold
-// solve, with the reason recorded in ResolveResult::checkpoint_status.
+// Any other checkpoint (blocked links, faded gains, new demands, other
+// dimensions, an unreadable file) seeds nothing: the result is exactly
+// solve_column_generation() on the current instance.  Repairing a stale
+// pool against a perturbed instance lost to that cold solve on time and
+// never gave a better incumbent (DESIGN.md §8.4).
+//
+// Seeded columns are feasible P1 columns, which cannot change the optimum,
+// so a warm resolve certifies the optimum a cold solve reaches, just
+// faster (tests/core/resolve_test.cpp).
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "check/schedule_verifier.h"
 #include "common/status.h"
 #include "core/checkpoint.h"
 #include "core/column_generation.h"
@@ -29,107 +31,30 @@
 
 namespace mmwave::core {
 
-/// What repair_schedule does to a transmission whose link fails the SINR
-/// check on the perturbed instance.
-enum class RepairPolicy {
-  /// Remove the violated transmissions (the conservative default: the link
-  /// sends nothing this slot group).
-  kDropTransmissions,
-  /// Perturbation-aware: first step the transmission's rate level down the
-  /// SINR ladder (gamma^{q-1} < gamma^q, so an attenuated link often still
-  /// sustains a lower MCS), and drop only from the ladder's floor.  Keeps
-  /// more columns alive under partial blockage at lower embedded rates.
-  kDowngradeRate,
-};
-
-const char* to_string(RepairPolicy policy);
-
-/// Outcome of one repair_pool pass over a checkpointed column pool.
-struct RepairStats {
-  int loaded = 0;    ///< columns offered for repair
-  int intact = 0;    ///< verified feasible as-is on the new instance
-  int repaired = 0;  ///< survived after dropping/downgrading transmissions
-  int dropped = 0;   ///< discarded entirely (irreparable or force-dropped)
-  /// Transmissions removed from columns that survived as `repaired`.
-  int transmissions_dropped = 0;
-  /// Transmissions stepped down the rate ladder (kDowngradeRate only).
-  int transmissions_downgraded = 0;
-
-  int survivors() const { return intact + repaired; }
-  /// Fraction of the loaded pool that re-entered the master (warm hit rate).
-  double hit_rate() const {
-    return loaded > 0 ? static_cast<double>(survivors()) / loaded : 0.0;
-  }
-};
-
-/// Repairs one schedule in place against `verifier`'s instance: repeatedly
-/// verifies and fixes every transmission on a violated link — removal for
-/// structural violations, removal or (under kDowngradeRate) a rate-ladder
-/// step-down for SINR shortfalls.  Dropping interferers only *raises* the
-/// surviving receivers' SINR and a downgrade strictly lowers the required
-/// threshold, so the loop converges in at most size() + sum(rate levels) +1
-/// passes.  Returns true when the schedule ends verified and non-empty;
-/// false means the column must be discarded (also when a violation is not
-/// attributable to a link, e.g. a structural defect).  `transmissions_dropped`
-/// and `transmissions_downgraded` (optional) accumulate the repair actions.
-bool repair_schedule(sched::Schedule& schedule,
-                     const check::ScheduleVerifier& verifier,
-                     int* transmissions_dropped = nullptr,
-                     RepairPolicy policy = RepairPolicy::kDropTransmissions,
-                     int* transmissions_downgraded = nullptr);
-
-/// Repairs every column of `pool` against the current instance, returning
-/// the survivors (intact + repaired, original order) and filling `stats`.
-/// The fault site faults::kResolveDropColumn force-drops a column even if
-/// repairable, to script worst-case pool decay in tests.
-std::vector<sched::Schedule> repair_pool(const net::Network& net,
-                                         const std::vector<sched::Schedule>& pool,
-                                         RepairStats* stats,
-                                         const check::VerifyOptions& options = {},
-                                         RepairPolicy policy =
-                                             RepairPolicy::kDropTransmissions);
-
-struct ResolveOptions {
-  /// Reject the checkpoint (cold start) when its fingerprint does not match
-  /// the current instance.  Off by default: a perturbed instance *should*
-  /// mismatch, that is the resolve use case.  Turn on for --resume, where
-  /// the caller asserts the instance is unchanged.
-  bool require_fingerprint_match = false;
-  /// Verifier slack for the repair pass.  allow_layer_split is overridden
-  /// from CgOptions::exact so repair and solve agree on legality.
-  check::VerifyOptions verify;
-  /// How SINR-violated transmissions are repaired (drop vs rate downgrade).
-  RepairPolicy repair = RepairPolicy::kDropTransmissions;
-};
-
 struct ResolveResult {
   /// The (warm or cold) column-generation outcome on the current instance.
   CgResult cg;
-  /// Pool repair accounting; all-zero when the checkpoint was not used.
-  RepairStats repair;
-  /// True when the checkpoint's pool was repaired and seeded into the solve.
+  /// True when the checkpoint matched the instance and its verified columns
+  /// were seeded (CgProfile::warm_pool_columns counts the ones admitted).
   bool used_checkpoint = false;
-  /// Whether the checkpoint fingerprint matched the current instance.
-  bool fingerprint_matched = false;
-  /// Ok when the checkpoint was usable; otherwise why resolve fell back to
-  /// a cold start (load failure, dimension mismatch, fingerprint mismatch).
+  /// Ok when the checkpoint was used; otherwise why the solve ran cold
+  /// (load failure, or a checkpoint of another instance).
   common::Status checkpoint_status;
 };
 
-/// Repairs `checkpoint`'s pool against (`net`, `demands`) and runs column
-/// generation warm.  Never fails outright: any unusable checkpoint degrades
-/// to a cold solve with the reason in checkpoint_status.
+/// Seeds `checkpoint`'s verified columns into column generation on (`net`,
+/// `demands`) when its fingerprint matches them, and solves cold
+/// otherwise.  Never fails outright.
 ResolveResult resolve(const net::Network& net,
                       const std::vector<video::LinkDemand>& demands,
                       const CgCheckpoint& checkpoint,
-                      const CgOptions& cg_options = {},
-                      const ResolveOptions& options = {});
+                      const CgOptions& cg_options = {});
 
-/// load_checkpoint + resolve; a missing/corrupt file degrades to cold start.
+/// load_checkpoint + resolve; a missing, corrupt or older-version file
+/// degrades to the cold solve.
 ResolveResult resolve_from_file(const std::string& path,
                                 const net::Network& net,
                                 const std::vector<video::LinkDemand>& demands,
-                                const CgOptions& cg_options = {},
-                                const ResolveOptions& options = {});
+                                const CgOptions& cg_options = {});
 
 }  // namespace mmwave::core

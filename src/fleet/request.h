@@ -30,7 +30,7 @@ namespace mmwave::fleet {
 /// fleet record is comparable to a per-process `mmwave_cli <op>` run.
 enum class FleetOp {
   kSolve,    ///< one column-generation solve
-  kResolve,  ///< warm re-solve under receiver-side blockage attenuation
+  kResolve,  ///< cold solve under receiver-side blockage attenuation
   kStream,   ///< multi-GOP blockage streaming session
 };
 

@@ -1,16 +1,18 @@
-// The resolve() guarantee: a warm re-solve from a (possibly stale)
-// checkpoint reaches the same P1 optimum a cold solve certifies, under
-// every perturbation class the paper's environment produces — blocked
-// links, rescaled gains, regenerated demands — and under mid-solve fault
-// injection.  Warm columns may only accelerate CG, never bias it.
+// The resolve() rule: a checkpoint seeds the solve only when its
+// fingerprint matches the instance, and then certifies the optimum a cold
+// solve reaches.  Any other checkpoint — blocked links, rescaled gains,
+// regenerated demands, other dimensions — yields exactly the cold solve.
+// Warm columns may only accelerate CG, never bias it.
 #include "core/resolve.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <memory>
+#include <string>
 
-#include "common/fault_injection.h"
+#include "check/schedule_verifier.h"
 #include "mmwave/blockage.h"
 
 namespace mmwave::core {
@@ -71,24 +73,31 @@ CgOptions exact_options() {
   return opts;
 }
 
-/// Asserts resolve-from-checkpoint on `net` matches a cold certified solve.
-void expect_warm_matches_cold(const net::Network& net,
-                              const std::vector<video::LinkDemand>& demands,
-                              const CgCheckpoint& ckpt) {
+/// Asserts resolve() on `net` from `ckpt`, a checkpoint of another
+/// instance, seeds nothing and returns the cold solve field for field.
+void expect_cold_solve(const net::Network& net,
+                       const std::vector<video::LinkDemand>& demands,
+                       const CgCheckpoint& ckpt) {
   const CgResult cold = solve_column_generation(net, demands, exact_options());
   ASSERT_TRUE(cold.converged);
-  CgOptions warm_opts = exact_options();
-  warm_opts.verify = true;  // referee every warm column entering the pool
-  const ResolveResult warm = resolve(net, demands, ckpt, warm_opts);
-  ASSERT_TRUE(warm.used_checkpoint);
-  ASSERT_TRUE(warm.cg.converged);
-  EXPECT_NEAR(warm.cg.total_slots, cold.total_slots,
-              kRelTol * cold.total_slots);
-  EXPECT_TRUE(warm.cg.verification.ok())
-      << warm.cg.verification.errors.front();
-  if (!std::isnan(warm.cg.lower_bound)) {
-    EXPECT_LE(warm.cg.lower_bound,
-              warm.cg.total_slots * (1.0 + 1e-9) + 1e-9);
+  const ResolveResult r = resolve(net, demands, ckpt, exact_options());
+  EXPECT_FALSE(r.used_checkpoint);
+  EXPECT_EQ(r.checkpoint_status.code(), common::ErrorCode::kInvalidInput);
+  EXPECT_EQ(r.cg.profile.warm_pool_columns, 0);
+  EXPECT_EQ(r.cg.profile.warm_pool_rejected, 0);
+  EXPECT_EQ(r.cg.converged, cold.converged);
+  EXPECT_EQ(r.cg.iterations, cold.iterations);
+  EXPECT_EQ(r.cg.total_slots, cold.total_slots);
+  if (std::isnan(cold.lower_bound)) {
+    EXPECT_TRUE(std::isnan(r.cg.lower_bound));
+  } else {
+    EXPECT_EQ(r.cg.lower_bound, cold.lower_bound);
+  }
+  ASSERT_EQ(r.cg.timeline.size(), cold.timeline.size());
+  for (std::size_t i = 0; i < cold.timeline.size(); ++i) {
+    EXPECT_EQ(r.cg.timeline[i].schedule.key(),
+              cold.timeline[i].schedule.key());
+    EXPECT_EQ(r.cg.timeline[i].slots, cold.timeline[i].slots);
   }
 }
 
@@ -99,23 +108,19 @@ TEST(CgResolve, UnchangedInstanceReproducesResult) {
   ASSERT_TRUE(cold.converged);
   const CgCheckpoint ckpt = make_checkpoint(sc.net, sc.demands, cold);
 
-  ResolveOptions ropts;
-  ropts.require_fingerprint_match = true;
-  const ResolveResult warm =
-      resolve(sc.net, sc.demands, ckpt, exact_options(), ropts);
+  CgOptions warm_opts = exact_options();
+  warm_opts.verify = true;  // referee every warm column entering the pool
+  const ResolveResult warm = resolve(sc.net, sc.demands, ckpt, warm_opts);
   ASSERT_TRUE(warm.used_checkpoint);
-  EXPECT_TRUE(warm.fingerprint_matched);
   EXPECT_TRUE(warm.checkpoint_status.ok());
-  // Nothing to repair on the unperturbed instance...
-  EXPECT_EQ(warm.repair.loaded, static_cast<int>(ckpt.pool.size()));
-  EXPECT_EQ(warm.repair.intact, warm.repair.loaded);
-  EXPECT_EQ(warm.repair.dropped, 0);
-  EXPECT_EQ(warm.repair.repaired, 0);
-  // ...and the warm solve re-certifies the same optimum, faster.
+  EXPECT_GT(warm.cg.profile.warm_pool_columns, 0);
+  // The warm solve re-certifies the same optimum, in no more iterations.
   ASSERT_TRUE(warm.cg.converged);
   EXPECT_NEAR(warm.cg.total_slots, cold.total_slots,
               kRelTol * cold.total_slots);
   EXPECT_LE(warm.cg.iterations, cold.iterations);
+  EXPECT_TRUE(warm.cg.verification.ok())
+      << warm.cg.verification.errors.front();
 }
 
 TEST(CgResolve, BlockedLinksPerturbation) {
@@ -125,12 +130,10 @@ TEST(CgResolve, BlockedLinksPerturbation) {
   ASSERT_TRUE(cold.converged);
   const CgCheckpoint ckpt = make_checkpoint(sc.net, sc.demands, cold);
 
-  // Block two receivers hard (-13 dB): pooled columns using them die or
-  // lose members; survivors must carry the warm solve to the cold optimum.
+  // Two receivers blocked hard (-13 dB): another instance, so a cold solve.
   std::vector<double> scales(sc.net.num_links(), 1.0);
   scales[0] = scales[3] = 0.05;
-  const net::Network blocked = sc.scaled(scales);
-  expect_warm_matches_cold(blocked, sc.demands, ckpt);
+  expect_cold_solve(sc.scaled(scales), sc.demands, ckpt);
 }
 
 TEST(CgResolve, GainChangePerturbation) {
@@ -140,13 +143,11 @@ TEST(CgResolve, GainChangePerturbation) {
   ASSERT_TRUE(cold.converged);
   const CgCheckpoint ckpt = make_checkpoint(sc.net, sc.demands, cold);
 
-  // Mild fading on every receiver: most columns should survive intact or
-  // repaired, and the optimum must still match the cold solve.
+  // Mild fading on every receiver.
   std::vector<double> scales(sc.net.num_links());
   common::Rng rng(99);
   for (double& s : scales) s = rng.uniform(0.6, 1.0);
-  const net::Network faded = sc.scaled(scales);
-  expect_warm_matches_cold(faded, sc.demands, ckpt);
+  expect_cold_solve(sc.scaled(scales), sc.demands, ckpt);
 }
 
 TEST(CgResolve, DemandChangePerturbation) {
@@ -156,21 +157,9 @@ TEST(CgResolve, DemandChangePerturbation) {
   ASSERT_TRUE(cold.converged);
   const CgCheckpoint ckpt = make_checkpoint(sc.net, sc.demands, cold);
 
-  // Next GOP's demands: the pool stays feasible (schedules are demand-
-  // independent) so everything should be reused as-is.
-  const auto next_demands = random_demands(sc.net.num_links(), 555);
-  const CgResult cold2 =
-      solve_column_generation(sc.net, next_demands, exact_options());
-  ASSERT_TRUE(cold2.converged);
-  const ResolveResult warm =
-      resolve(sc.net, next_demands, ckpt, exact_options());
-  ASSERT_TRUE(warm.used_checkpoint);
-  EXPECT_FALSE(warm.fingerprint_matched);  // demands are fingerprinted
-  EXPECT_EQ(warm.repair.dropped, 0);
-  EXPECT_EQ(warm.repair.intact, warm.repair.loaded);
-  ASSERT_TRUE(warm.cg.converged);
-  EXPECT_NEAR(warm.cg.total_slots, cold2.total_slots,
-              kRelTol * cold2.total_slots);
+  // Next GOP's demands: the network is unchanged, but demands are
+  // fingerprinted too.
+  expect_cold_solve(sc.net, random_demands(sc.net.num_links(), 555), ckpt);
 }
 
 TEST(CgResolve, DimensionMismatchFallsBackCold) {
@@ -180,13 +169,7 @@ TEST(CgResolve, DimensionMismatchFallsBackCold) {
   const CgCheckpoint ckpt = make_checkpoint(small.net, small.demands, r);
 
   const Scenario big = Scenario::make(6, 6, 2, 2);
-  const ResolveResult warm =
-      resolve(big.net, big.demands, ckpt, exact_options());
-  EXPECT_FALSE(warm.used_checkpoint);
-  EXPECT_FALSE(warm.checkpoint_status.ok());
-  EXPECT_EQ(warm.checkpoint_status.code(), common::ErrorCode::kInvalidInput);
-  EXPECT_EQ(warm.repair.loaded, 0);
-  EXPECT_TRUE(warm.cg.converged);  // the cold solve still runs
+  expect_cold_solve(big.net, big.demands, ckpt);
 }
 
 TEST(CgResolve, FingerprintMismatchRejectedWhenRequired) {
@@ -195,69 +178,86 @@ TEST(CgResolve, FingerprintMismatchRejectedWhenRequired) {
       solve_column_generation(sc.net, sc.demands, exact_options());
   const CgCheckpoint ckpt = make_checkpoint(sc.net, sc.demands, r);
 
+  // A uniform 10% fade is another instance: the fingerprint alone decides,
+  // whatever share of the pool would still verify.
   std::vector<double> scales(sc.net.num_links(), 0.9);
-  const net::Network perturbed = sc.scaled(scales);
-  ResolveOptions ropts;
-  ropts.require_fingerprint_match = true;
   const ResolveResult warm =
-      resolve(perturbed, sc.demands, ckpt, exact_options(), ropts);
-  EXPECT_FALSE(warm.fingerprint_matched);
+      resolve(sc.scaled(scales), sc.demands, ckpt, exact_options());
   EXPECT_FALSE(warm.used_checkpoint);
   EXPECT_FALSE(warm.checkpoint_status.ok());
+  EXPECT_NE(warm.checkpoint_status.message().find("fingerprint"),
+            std::string::npos);
   EXPECT_TRUE(warm.cg.converged);
 }
 
-TEST(CgResolve, MidSolvePerturbationFaultStillMatchesCold) {
+TEST(CgResolve, UpdatedCheckpointSeedsTheNextResolve) {
   const Scenario sc = Scenario::make(8, 6, 2, 3);
-  const CgResult cold =
+  const CgResult first =
       solve_column_generation(sc.net, sc.demands, exact_options());
-  ASSERT_TRUE(cold.converged);
-  const CgCheckpoint ckpt = make_checkpoint(sc.net, sc.demands, cold);
+  const CgCheckpoint stale = make_checkpoint(sc.net, sc.demands, first);
 
-  // The instance perturbs again under our feet: every third pool column is
-  // invalidated during repair.  Dropping warm columns can never change the
-  // optimum, only the iteration count.
-  common::FaultInjector inj(/*seed=*/7);
-  inj.arm(common::faults::kResolveDropColumn,
-          {.skip = 0, .times = 1 << 20, .probability = 1.0 / 3.0});
-  common::FaultScope scope(inj);
-  const ResolveResult warm = resolve(sc.net, sc.demands, ckpt, exact_options());
+  // The first resolve under a blockage runs cold; `resolve --update` then
+  // saves its state, which is a checkpoint of the blocked instance.
+  std::vector<double> scales(sc.net.num_links(), 1.0);
+  scales[1] = scales[4] = 0.05;
+  const net::Network blocked = sc.scaled(scales);
+  const ResolveResult cold =
+      resolve(blocked, sc.demands, stale, exact_options());
+  ASSERT_FALSE(cold.used_checkpoint);
+  ASSERT_TRUE(cold.cg.converged);
+  const std::string path =
+      std::string(::testing::TempDir()) + "resolve_update.ckpt";
+  ASSERT_TRUE(
+      save_checkpoint(make_checkpoint(blocked, sc.demands, cold.cg), path)
+          .ok());
+
+  // The next resolve under the same blockage is a matched warm start.
+  CgOptions warm_opts = exact_options();
+  warm_opts.verify = true;
+  const ResolveResult warm =
+      resolve_from_file(path, sc.scaled(scales), sc.demands, warm_opts);
+  std::remove(path.c_str());
   ASSERT_TRUE(warm.used_checkpoint);
-  EXPECT_GT(inj.fired(common::faults::kResolveDropColumn), 0);
-  EXPECT_EQ(warm.repair.dropped, inj.fired(common::faults::kResolveDropColumn));
+  EXPECT_TRUE(warm.checkpoint_status.ok());
+  EXPECT_GT(warm.cg.profile.warm_pool_columns, 0);
   ASSERT_TRUE(warm.cg.converged);
-  EXPECT_NEAR(warm.cg.total_slots, cold.total_slots,
-              kRelTol * cold.total_slots);
+  EXPECT_NEAR(warm.cg.total_slots, cold.cg.total_slots,
+              kRelTol * cold.cg.total_slots);
+  EXPECT_LE(warm.cg.iterations, cold.cg.iterations);
+  EXPECT_TRUE(warm.cg.verification.ok());
 }
 
-TEST(CgResolve, RepairPoolDropsOnlyWhatBroke) {
+TEST(CgResolve, InfeasibleColumnIsDroppedByTheVerifier) {
   const Scenario sc = Scenario::make(9, 6, 2, 3);
   const CgResult cold =
       solve_column_generation(sc.net, sc.demands, exact_options());
-  const CgCheckpoint ckpt = make_checkpoint(sc.net, sc.demands, cold);
-  ASSERT_FALSE(ckpt.pool.empty());
+  ASSERT_TRUE(cold.converged);
+  CgCheckpoint ckpt = make_checkpoint(sc.net, sc.demands, cold);
+  const int pooled = static_cast<int>(ckpt.pool.size());
+  ASSERT_GT(pooled, 0);
 
-  std::vector<double> scales(sc.net.num_links(), 1.0);
-  scales[1] = 0.02;
-  const net::Network blocked = sc.scaled(scales);
-  RepairStats stats;
-  const auto survivors = repair_pool(blocked, ckpt.pool, &stats);
-  EXPECT_EQ(stats.loaded, static_cast<int>(ckpt.pool.size()));
-  EXPECT_EQ(stats.survivors(), static_cast<int>(survivors.size()));
-  EXPECT_EQ(stats.loaded, stats.survivors() + stats.dropped);
-  // Every survivor is verifier-clean on the blocked instance and never
-  // mentions a transmission the repair claims to have removed wholesale.
-  const check::ScheduleVerifier referee(blocked);
-  for (const auto& col : survivors) {
-    EXPECT_TRUE(referee.verify(col).ok());
-    EXPECT_FALSE(col.empty());
-  }
-  // On the *unperturbed* net, the same pool is untouched.
-  RepairStats clean_stats;
-  const auto clean = repair_pool(sc.net, ckpt.pool, &clean_stats);
-  EXPECT_EQ(clean_stats.intact, clean_stats.loaded);
-  EXPECT_EQ(clean_stats.transmissions_dropped, 0);
-  EXPECT_EQ(clean.size(), ckpt.pool.size());
+  // A well-formed column over twice the power cap: the fingerprint still
+  // matches, but the column is not feasible on this (or any) instance.
+  std::vector<sched::Transmission> txs = ckpt.pool.front().transmissions();
+  for (sched::Transmission& tx : txs)
+    tx.power_watts = 2.0 * sc.params.p_max_watts;
+  const sched::Schedule infeasible(std::move(txs));
+  ASSERT_FALSE(check::ScheduleVerifier(sc.net).verify(infeasible).ok());
+  ckpt.pool.push_back(infeasible);
+  ckpt.pool_tau.push_back(0.0);
+
+  CgOptions warm_opts = exact_options();
+  warm_opts.verify = true;
+  const ResolveResult warm = resolve(sc.net, sc.demands, ckpt, warm_opts);
+  ASSERT_TRUE(warm.used_checkpoint);
+  // CG was offered exactly the feasible pool: the verifier dropped the
+  // infeasible column before CG's own admission check could see it.
+  const CgProfile& p = warm.cg.profile;
+  EXPECT_EQ(p.warm_pool_columns + p.warm_pool_rejected, pooled);
+  ASSERT_TRUE(warm.cg.converged);
+  EXPECT_NEAR(warm.cg.total_slots, cold.total_slots,
+              kRelTol * cold.total_slots);
+  EXPECT_TRUE(warm.cg.verification.ok());
 }
 
 TEST(CgResolve, WarmPoolProfileCountsSeededColumns) {
@@ -267,106 +267,12 @@ TEST(CgResolve, WarmPoolProfileCountsSeededColumns) {
   const CgCheckpoint ckpt = make_checkpoint(sc.net, sc.demands, cold);
   const ResolveResult warm = resolve(sc.net, sc.demands, ckpt, exact_options());
   // TDMA columns duplicate part of the pool, so some warm columns are
-  // rejected as duplicates; accepted + rejected must cover the survivors.
+  // rejected as duplicates; accepted + rejected covers the whole pool,
+  // which verifies intact on its own instance.
   const CgProfile& p = warm.cg.profile;
   EXPECT_EQ(p.warm_pool_columns + p.warm_pool_rejected,
-            warm.repair.survivors());
+            static_cast<int>(ckpt.pool.size()));
   EXPECT_GT(p.warm_pool_columns, 0);
-}
-
-// ---- Perturbation-aware repair (rate downgrade vs transmission drop) -----
-
-TEST(CgResolve, DowngradeRepairKeepsMoreCapitalThanDrop) {
-  const Scenario sc = Scenario::make(11, 6, 2, 3);
-  const CgResult cold =
-      solve_column_generation(sc.net, sc.demands, exact_options());
-  const CgCheckpoint ckpt = make_checkpoint(sc.net, sc.demands, cold);
-  ASSERT_FALSE(ckpt.pool.empty());
-
-  // Partial blockage: the link loses half its gain — too weak for the top
-  // MCS, strong enough for a lower rung of the gamma ladder.
-  std::vector<double> scales(sc.net.num_links(), 1.0);
-  scales[2] = 0.5;
-  const net::Network attenuated = sc.scaled(scales);
-
-  RepairStats drop_stats;
-  const auto drop_survivors =
-      repair_pool(attenuated, ckpt.pool, &drop_stats, {},
-                  RepairPolicy::kDropTransmissions);
-  RepairStats down_stats;
-  const auto down_survivors =
-      repair_pool(attenuated, ckpt.pool, &down_stats, {},
-                  RepairPolicy::kDowngradeRate);
-
-  // The downgrade path actually exercised the ladder and never pays more
-  // transmissions than the drop path does.
-  EXPECT_GT(down_stats.transmissions_downgraded, 0);
-  EXPECT_LE(down_stats.transmissions_dropped, drop_stats.transmissions_dropped);
-  EXPECT_GE(down_stats.survivors(), drop_stats.survivors());
-  EXPECT_EQ(drop_stats.transmissions_downgraded, 0);  // drop never downgrades
-
-  // Both repairs hand back only verifier-clean, non-empty columns.
-  const check::ScheduleVerifier referee(attenuated);
-  for (const auto& col : drop_survivors) EXPECT_TRUE(referee.verify(col).ok());
-  for (const auto& col : down_survivors) {
-    EXPECT_TRUE(referee.verify(col).ok());
-    EXPECT_FALSE(col.empty());
-  }
-}
-
-TEST(CgResolve, DowngradeResolveStillReachesTheOptimum) {
-  const Scenario sc = Scenario::make(12, 5, 2, 3);
-  const CgResult cold =
-      solve_column_generation(sc.net, sc.demands, exact_options());
-  const CgCheckpoint ckpt = make_checkpoint(sc.net, sc.demands, cold);
-
-  std::vector<double> scales(sc.net.num_links(), 1.0);
-  scales[0] = 0.4;
-  scales[3] = 0.6;
-  const net::Network perturbed = sc.scaled(scales);
-  const CgResult fresh =
-      solve_column_generation(perturbed, sc.demands, exact_options());
-  ASSERT_TRUE(fresh.converged);
-
-  CgOptions warm_opts = exact_options();
-  warm_opts.verify = true;
-  ResolveOptions ropts;
-  ropts.repair = RepairPolicy::kDowngradeRate;
-  const ResolveResult warm =
-      resolve(perturbed, sc.demands, ckpt, warm_opts, ropts);
-  ASSERT_TRUE(warm.used_checkpoint);
-  ASSERT_TRUE(warm.cg.converged);
-  // Downgraded columns are extra feasible columns, never a different
-  // optimum: the warm solve certifies the same objective as the cold one.
-  EXPECT_NEAR(warm.cg.total_slots, fresh.total_slots,
-              kRelTol * fresh.total_slots);
-  EXPECT_TRUE(warm.cg.verification.ok());
-}
-
-TEST(CgResolve, DowngradeDropsFromTheLadderFloor) {
-  const Scenario sc = Scenario::make(13, 6, 2, 3);
-  const CgResult cold =
-      solve_column_generation(sc.net, sc.demands, exact_options());
-  const CgCheckpoint ckpt = make_checkpoint(sc.net, sc.demands, cold);
-
-  // Full blockage: not even gamma^1 survives a -40 dB hole, so downgrading
-  // must bottom out and fall back to dropping the transmissions.
-  std::vector<double> scales(sc.net.num_links(), 1.0);
-  scales[1] = 1e-4;
-  const net::Network blocked = sc.scaled(scales);
-  RepairStats stats;
-  const auto survivors = repair_pool(blocked, ckpt.pool, &stats, {},
-                                     RepairPolicy::kDowngradeRate);
-  EXPECT_GT(stats.transmissions_dropped + stats.dropped, 0);
-  EXPECT_EQ(stats.loaded, stats.survivors() + stats.dropped);
-  const check::ScheduleVerifier referee(blocked);
-  for (const auto& col : survivors) EXPECT_TRUE(referee.verify(col).ok());
-}
-
-TEST(CgResolve, RepairPolicyNamesAreStable) {
-  // CLI flags and BENCH json key off these names.
-  EXPECT_STREQ(to_string(RepairPolicy::kDropTransmissions), "drop");
-  EXPECT_STREQ(to_string(RepairPolicy::kDowngradeRate), "downgrade");
 }
 
 }  // namespace

@@ -15,7 +15,9 @@
 // never cost correctness and never crash.
 //
 //   chaos_soak [--seeds=N] [--seed-base=S] [--gops=G] [--links --channels
-//              --levels] [--p-block=p] [--out=BENCH_soak.json]
+//              --levels] [--p-block=p] [--dir=D] [--out=BENCH_soak.json]
+//   chaos_soak --fleet [--seeds=N] [--seed-base=S] [--requests=R] [--dir=D]
+//              [--out=FILE]
 //
 // --fleet switches to the fleet-serve soak: for every seed, a fleet::Server
 // run over a deterministic solve/resolve/stream request list is stopped
@@ -30,13 +32,16 @@
 // identically on the reference run so it stays comparable; persistence
 // faults must be absorbed by retry/degradation without touching records.
 //
-// Exit status: 0 when every seed's soak matched, 1 otherwise.  The JSON
-// report also records the saves and bytes written per seed.
+// Exit status: 0 when every seed's soak matched, 1 otherwise, and 2 for a
+// malformed or out-of-range flag value or a flag the chosen soak does not
+// accept.  The JSON report also records the saves and bytes written per
+// seed.
 #include <atomic>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -516,28 +521,47 @@ FleetSeedOutcome fleet_soak_seed(std::uint64_t seed, int leg,
 int main(int argc, char** argv) {
   common::CliFlags flags;
   flags.parse(argc, argv);
-  SoakSetup s;
-  s.links = static_cast<int>(flags.get_int("links", s.links));
-  s.channels = static_cast<int>(flags.get_int("channels", s.channels));
-  s.levels = static_cast<int>(flags.get_int("levels", s.levels));
-  s.gops = static_cast<int>(flags.get_int("gops", s.gops));
-  s.p_block = flags.get_double("p-block", s.p_block);
-  const int seeds = static_cast<int>(flags.get_int("seeds", 3));
-  const std::uint64_t seed_base =
-      static_cast<std::uint64_t>(flags.get_int("seed-base", 1));
+  // Strict flags: a malformed or out-of-range value, or a flag the chosen
+  // soak does not accept, exits 2 naming the flag before any work — never a
+  // soak of a configuration nobody asked for.
+  common::Status bad;
+  const auto int_flag = [&](const char* name, std::int64_t def,
+                            std::int64_t lo, std::int64_t hi) {
+    const auto v = flags.get_int_checked(name, def, lo, hi);
+    if (!v.ok() && bad.ok()) bad = v.status();
+    return v.ok() ? v.value() : def;
+  };
+  const bool fleet = flags.get_bool("fleet", false);
+  const int seeds = static_cast<int>(int_flag("seeds", 3, 1, 1 << 20));
+  const auto seed_base = static_cast<std::uint64_t>(
+      int_flag("seed-base", 1, 0, std::numeric_limits<std::int64_t>::max()));
   const std::string out_path = flags.get_string("out", "");
   const std::string dir = flags.get_string("dir", ".");
-  if (s.gops < 2 || seeds < 1) {
-    std::fprintf(stderr, "error: need --gops>=2 and --seeds>=1\n");
-    return 1;
+  SoakSetup s;
+  int n = 0;
+  if (fleet) {
+    n = static_cast<int>(int_flag("requests", 9, 2, 1 << 20));
+  } else {
+    s.links = static_cast<int>(int_flag("links", s.links, 1, 4096));
+    s.channels = static_cast<int>(int_flag("channels", s.channels, 1, 1024));
+    s.levels = static_cast<int>(int_flag("levels", s.levels, 1, 64));
+    s.gops = static_cast<int>(int_flag("gops", s.gops, 2, 1 << 20));
+    const auto p_block = flags.get_double_checked("p-block", s.p_block, 0.0,
+                                                  1.0);
+    if (!p_block.ok() && bad.ok()) bad = p_block.status();
+    if (p_block.ok()) s.p_block = p_block.value();
+  }
+  const std::vector<std::string> unread = flags.unread();
+  if (bad.ok() && !unread.empty()) {
+    bad = common::Status::Error(common::ErrorCode::kInvalidInput,
+                                "unknown flag --" + unread.front());
+  }
+  if (!bad.ok()) {
+    std::fprintf(stderr, "error: %s\n", bad.message().c_str());
+    return 2;
   }
 
-  if (flags.get_bool("fleet", false)) {
-    const int n = static_cast<int>(flags.get_int("requests", 9));
-    if (n < 2) {
-      std::fprintf(stderr, "error: --fleet needs --requests>=2\n");
-      return 1;
-    }
+  if (fleet) {
     std::vector<FleetSeedOutcome> outcomes;
     int total_mismatches = 0;
     for (int i = 0; i < seeds; ++i) {

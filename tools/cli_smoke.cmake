@@ -104,10 +104,11 @@ file(WRITE "${WORK_DIR}/good_spec.txt"
 run(0 "" solve --instance=${WORK_DIR}/good_spec.txt --pricing=heuristic)
 
 # --- checkpoint / resume / resolve ------------------------------------------
-# solve --checkpoint persists the pool; --resume reloads it (fingerprint
-# must match) and reports the repair outcome; resolve re-solves against a
-# perturbed instance.  A corrupt checkpoint degrades to a cold start with
-# exit 0 — robustness means the file can never make the solve fail.
+# solve --checkpoint persists the pool; --resume seeds it back when the
+# fingerprint matches and reports the seeded columns.  resolve on a
+# perturbed instance solves cold: only a checkpoint of the very same
+# instance seeds.  A corrupt checkpoint degrades to a cold start with exit
+# 0 — robustness means the file can never make the solve fail.
 set(CKPT "${WORK_DIR}/smoke.ckpt")
 file(REMOVE "${CKPT}")
 run(0 "checkpoint written to"
@@ -116,9 +117,9 @@ if(NOT EXISTS "${CKPT}")
   message(SEND_ERROR "solve --checkpoint did not write ${CKPT}")
   math(EXPR failures "${failures}+1")
 endif()
-run(0 "checkpoint: pool [0-9]+ loaded \\| [0-9]+ intact"
+run(0 "checkpoint: same instance, [1-9][0-9]* columns seeded"
     solve --links=4 --channels=2 --seed=3 --checkpoint=${CKPT} --resume)
-run(0 "checkpoint: pool [0-9]+ loaded"
+run(0 "checkpoint: unusable, cold start \\(checkpoint fingerprint differs"
     resolve --checkpoint=${CKPT} --links=4 --channels=2 --seed=3
             --block-links=0 --block-atten=0.05)
 run(2 "error: --resume requires --checkpoint"
@@ -126,7 +127,7 @@ run(2 "error: --resume requires --checkpoint"
 run(2 "error: resolve requires --checkpoint"
     resolve --links=4 --channels=2)
 # Every --block-links token must be an integer: a non-numeric token used to
-# block link 0.  --repair validates like any other enum flag.
+# block link 0.
 run(2 "error: --block-links: expected a comma-separated integer list"
     resolve --checkpoint=${CKPT} --links=4 --channels=2 --seed=3
             --block-links=x)
@@ -136,11 +137,22 @@ run(2 "error: --block-links: expected a comma-separated integer list"
 run(2 "error: --block-links: link 4 outside \\[0, 4\\)"
     resolve --checkpoint=${CKPT} --links=4 --channels=2 --seed=3
             --block-links=4)
-run(0 "checkpoint: pool [0-9]+ loaded"
+# There is no repair step left to choose a policy for.
+run(2 "error: unknown flag --repair"
     resolve --checkpoint=${CKPT} --links=4 --channels=2 --seed=3
             --block-links=0 --repair=downgrade)
-run(2 "error: --repair: expected drop\\|downgrade"
-    resolve --checkpoint=${CKPT} --links=4 --channels=2 --repair=polish)
+# --update saves the blocked instance's state, so the next resolve under
+# the same blockage is a matched warm start.
+set(UPD "${WORK_DIR}/smoke_update.ckpt")
+file(REMOVE "${UPD}")
+run(0 "checkpoint written to"
+    solve --links=4 --channels=2 --seed=3 --checkpoint=${UPD})
+run(0 "checkpoint: unusable, cold start.*checkpoint written to"
+    resolve --checkpoint=${UPD} --links=4 --channels=2 --seed=3
+            --block-links=1 --update)
+run(0 "checkpoint: same instance, [1-9][0-9]* columns seeded"
+    resolve --checkpoint=${UPD} --links=4 --channels=2 --seed=3
+            --block-links=1 --update)
 file(WRITE "${WORK_DIR}/corrupt.ckpt" "mmwave-cg-checkpoint v1\nchecksum = 0x0123456789abcdef\nnot a checkpoint\n")
 run(0 "checkpoint: unusable, cold start"
     solve --links=4 --channels=2 --seed=3

@@ -8,8 +8,8 @@
 //       warm-start hit rate, greedy/MILP pricing); --warm-start=0 forces
 //       cold two-phase master solves for A/B comparison.  --checkpoint
 //       saves the solver state (column pool, duals, bounds) after the
-//       solve; --resume additionally warm-starts from that file first,
-//       requiring its fingerprint to match the instance (a mismatched or
+//       solve; --resume additionally warm-starts from that file first
+//       when its fingerprint matches the instance (a mismatched or
 //       corrupt checkpoint degrades to a cold start, never an error).
 //   mmwave_cli compare [instance flags]
 //       Run CG, Benchmark 1, Benchmark 2 and TDMA on the same instance and
@@ -24,13 +24,13 @@
 //       after each period and --resume continues from it.
 //   mmwave_cli resolve --checkpoint=FILE [instance flags]
 //                      [--block-links=0,3] [--block-atten=a] [--update]
-//                      [--repair=drop|downgrade]
-//       Warm re-solve from a saved checkpoint against the (optionally
-//       perturbed) instance: blocked links attenuate all paths into their
-//       receivers by --block-atten, the pooled columns are repaired against
-//       the perturbed gains, and CG runs warm from the survivors.  An
-//       unusable checkpoint falls back to a cold solve.  --update rewrites
-//       the checkpoint with the new state afterwards.
+//       Re-solve the (optionally perturbed) instance: blocked links
+//       attenuate all paths into their receivers by --block-atten.  A
+//       checkpoint of this very instance seeds CG with its verified
+//       columns; any other checkpoint (a different blockage, an unreadable
+//       file) means a cold solve.  --update rewrites the checkpoint with
+//       the new state afterwards, so the next resolve under the same
+//       blockage starts warm.
 //   mmwave_cli check   [instance flags]
 //       Solve with the certificate checkers enabled (CgOptions::verify) and
 //       independently re-verify the emitted plan; exit non-zero on any
@@ -248,30 +248,11 @@ Instance build_instance(const InstanceFlags& f) {
   return {std::move(net), std::move(demands)};
 }
 
-/// --repair (resolve): how SINR-violated pooled transmissions are fixed
-/// (drop them, or first step down the rate ladder — core::RepairPolicy).
-[[nodiscard]] common::Expected<core::RepairPolicy> parse_repair_flag(
-    const common::CliFlags& flags) {
-  const std::string repair = flags.get_string("repair", "drop");
-  if (repair == "drop") return core::RepairPolicy::kDropTransmissions;
-  if (repair == "downgrade") return core::RepairPolicy::kDowngradeRate;
-  return common::Status::Error(
-      common::ErrorCode::kInvalidInput,
-      "--repair: expected drop|downgrade, got '" + repair + "'");
-}
-
-/// Prints the outcome of a checkpoint-assisted solve's repair pass.
+/// Prints whether a checkpoint seeded the solve or it ran cold.
 void report_checkpoint_use(const core::ResolveResult& r) {
   if (r.used_checkpoint) {
-    std::printf("checkpoint: pool %d loaded | %d intact | %d repaired "
-                "(%d transmissions dropped, %d downgraded) | %d dropped | "
-                "hit rate %.0f%%\n",
-                r.repair.loaded, r.repair.intact, r.repair.repaired,
-                r.repair.transmissions_dropped,
-                r.repair.transmissions_downgraded, r.repair.dropped,
-                100.0 * r.repair.hit_rate());
-    if (!r.fingerprint_matched)
-      std::printf("checkpoint: fingerprint differs (perturbed instance)\n");
+    std::printf("checkpoint: same instance, %d columns seeded\n",
+                r.cg.profile.warm_pool_columns);
   } else {
     std::printf("checkpoint: unusable, cold start (%s)\n",
                 r.checkpoint_status.message().c_str());
@@ -325,12 +306,8 @@ int cmd_solve(const common::CliFlags& flags) {
   opts.warm_start_master = warm_start.value() != 0;
   core::CgResult result;
   if (resume) {
-    // --resume asserts the instance is the one checkpointed, so the
-    // fingerprint must match; anything else degrades to a cold start.
-    core::ResolveOptions ropts;
-    ropts.require_fingerprint_match = true;
-    const core::ResolveResult r = core::resolve_from_file(
-        ckpt_path, inst.net, inst.demands, opts, ropts);
+    const core::ResolveResult r =
+        core::resolve_from_file(ckpt_path, inst.net, inst.demands, opts);
     report_checkpoint_use(r);
     result = r.cg;
   } else {
@@ -632,12 +609,10 @@ int cmd_resolve(const common::CliFlags& flags) {
     std::fprintf(stderr, "error: %s\n", atten.status().message().c_str());
     return kExitInvalidInput;
   }
-  const auto repair = parse_repair_flag(flags);
   const auto blocked_flag = flags.get_int_list_checked("block-links", {});
-  if (!repair.ok() || !blocked_flag.ok()) {
-    const common::Status& bad =
-        repair.ok() ? blocked_flag.status() : repair.status();
-    std::fprintf(stderr, "error: %s\n", bad.message().c_str());
+  if (!blocked_flag.ok()) {
+    std::fprintf(stderr, "error: %s\n",
+                 blocked_flag.status().message().c_str());
     return kExitInvalidInput;
   }
   const std::vector<std::int64_t>& blocked = blocked_flag.value();
@@ -671,10 +646,8 @@ int cmd_resolve(const common::CliFlags& flags) {
   opts.pricing = f.pricing;
   opts.lp_pricing = f.lp_pricing;
   opts.deadline_sec = f.deadline_sec;
-  core::ResolveOptions ropts;
-  ropts.repair = repair.value();
   const core::ResolveResult r =
-      core::resolve_from_file(ckpt_path, net, demands, opts, ropts);
+      core::resolve_from_file(ckpt_path, net, demands, opts);
   report_checkpoint_use(r);
   const int health = report_solve_health(r.cg);
   if (health == kExitInvalidInput) return health;
@@ -956,11 +929,10 @@ int main(int argc, char** argv) {
       "          --buffer-rebuffer=s --buffer-target=s (playout thresholds)\n"
       "          --buffer-boost=g --buffer-yield=y (drain-risk shaping)\n"
       "  resolve requires --checkpoint=FILE; also accepts\n"
-      "          --block-links=0,3 --block-atten=a --update: repairs the\n"
-      "          saved column pool against the perturbed instance and\n"
-      "          re-solves warm (corrupt/mismatched checkpoint = cold start)\n"
-      "          --repair=drop|downgrade (step SINR-violated transmissions\n"
-      "          down the rate ladder instead of dropping them)\n"
+      "          --block-links=0,3 --block-atten=a --update: re-solves the\n"
+      "          blocked instance, warm only from a checkpoint of that same\n"
+      "          instance (any other or corrupt checkpoint = cold start);\n"
+      "          --update saves the new state for the next resolve\n"
       "  check   runs the solve under the certificate checkers and exits\n"
       "          non-zero on any violated certificate\n"
       "  serve   fleet daemon: --requests=FILE|FIFO|- (JSON lines)\n"

@@ -19,8 +19,9 @@
 #                                         (google-benchmark) on the plain
 #                                         build; writes BENCH_cg.json
 #                                         (warm/cold CG master comparison)
-#                                         and BENCH_resolve.json (checkpoint
-#                                         restart/repair economics)
+#                                         and BENCH_resolve.json (same-
+#                                         instance checkpoint restart vs
+#                                         cold, checkpoint round trip)
 #   7. robustness                         fault-injection + anytime-contract
 #                                         + checkpoint/resolve suites
 #                                         and the simplex/LU suites (their
