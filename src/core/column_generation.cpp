@@ -308,15 +308,23 @@ CgResult solve_cg_impl(const net::Network& net,
         solve_pricing_milp(net, lhp, llp, exact, warm, &pricing_cache);
     prof.milp_seconds += seconds_since(t0);
     ++prof.milp_calls;
+    prof.milp_nodes += r.milp_nodes;
+    prof.milp_lp_pivots += r.milp_lp_pivots;
     return r;
   };
 
   /// Per-call exact-pricing options under the deadline: the MILP budget
   /// shrinks with the remaining wall clock so one call can never blow
   /// through the deadline.  `full` disables the early-stop target
-  /// (escalated / certification calls).
+  /// (escalated / certification calls).  Every call but those of
+  /// ExactAlways (which promises an exact Phi each iteration, Fig. 4)
+  /// stops once its bound proves Psi <= 1 + eps: that settles "no
+  /// improving column" without closing the gap to the optimal Psi.
   const auto budgeted_exact = [&](bool full) {
     MilpPricingOptions exact = options.exact;
+    exact.milp.cutoff = options.pricing == PricingMode::ExactAlways
+                            ? std::nan("")
+                            : 1.0 + options.eps;
     if (!full && options.exact_early_stop) {
       // Any column comfortably below zero reduced cost will do.
       exact.target_psi = 1.0 + 1e-4;

@@ -156,8 +156,10 @@ struct IterationStat {
   /// MP objective (upper bound on the P1 optimum), slots.
   double master_objective = 0.0;
   /// Most negative reduced cost Phi = 1 - Psi of this iteration's pricing.
-  /// Exact only when `exact_pricing`; otherwise it is the reduced cost of
-  /// the best column the heuristic found (an upper bound on the true Phi).
+  /// Exact when `exact_pricing` and the MILP ran to optimality (always so
+  /// under PricingMode::ExactAlways; a MILP stopped at its cutoff certifies
+  /// only Phi >= -eps); otherwise it is the reduced cost of the best column
+  /// found (an upper bound on the true Phi).
   double phi = 0.0;
   /// Theorem-1 lower bound (NaN when no valid bound this iteration).
   double lower_bound = std::nan("");
@@ -185,6 +187,10 @@ struct CgProfile {
   int master_warm_hits = 0;
   int greedy_calls = 0;
   int milp_calls = 0;
+  /// Branch-and-bound nodes and simplex pivots over all node LPs (the root
+  /// included) across every exact-pricing call.
+  std::int64_t milp_nodes = 0;
+  std::int64_t milp_lp_pivots = 0;
   /// Warm-pool columns accepted into / rejected from the initial master
   /// (CgOptions::warm_pool; rejected = failed re-validation or duplicate).
   int warm_pool_columns = 0;

@@ -6,6 +6,7 @@
 // A schedule improves the master iff Psi > 1.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
@@ -21,12 +22,19 @@ struct PricingResult {
   /// when the pricing was solved to optimality; +inf when the solver can
   /// certify nothing (e.g. the greedy heuristic).
   double psi_upper_bound = 0.0;
-  bool exact = false;          ///< psi_upper_bound == optimal Psi
+  /// psi_upper_bound certifies the verdict: it is the optimal Psi, or (a
+  /// MILP stopped at its cutoff) a bound no greater than the cutoff, which
+  /// proves that no schedule beats it.
+  bool exact = false;
   /// Structured failure detail: Ok for a clean (heuristic or exact) solve,
   /// kLimitHit for a truncated MILP, kNumericalBreakdown when the oracle
   /// itself failed.  A non-ok status can still carry a usable schedule and
   /// a valid psi_upper_bound.
   common::Status status;
+  /// Branch-and-bound work of an exact (MILP) pricing call: nodes solved
+  /// and simplex pivots over all node LPs; 0 for the heuristic.
+  std::int64_t milp_nodes = 0;
+  std::int64_t milp_lp_pivots = 0;
 };
 
 }  // namespace mmwave::core

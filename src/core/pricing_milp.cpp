@@ -350,6 +350,8 @@ PricingResult solve_pricing_milp(const net::Network& net,
     milp_opts.target_objective = options.target_psi;
   const milp::MilpSolution sol =
       milp::solve_milp(c.model_, milp_opts, have_warm ? &warm : nullptr);
+  out.milp_nodes = sol.nodes;
+  out.milp_lp_pivots = sol.lp_pivots;
 
   if (!sol.has_solution()) {
     MMWAVE_LOG_WARN << "pricing MILP returned " << milp::to_string(sol.status);
@@ -371,7 +373,10 @@ PricingResult solve_pricing_milp(const net::Network& net,
   out.psi_upper_bound = sol.status == milp::MilpStatus::Optimal
                             ? sol.objective
                             : sol.best_bound;
-  out.exact = sol.status == milp::MilpStatus::Optimal;
+  // A Cutoff exit is as good a certificate as an optimal one: its bound
+  // proves that no schedule beats the cutoff.
+  out.exact = sol.status == milp::MilpStatus::Optimal ||
+              sol.status == milp::MilpStatus::Cutoff;
   out.found = out.psi > 1.0 + 1e-7;
   // A TargetReached exit is a deliberate early stop, not a failure; only a
   // genuine limit truncation is surfaced to the driver.

@@ -51,9 +51,9 @@ class LuFactor {
   /// contract the dense engine's failed refactorization has.
   bool factorize(int m, const std::vector<const Column*>& columns);
 
-  /// Installs the trivial factorization of a diagonal basis (the signed
-  /// all-artificial phase-1 start) in O(m), clearing the eta file.  Every
-  /// `diag` entry must be nonzero.
+  /// Installs the trivial factorization of a diagonal basis (the simplex's
+  /// crash start of slacks and signed artificials) in O(m), clearing the
+  /// eta file.  Every `diag` entry must be nonzero.
   void reset_diagonal(const std::vector<double>& diag);
 
   /// Appends the product-form eta of a pivot: d = B^{-1} a_entering

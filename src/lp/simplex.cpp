@@ -36,8 +36,8 @@ class BasisEngine {
   /// false on a singular basis; the previous factorization stays usable.
   virtual bool refactorize(
       const std::vector<const std::vector<Term>*>& columns) = 0;
-  /// O(m) install of a diagonal basis (the signed all-artificial start);
-  /// `diag` holds the matrix diagonal itself.
+  /// O(m) install of a diagonal basis (the crash start: slacks and signed
+  /// artificials); `diag` holds the matrix diagonal itself.
   virtual void reset_diagonal(const std::vector<double>& diag) = 0;
   /// d = B^{-1} a for a sparse column a.
   virtual void ftran_column(const std::vector<Term>& a,
@@ -372,8 +372,11 @@ class Simplex {
     deadline_stride_ = std::max(1, options_.deadline_check_stride);
   }
 
-  /// Places all structural/slack variables at a finite bound (or 0 if free),
-  /// installs signed artificials as the starting basis.
+  /// Places all structural/slack variables at a finite bound (or 0 if free)
+  /// and crashes the starting basis: row i's slack is basic whenever it can
+  /// absorb the row's residual within its own bounds, and only the other
+  /// rows get a signed artificial.  The artificial of a slack-covered row is
+  /// pinned at [0, 0] so phase 1 never prices it in.
   void init_basis() {
     xval_.assign(num_cols_, 0.0);
     state_.assign(num_cols_, VarState::AtLower);
@@ -398,39 +401,57 @@ class Simplex {
 
     basis_.resize(m_);
     for (int i = 0; i < m_; ++i) {
+      const int sj = n_slack_start_ + i;
       const int aj = n_art_start_ + i;
       const double sign = residual[i] >= 0.0 ? 1.0 : -1.0;
       cols_[aj].clear();
       cols_[aj].emplace_back(i, sign);
+      // Every slack rests at 0 here, so taking the residual keeps it
+      // within bounds exactly when lb <= residual <= ub.
+      if (lb_[sj] <= residual[i] && residual[i] <= ub_[sj]) {
+        basis_[i] = sj;
+        state_[sj] = VarState::Basic;
+        xval_[sj] = residual[i];
+        lb_[aj] = 0.0;
+        ub_[aj] = 0.0;
+        continue;
+      }
       lb_[aj] = 0.0;
       ub_[aj] = kInfinity;
       basis_[i] = aj;
       state_[aj] = VarState::Basic;
       xval_[aj] = std::abs(residual[i]);
     }
-    // The all-artificial basis matrix is diagonal (+/-1), so both engines
-    // install it in O(m) instead of running a generic refactorization —
-    // which for a few-thousand-row LP costs more than an entire budgeted
-    // solve.
+    // The crash basis matrix is diagonal (slacks +1, artificials +/-1), so
+    // both engines install it in O(m) instead of running a generic
+    // refactorization — which for a few-thousand-row LP costs more than an
+    // entire budgeted solve.
     diag_.resize(m_);
     for (int i = 0; i < m_; ++i) diag_[i] = cols_[basis_[i]].front().second;
     engine_->reset_diagonal(diag_);
     pivots_since_refactor_ = 0;
   }
 
-  /// The original cold path: phase 1 from an all-artificial basis, then
+  /// The cold path: phase 1 from the crash basis (skipped when no
+  /// artificial is basic, i.e. the slack basis is already feasible), then
   /// phase 2 with the artificials pinned to zero.
   SolveStatus run_two_phase() {
     init_basis();
 
     // Phase 1: minimize the sum of artificial values.
-    phase1_ = true;
-    SolveStatus st = iterate();
-    if (st != SolveStatus::Optimal) {
-      return st == SolveStatus::Unbounded ? SolveStatus::NumericalError : st;
-    }
-    if (phase1_objective() > 1e-6 * (1.0 + rhs_scale_)) {
-      return SolveStatus::Infeasible;
+    const bool any_artificial = std::any_of(
+        basis_.begin(), basis_.end(), [&](int j) { return j >= n_art_start_; });
+    if (any_artificial) {
+      phase1_ = true;
+      const std::int64_t start = iterations_;
+      const SolveStatus st = iterate();
+      stats_.phase1_pivots = iterations_ - start;
+      if (st != SolveStatus::Optimal) {
+        return st == SolveStatus::Unbounded ? SolveStatus::NumericalError : st;
+      }
+      if (phase1_objective() > 1e-6 * (1.0 + rhs_scale_)) {
+        return SolveStatus::Infeasible;
+      }
     }
 
     // Phase 2: fix artificials at zero and optimize the true objective.

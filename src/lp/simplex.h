@@ -5,8 +5,12 @@
 // multipliers (dual values), which drive the column-generation pricing step.
 //
 // Implementation notes:
-//  * Computational form: every row gets a slack (bounds encode the sense);
-//    phase 1 adds signed artificials and minimizes their sum.
+//  * Computational form: every row gets a slack (bounds encode the sense).
+//    A cold solve crashes the starting basis: each row's slack is basic
+//    when it can absorb the row's residual within its bounds, and only the
+//    remaining rows get a signed artificial.  Phase 1 minimizes the sum of
+//    those artificials and is skipped when the slack basis is feasible,
+//    as in the pricing MILP's relaxations (all <= rows with b >= 0).
 //  * Bounds are handled by the upper-bounded simplex technique (nonbasic
 //    variables rest at either bound; the ratio test allows bound flips), so
 //    binaries and power caps never cost extra rows.
@@ -80,6 +84,9 @@ struct LpStats {
   std::int64_t btran_calls = 0;
   /// Full basis (re)factorizations, including the warm-start install.
   int refactorizations = 0;
+  /// Pivots spent in phase 1 (0 when the crash basis was already feasible
+  /// or the solve resumed from a WarmStart).
+  std::int64_t phase1_pivots = 0;
   /// Name of the pricing rule that ran ("dantzig" | "steepest-edge").
   const char* pricing_rule = "";
 };

@@ -87,6 +87,7 @@ class BranchAndBound {
     std::priority_queue<Node, std::vector<Node>, NodeOrder> open;
     {
       lp::LpSolution root = solve_node(nullptr);
+      sol.lp_pivots = lp_pivots_;
       if (root.status == lp::SolveStatus::Infeasible) {
         sol.status = MilpStatus::Infeasible;
         sol.error = common::Status::Error(common::ErrorCode::kInfeasible,
@@ -132,7 +133,14 @@ class BranchAndBound {
     }
 
     bool limit_hit = false;
+    bool cutoff_hit = false;
     while (!open.empty()) {
+      // Checked first: a bound that already answers the caller's question
+      // beats a budget stop, and it only ever reads the open bound.
+      if (cutoff_reached(open.top().lp_bound)) {
+        cutoff_hit = true;
+        break;
+      }
       if (nodes_ >= options_.max_nodes || elapsed() > options_.time_limit_sec) {
         limit_hit = true;
         break;
@@ -169,13 +177,23 @@ class BranchAndBound {
     }
 
     sol.nodes = nodes_;
+    sol.lp_pivots = lp_pivots_;
     const double open_bound =
         open.empty() ? (have_incumbent_
                             ? incumbent_obj_
                             : std::numeric_limits<double>::infinity())
                      : open.top().lp_bound;
 
-    if (have_incumbent_) {
+    if (cutoff_hit) {
+      // No open node can beat the cutoff: the better of the best open
+      // bound and the incumbent is a valid dual bound.
+      sol.status = MilpStatus::Cutoff;
+      sol.best_bound = user_value(std::min(open_bound, incumbent_obj_));
+      if (have_incumbent_) {
+        sol.x = incumbent_;
+        sol.objective = user_value(incumbent_obj_);
+      }
+    } else if (have_incumbent_) {
       sol.x = incumbent_;
       sol.objective = user_value(incumbent_obj_);
       if (target_met()) {
@@ -225,6 +243,17 @@ class BranchAndBound {
     return 1e-9 * (1.0 + std::abs(incumbent_obj_));
   }
 
+  /// True when the best open bound `bound` (internal sense) can no longer
+  /// beat the cutoff and neither does the incumbent.  An incumbent that
+  /// beats the cutoff leaves the search to the ordinary incumbent pruning,
+  /// so such a model solves exactly as without a cutoff.
+  bool cutoff_reached(double bound) const {
+    if (std::isnan(options_.cutoff)) return false;
+    const double cutoff = internal_value(options_.cutoff);
+    if (have_incumbent_ && incumbent_obj_ < cutoff) return false;
+    return bound >= cutoff;
+  }
+
   bool target_met() const {
     if (!have_incumbent_ || std::isnan(options_.target_objective)) return false;
     return incumbent_obj_ <=
@@ -253,7 +282,10 @@ class BranchAndBound {
         node_options.time_limit_sec = remaining;
       }
     }
-    return lp::solve_lp_with_bounds(model_.lp(), lb, ub, node_options);
+    lp::LpSolution rel =
+        lp::solve_lp_with_bounds(model_.lp(), lb, ub, node_options);
+    lp_pivots_ += rel.iterations;
+    return rel;
   }
 
   /// Handles an LP-feasible relaxation: either fathoms it as a new incumbent,
@@ -349,6 +381,7 @@ class BranchAndBound {
   double incumbent_obj_ = std::numeric_limits<double>::infinity();
   std::vector<double> incumbent_;
   std::int64_t nodes_ = 0;
+  std::int64_t lp_pivots_ = 0;
   Clock::time_point start_;
 };
 
@@ -359,6 +392,7 @@ const char* to_string(MilpStatus status) {
     case MilpStatus::Optimal: return "Optimal";
     case MilpStatus::Feasible: return "Feasible";
     case MilpStatus::TargetReached: return "TargetReached";
+    case MilpStatus::Cutoff: return "Cutoff";
     case MilpStatus::Infeasible: return "Infeasible";
     case MilpStatus::NoSolution: return "NoSolution";
     case MilpStatus::Unbounded: return "Unbounded";

@@ -11,7 +11,12 @@
 //     pricing still yields correct Theorem-1 lower bounds;
 //   * optional target objective: stop as soon as the incumbent is good
 //     enough (column generation only needs *an* improving column until the
-//     final optimality certificate).
+//     final optimality certificate);
+//   * optional cutoff: stop as soon as the best open bound proves that no
+//     point beats the cutoff (the pricing sub-problem only has to decide
+//     whether some schedule has Psi > 1 + eps).  The verdict then rests on
+//     LP bound values alone, which every optimal vertex of a node LP
+//     shares, so it does not depend on which vertex the simplex returns.
 #pragma once
 
 #include <cmath>
@@ -73,6 +78,7 @@ enum class MilpStatus {
   Optimal,
   Feasible,     ///< limit hit; incumbent + valid bound reported
   TargetReached,///< stopped early because the incumbent met target_objective
+  Cutoff,       ///< best open bound proved nothing beats MilpOptions::cutoff
   Infeasible,
   NoSolution,   ///< limit hit before any incumbent was found
   Unbounded,
@@ -90,6 +96,12 @@ struct MilpOptions {
   /// If finite: stop as soon as the incumbent objective reaches this value
   /// (>= for Maximize models, <= for Minimize).
   double target_objective = std::nan("");
+  /// If finite: stop as soon as the best open bound is no better than this
+  /// value (<= for Maximize models, >= for Minimize) while the incumbent
+  /// does not beat it either, and report Cutoff with that bound as
+  /// best_bound.  A model whose optimum beats the cutoff solves exactly as
+  /// without one.
+  double cutoff = std::nan("");
   /// How time_limit_sec is enforced.  false (default): advisory — checked
   /// between branch-and-bound nodes only, so an individual node LP (in
   /// particular the root relaxation) always runs to completion and a
@@ -111,14 +123,20 @@ struct MilpSolution {
   double best_bound = 0.0;
   std::vector<double> x;
   std::int64_t nodes = 0;
-  /// Structured failure detail: Ok on Optimal/TargetReached, kLimitHit on
-  /// truncated exits (Feasible/NoSolution — the reported best_bound is
-  /// still valid), kNumericalBreakdown when the root LP failed.
+  /// Simplex pivots summed over every node LP, the root included.
+  std::int64_t lp_pivots = 0;
+  /// Structured failure detail: Ok on Optimal/TargetReached/Cutoff,
+  /// kLimitHit on truncated exits (Feasible/NoSolution — the reported
+  /// best_bound is still valid), kNumericalBreakdown when the root LP
+  /// failed.
   common::Status error;
 
+  /// True when `x` holds an incumbent.  A Cutoff exit has one unless the
+  /// search stopped before any feasible point was known.
   bool has_solution() const {
     return status == MilpStatus::Optimal || status == MilpStatus::Feasible ||
-           status == MilpStatus::TargetReached;
+           status == MilpStatus::TargetReached ||
+           (status == MilpStatus::Cutoff && !x.empty());
   }
   /// Relative optimality gap; 0 when solved to optimality.
   double gap() const {

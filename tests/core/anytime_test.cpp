@@ -113,11 +113,12 @@ TEST(CgAnytime, PricingMilpNoSolutionDegradesWithUsablePlan) {
 // so the run either converges honestly or degrades with LB <= UB.
 // ---------------------------------------------------------------------------
 TEST(CgAnytime, MilpTruncationKeepsBoundsValid) {
-  // This instance is picked so the pricing MILPs genuinely branch: a
-  // root-integral pricing problem never reaches the node-loop fault site
-  // and can still produce an honest exact certificate despite the fault.
-  const auto net = make_net(1, 12, 2, 2);
-  const auto demands = random_demands(net, 1);
+  // This instance is picked so the final (certifying) pricing MILP
+  // genuinely branches: a pricing problem that closes at the root never
+  // reaches the node-loop fault site and still produces an honest exact
+  // certificate despite the fault.
+  const auto net = make_net(4, 12, 2, 2);
+  const auto demands = random_demands(net, 4);
   common::FaultInjector inj(7);
   inj.arm(common::faults::kMilpTruncate);
   common::FaultScope scope(inj);
@@ -127,6 +128,13 @@ TEST(CgAnytime, MilpTruncationKeepsBoundsValid) {
   const auto result = solve_column_generation(net, demands, opts);
   ASSERT_GT(inj.fired(common::faults::kMilpTruncate), 0)
       << "scenario did not bite: pricing never reached the node loop";
+  // The fault fired on the certifying call: the last pricing round saw no
+  // improving column but came back truncated instead of exact (ExactAlways
+  // with the default limits truncates only through the fault here).
+  ASSERT_FALSE(result.history.empty());
+  EXPECT_FALSE(result.history.back().exact_pricing)
+      << "the certifying call closed honestly; the fault did not reach it";
+  EXPECT_GE(result.history.back().phi, -opts.eps);
   ASSERT_TRUE(result.degraded);
   EXPECT_TRUE(result.stop_reason == CgStopReason::kPricingFailure ||
               result.stop_reason == CgStopReason::kStalled)

@@ -151,7 +151,12 @@ TEST_P(CgVsExhaustive, MatchesExhaustiveOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CgVsExhaustive, ::testing::Range(0, 12));
 
+// Also reads the B&B work counters of CgProfile: the hybrid's exact calls
+// stop once the bound proves Psi <= 1 + eps, so its certification closes
+// at the root, while ExactAlways closes the gap to the optimal Psi at
+// every iteration and has to branch.
 TEST(ColumnGeneration, HeuristicThenExactMatchesExactAlways) {
+  std::int64_t exact_branch_nodes = 0;
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const auto net = make_net(seed + 60, 4, 2, 2);
     const auto demands = random_demands(net, seed + 60);
@@ -166,7 +171,14 @@ TEST(ColumnGeneration, HeuristicThenExactMatchesExactAlways) {
     EXPECT_NEAR(hybrid.total_slots, exact.total_slots,
                 1e-5 * (1.0 + exact.total_slots))
         << "seed " << seed;
+    ASSERT_GT(hybrid.profile.milp_calls, 0) << "seed " << seed;
+    EXPECT_EQ(hybrid.profile.milp_nodes, hybrid.profile.milp_calls)
+        << "seed " << seed;
+    EXPECT_GT(hybrid.profile.milp_lp_pivots, 0) << "seed " << seed;
+    EXPECT_GE(exact.profile.milp_nodes, exact.profile.milp_calls);
+    exact_branch_nodes += exact.profile.milp_nodes - exact.profile.milp_calls;
   }
+  EXPECT_GT(exact_branch_nodes, 0);
 }
 
 TEST(ColumnGeneration, HeuristicOnlyIsUpperBound) {

@@ -156,6 +156,59 @@ TEST(MilpPricing, TargetPsiStopsEarlyWithImprovingColumn) {
   }
 }
 
+// Column generation stops its exact-pricing calls once the bound proves
+// Psi <= 1 + eps.  That must not change the verdict: on random duals the
+// cut and the uncut MILP agree on whether a column with Psi > 1 + eps
+// exists, an existing one is found exactly as without the cutoff, and a
+// "none" comes with a bound that proves it.  Psi* is linear in the duals,
+// so rescaling random duals by r / Psi* puts the optimum at r, around 1.
+TEST(MilpPricing, CutoffAgreesWithUncutOnRandomDuals) {
+  const double eps = CgOptions().eps;
+  common::Rng rng(0xD0A15);
+  int improving = 0;
+  int none = 0;
+  int stopped_early = 0;
+  for (std::uint64_t seed = 0; seed < 30; ++seed) {
+    const auto net = make_net(seed + 200,
+                              static_cast<int>(rng.uniform_int(3, 5)),
+                              static_cast<int>(rng.uniform_int(1, 3)), 3);
+    std::vector<video::LinkDemand> demands(net.num_links(), {1000.0, 500.0});
+    auto mp = tdma_duals(net, demands);
+    for (double& v : mp.lambda_hp) v *= rng.uniform(0.5, 1.5);
+    for (double& v : mp.lambda_lp) v *= rng.uniform(0.5, 1.5);
+    const auto base = solve_pricing_milp(net, mp.lambda_hp, mp.lambda_lp);
+    ASSERT_TRUE(base.exact) << "seed " << seed;
+    if (base.psi <= 0.0) continue;
+    const double scale = rng.uniform(0.7, 1.3) / base.psi;
+    for (double& v : mp.lambda_hp) v *= scale;
+    for (double& v : mp.lambda_lp) v *= scale;
+
+    const auto uncut = solve_pricing_milp(net, mp.lambda_hp, mp.lambda_lp);
+    MilpPricingOptions opts;
+    opts.milp.cutoff = 1.0 + eps;
+    const auto cut =
+        solve_pricing_milp(net, mp.lambda_hp, mp.lambda_lp, opts);
+    ASSERT_TRUE(uncut.exact) << "seed " << seed;
+    ASSERT_TRUE(cut.exact) << "seed " << seed;
+    EXPECT_LE(cut.milp_nodes, uncut.milp_nodes) << "seed " << seed;
+    if (cut.milp_nodes < uncut.milp_nodes) ++stopped_early;
+    const bool exists = uncut.psi > 1.0 + eps;
+    EXPECT_EQ(cut.psi > 1.0 + eps, exists) << "seed " << seed;
+    EXPECT_GE(cut.psi_upper_bound, uncut.psi - 1e-9) << "seed " << seed;
+    if (exists) {
+      ++improving;
+      EXPECT_EQ(cut.psi, uncut.psi) << "seed " << seed;
+      EXPECT_EQ(cut.milp_nodes, uncut.milp_nodes) << "seed " << seed;
+    } else {
+      ++none;
+      EXPECT_LE(cut.psi_upper_bound, 1.0 + eps) << "seed " << seed;
+    }
+  }
+  EXPECT_GT(improving, 5);
+  EXPECT_GT(none, 5);
+  EXPECT_GT(stopped_early, 0) << "the cutoff never shortened a search";
+}
+
 TEST(MilpPricing, CleanPowersAreMinimal) {
   const auto net = make_net(16, 3, 2, 2);
   std::vector<video::LinkDemand> demands(net.num_links(), {1000.0, 500.0});

@@ -25,6 +25,10 @@ TEST(Milp, PureLpPassesThrough) {
   MilpSolution sol = solve_milp(m);
   EXPECT_EQ(sol.status, MilpStatus::Optimal);
   EXPECT_NEAR(sol.objective, 36.0, 1e-7);
+  // One node, whose LP pivots are all MilpSolution::lp_pivots counts.
+  EXPECT_EQ(sol.nodes, 1);
+  EXPECT_EQ(sol.lp_pivots, lp::solve_lp(m.lp()).iterations);
+  EXPECT_GT(sol.lp_pivots, 0);
 }
 
 TEST(Milp, SimpleIntegerRounding) {
@@ -37,6 +41,10 @@ TEST(Milp, SimpleIntegerRounding) {
   ASSERT_EQ(sol.status, MilpStatus::Optimal);
   EXPECT_NEAR(sol.objective, 3.0, 1e-9);
   EXPECT_NEAR(sol.x[x], 3.0, 1e-9);
+  // The root branches, and lp_pivots adds the x <= 3 child's pivots to the
+  // root LP's.
+  EXPECT_GT(sol.nodes, 1);
+  EXPECT_GT(sol.lp_pivots, lp::solve_lp(m.lp()).iterations);
 }
 
 TEST(Milp, KnapsackAgainstDp) {

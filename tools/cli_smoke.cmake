@@ -59,6 +59,10 @@ run(0 "lp engine +pricing=steepest-edge.*ftran.*btran.*refactorizations"
     solve --links=4 --channels=2 --pricing=heuristic,steepest --profile)
 run(0 "lp engine +pricing=dantzig"
     solve --links=4 --channels=2 --pricing=heuristic --profile)
+# The certification MILP's branch-and-bound work: at least one node, and
+# the counters print even when every node LP started feasible.
+run(0 "milp b&b +[1-9][0-9]* nodes, [0-9]+ node-LP pivots"
+    solve --links=4 --channels=2 --profile)
 run(2 "error: --pricing: expected heuristic\\|hybrid\\|exact"
     solve --links=4 --pricing=hybrid,quantum)
 

@@ -5,7 +5,8 @@
 //       Solve one instance with column generation; print the solution and
 //       optionally dump the (schedule, tau) plan as CSV.  --profile prints
 //       the per-phase wall-clock breakdown (master solves, pivots,
-//       warm-start hit rate, greedy/MILP pricing); --warm-start=0 forces
+//       warm-start hit rate, greedy/MILP pricing, the MILP's B&B nodes
+//       and node-LP pivots); --warm-start=0 forces
 //       cold two-phase master solves for A/B comparison.  --checkpoint
 //       saves the solver state (column pool, duals, bounds) after the
 //       solve; --resume additionally warm-starts from that file first
@@ -362,6 +363,9 @@ int cmd_solve(const common::CliFlags& flags) {
                 1e3 * p.greedy_seconds, p.greedy_calls);
     std::printf("  pricing_milp    %8.3f ms  (%d calls)\n",
                 1e3 * p.milp_seconds, p.milp_calls);
+    std::printf("  milp b&b        %lld nodes, %lld node-LP pivots\n",
+                static_cast<long long>(p.milp_nodes),
+                static_cast<long long>(p.milp_lp_pivots));
   }
 
   if (csv) {

@@ -25,7 +25,9 @@
 #   7. robustness                         fault-injection + anytime-contract
 #                                         + checkpoint/resolve suites
 #                                         and the simplex/LU suites (their
-#                                         sparse index bookkeeping) re-run
+#                                         sparse index bookkeeping) and
+#                                         every Milp* suite (branch & bound,
+#                                         its cutoff, pricing MILP) re-run
 #                                         under ASan+UBSan, plus the
 #                                         instance-spec and checkpoint fuzz
 #                                         harnesses (a 30 s libFuzzer run
@@ -280,7 +282,9 @@ fi
 # ordinary runs rarely take them).  The Simplex*/LuFactor suites ride along:
 # the sparse LU's index bookkeeping (row stamps, position heap, touched
 # lists) is otherwise sanitized only by the full leg-2 sweep, which the
-# robustness CI job skips.
+# robustness CI job skips.  So do all Milp* suites (Milp, MilpEdge,
+# MilpLimits, MilpCutoff, MilpPricing): the branch-and-bound loop, its
+# cutoff exit and the pricing MILP on top of the crash-started simplex.
 note "leg 7: robustness (fault-injection + checkpoint suites, both fuzz harnesses)"
 
 # run_fuzz <name> <corpus-dir>: libFuzzer with a bounded budget on a clang
@@ -307,7 +311,7 @@ if [[ "$COVERAGE_ONLY" == 1 || "$LINT_ONLY" == 1 || "$SOAK_ONLY" == 1 \
   echo "leg 7 skipped (--coverage/--lint/--soak/--fleet/--qoe)"
 elif [[ -d "$ASAN_DIR" ]]; then
   (cd "$ASAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-      -R 'CgAnytime|Theorem1Guard|MilpLimits|FaultInjector|InstanceValidator|ParseInstanceSpec|CgCheckpoint|CheckpointLog|CgResolve|BlockageSession|Simplex|LuFactor|cli_smoke') \
+      -R 'CgAnytime|Theorem1Guard|Milp|FaultInjector|InstanceValidator|ParseInstanceSpec|CgCheckpoint|CheckpointLog|CgResolve|BlockageSession|Simplex|LuFactor|cli_smoke') \
     || leg_failed "ctest (robustness suites under ASan+UBSan)"
   run_fuzz instance_spec_fuzz "$ROOT/tests/fuzz/corpus"
   run_fuzz checkpoint_fuzz "$ROOT/tests/fuzz/corpus_checkpoint"
