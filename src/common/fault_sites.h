@@ -56,10 +56,6 @@ inline constexpr const char* kFleetRequestPoison = "fleet.request_poison";
 /// request must be shed with an explicit kOverloaded record, never dropped
 /// silently and never enqueued past the bound.
 inline constexpr const char* kFleetQueueOverflow = "fleet.queue_overflow";
-/// A worker stalls mid-request (solver wedged past its deadline): the
-/// watchdog must cancel the request at the hard deadline multiple while the
-/// other workers keep draining the queue.
-inline constexpr const char* kFleetWorkerStall = "fleet.worker_stall";
 /// The drain-time queue checkpoint write dies with a transient kIoError:
 /// the per-request retry-with-backoff must land it on a later attempt so a
 /// SIGTERM drain still leaves a resumable queue on disk.

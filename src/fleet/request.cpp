@@ -24,7 +24,6 @@ const char* to_string(RequestOutcome outcome) {
     case RequestOutcome::kDegraded: return "degraded";
     case RequestOutcome::kShed: return "shed";
     case RequestOutcome::kError: return "error";
-    case RequestOutcome::kCancelled: return "cancelled";
   }
   return "unknown";
 }
@@ -256,6 +255,27 @@ struct Cursor {
   if (!cur.at_end()) return bad("trailing bytes after the object");
   if (req.id.empty()) return bad("missing required key 'id'");
   if (!valid_id(req.id)) return bad("id: expected 1-64 of [A-Za-z0-9._-]");
+  // A key the op never reads would be silently ignored: reject it.
+  std::vector<const char*> unread;
+  switch (req.op) {
+    case FleetOp::kSolve:
+      unread = {"block_links", "block_atten", "gops", "p_block"};
+      break;
+    case FleetOp::kResolve: unread = {"gops", "p_block"}; break;
+    case FleetOp::kStream:
+      unread = {"deadline", "block_links", "block_atten"};
+      break;
+  }
+  const std::string op = to_string(req.op);
+  for (const char* key : unread) {
+    if (seen.count(key) != 0) {
+      return bad(std::string(key) + ": not read by op '" + op + "'");
+    }
+  }
+  if (req.op == FleetOp::kStream &&
+      req.pricing == core::PricingMode::ExactAlways) {
+    return bad("pricing: op 'stream' takes heuristic|hybrid, got 'exact'");
+  }
   for (int l : req.block_links) {
     if (l >= req.links) {
       return bad("block_links: link " + std::to_string(l) + " outside [0, " +

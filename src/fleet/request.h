@@ -49,8 +49,8 @@ struct FleetRequest {
   double gamma_scale = 1.0;
   std::uint64_t seed = 1;
   double demand_scale = 1e-3;
-  /// Per-request wall-clock budget, seconds (CgOptions::deadline_sec);
-  /// also the base of the watchdog's hard-cancel threshold.  0 = none.
+  /// Wall-clock budget of a solve/resolve, seconds (CgOptions::deadline_sec):
+  /// the request's only timeout.  0 = none.  Stream requests take none.
   double deadline_sec = 0.0;
   core::PricingMode pricing = core::PricingMode::HeuristicThenExact;
 
@@ -63,8 +63,11 @@ struct FleetRequest {
   double p_block = 0.0;
 };
 
-/// Parses one request line.  Strict: every key must be known, every value
-/// well-typed and in range, `id` present and of the id grammar above.
+/// Parses one request line.  Strict: every key must be known and read by
+/// the request's op (a resolve-only or stream-only key on another op, a
+/// deadline or "pricing":"exact" on a stream, is an error naming the key
+/// and the op), every value well-typed and in range, `id` present and of
+/// the id grammar above.
 [[nodiscard]] common::Expected<FleetRequest> parse_request_line(
     const std::string& line);
 
@@ -74,7 +77,6 @@ enum class RequestOutcome {
   kDegraded,   ///< anytime contract: incumbent returned, reason in `code`
   kShed,       ///< admission rejected it (queue full) — never executed
   kError,      ///< malformed/poisoned/invalid: no solve happened
-  kCancelled,  ///< watchdog cancelled it past the hard deadline multiple
 };
 
 const char* to_string(RequestOutcome outcome);

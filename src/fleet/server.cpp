@@ -1,9 +1,7 @@
 #include "fleet/server.h"
 
-#include <atomic>
 #include <chrono>
 #include <cinttypes>
-#include <condition_variable>
 #include <cstdio>
 #include <deque>
 #include <fstream>
@@ -32,6 +30,9 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using common::ErrorCode;
 using common::Status;
+
+/// Base of the linear backoff between transient-kIoError write retries.
+constexpr double kRetryBackoffSec = 0.001;
 
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
@@ -136,17 +137,16 @@ QueueManifest load_queue_manifest(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-run serving state shared between the admission loop, the workers and
-// the watchdog.  Slot references stay valid for the whole run (std::deque
-// never relocates elements), but the deque itself must only be indexed
-// under `mu` — push_back can grow the block map concurrently.
+// Per-run serving state shared between the admission loop and the workers.
+// Slot references stay valid for the whole run (std::deque never relocates
+// elements), but the deque itself must only be indexed under `mu` —
+// push_back can grow the block map concurrently.
 // ---------------------------------------------------------------------------
 
 struct Slot {
   std::string raw;
   FleetRequest req;
   RequestRecord record;
-  std::atomic<bool> cancel{false};
   enum class State { kQueued, kRunning, kDone, kParked };
   State state = State::kQueued;
   Clock::time_point admit_time{};
@@ -155,13 +155,11 @@ struct Slot {
 
 struct RunState {
   std::mutex mu;
-  std::condition_variable watchdog_cv;
   std::deque<Slot> slots;
   std::size_t next_emit = 0;
   int queued = 0;   ///< admitted, not yet started (the bounded queue)
   int running = 0;  ///< started, not yet finished
   bool draining = false;
-  bool watchdog_stop = false;
   ServerReport report;
   /// id -> slot index of every admitted (queued/running/finished) request.
   std::map<std::string, std::size_t> by_id;
@@ -275,7 +273,7 @@ void run_stream_request(const ServerOptions& options, const FleetRequest& req,
         // Keep streaming on failure: the previous save still loads and the
         // next period's save rewrites the whole file.
         (void)save_with_retry(*log, ckpt, options.io_retries,
-                              options.retry_backoff_sec);  // lint: discard
+                              kRetryBackoffSec);  // lint: discard
       }
       return true;
     };
@@ -293,8 +291,8 @@ void run_stream_request(const ServerOptions& options, const FleetRequest& req,
   rec->code = ErrorCode::kOk;
 }
 
-/// Worker body for one admitted slot: drain check, cancellation point,
-/// poison check, op execution, record finish + in-order emission.
+/// Worker body for one admitted slot: drain check, poison check, op
+/// execution, record finish + in-order emission.
 void execute_slot(const ServerOptions& options, RunState& rs,
                   std::size_t index, const RecordSink& sink,
                   const std::function<bool()>& should_stop) {
@@ -320,23 +318,8 @@ void execute_slot(const ServerOptions& options, RunState& rs,
     slot->start_time = Clock::now();
   }
 
-  // Watchdog cancellation point.  A wedged solver is simulated by the
-  // worker-stall fault: spin (bounded) until the watchdog cancels us.
-  if (common::fault_fires(common::faults::kFleetWorkerStall)) {
-    const Clock::time_point stall_start = Clock::now();
-    while (!slot->cancel.load(std::memory_order_acquire) &&
-           seconds_between(stall_start, Clock::now()) < 5.0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-
   RequestRecord rec;
-  if (slot->cancel.load(std::memory_order_acquire)) {
-    rec.outcome = RequestOutcome::kCancelled;
-    rec.code = ErrorCode::kDeadlineExceeded;
-    rec.message = "watchdog cancelled: request exceeded its hard deadline "
-                  "multiple";
-  } else if (common::fault_fires(common::faults::kFleetRequestPoison)) {
+  if (common::fault_fires(common::faults::kFleetRequestPoison)) {
     rec.outcome = RequestOutcome::kError;
     rec.code = ErrorCode::kInvalidInput;
     rec.message = "poisoned request payload";
@@ -359,7 +342,6 @@ void execute_slot(const ServerOptions& options, RunState& rs,
     switch (rec.outcome) {
       case RequestOutcome::kOk: ++rs.report.completed; break;
       case RequestOutcome::kDegraded: ++rs.report.degraded; break;
-      case RequestOutcome::kCancelled: ++rs.report.cancelled; break;
       default: ++rs.report.errors; break;
     }
     flush_records_locked(rs, sink);
@@ -416,27 +398,6 @@ ServerReport Server::run(const LineSource& next_line, const RecordSink& sink,
 
   auto workers = std::make_unique<common::ThreadPool>(
       common::resolve_threads(options_.workers));
-
-  std::thread watchdog([this, &rs] {
-    std::unique_lock<std::mutex> lock(rs.mu);
-    while (!rs.watchdog_stop) {
-      rs.watchdog_cv.wait_for(
-          lock, std::chrono::duration<double>(options_.watchdog_poll_sec),
-          [&rs] { return rs.watchdog_stop; });
-      if (rs.watchdog_stop) break;
-      const Clock::time_point now = Clock::now();
-      for (std::size_t i = 0; i < rs.slots.size(); ++i) {
-        Slot& slot = rs.slots[i];
-        if (slot.state != Slot::State::kRunning) continue;
-        const double deadline = slot.req.deadline_sec;
-        if (deadline <= 0.0) continue;
-        if (seconds_between(slot.start_time, now) >
-            options_.watchdog_multiple * deadline) {
-          slot.cancel.store(true, std::memory_order_release);
-        }
-      }
-    }
-  });
 
   const auto stop_requested = [&should_stop] {
     return should_stop && should_stop();
@@ -569,13 +530,6 @@ ServerReport Server::run(const LineSource& next_line, const RecordSink& sink,
 
   {
     std::lock_guard<std::mutex> lock(rs.mu);
-    rs.watchdog_stop = true;
-  }
-  rs.watchdog_cv.notify_all();
-  watchdog.join();
-
-  {
-    std::lock_guard<std::mutex> lock(rs.mu);
     // A worker may have seen the stop before the polling loop did.
     rs.report.drained = rs.draining;
     flush_records_locked(rs, sink);
@@ -596,7 +550,7 @@ ServerReport Server::run(const LineSource& next_line, const RecordSink& sink,
     for (const std::string& id : rs.done_ids) body += "done " + id + "\n";
     rs.report.state_status = write_manifest_with_retry(
         options_.state_path + ".queue", body, options_.io_retries,
-        options_.retry_backoff_sec);
+        kRetryBackoffSec);
   }
   return rs.report;
 }

@@ -6,9 +6,9 @@
 // Every request solves cold, sharing no solver state with any other.
 // Results are emitted as one record line per request, in admission order.
 //
-// Robustness contract (DESIGN.md section 13; every clause is fault-site
-// scripted and test-enforced by tests/fleet/fleet_server_test.cpp and the
-// chaos soak's --fleet leg):
+// Robustness contract (DESIGN.md section 13; every clause is
+// test-enforced by tests/fleet/fleet_server_test.cpp and the chaos soak's
+// --fleet leg, with the named fault sites scripting the failure paths):
 //
 //   * Admission control, never silent drops: the pending queue is bounded
 //     by ServerOptions::max_queue; a request arriving at a full queue (or
@@ -18,12 +18,10 @@
 //     (faults::kFleetRequestPoison), an invalid instance, a poisoned LP
 //     pivot or an expired deadline degrades THAT request — the record says
 //     so — while the daemon and every other request stay healthy.
-//   * Watchdog: requests that overrun watchdog_multiple times their own
-//     deadline get their cancel flag set by a dedicated watchdog thread;
-//     the in-solver cancellation point (scripted by
-//     faults::kFleetWorkerStall) turns that into a kCancelled record.
-//     Ordinary overruns are already bounded by CgOptions::deadline_sec —
-//     the watchdog is the second line of defense for a wedged worker.
+//   * One timeout: a solve/resolve request's own deadline
+//     (CgOptions::deadline_sec) bounds its solve, which returns a verified
+//     incumbent as a kDegraded record when the budget runs out.  The
+//     server itself times nothing.
 //   * Graceful drain: when should_stop() turns true, admission stops,
 //     in-flight requests finish, queued-but-unstarted requests are parked
 //     (each worker asks should_stop() before it starts a request, so none
@@ -58,15 +56,9 @@ struct ServerOptions {
   /// Admitted-but-unstarted requests held before admission sheds
   /// (kOverloaded).  >= 1.
   int max_queue = 64;
-  /// Watchdog cancels a running request once it exceeds this multiple of
-  /// its own deadline (requests with deadline 0 are never cancelled).
-  double watchdog_multiple = 8.0;
-  /// Watchdog poll period, seconds.
-  double watchdog_poll_sec = 0.002;
   /// Transient-kIoError retries for manifest and stream-checkpoint writes,
   /// with linear backoff between attempts.
   int io_retries = 3;
-  double retry_backoff_sec = 0.001;
   /// Read only by perfbench/perf_e2e.cpp; both are ignored.
   bool share_pool = true;
   core::PoolManagerOptions pool;
@@ -83,7 +75,6 @@ struct ServerReport {
   std::int64_t degraded = 0;   ///< anytime-contract finishes
   std::int64_t shed = 0;       ///< kOverloaded admission rejections
   std::int64_t errors = 0;     ///< malformed / poisoned / invalid requests
-  std::int64_t cancelled = 0;  ///< watchdog cancellations
   /// Source lines skipped because the resume manifest already marks their
   /// id finished (or the line duplicates an already-admitted one verbatim).
   std::int64_t resume_skipped = 0;

@@ -231,6 +231,16 @@ run(2 "error: unknown flag --repair"
     stream --links=4 --channels=2 --seed=7 --gops=3 --repair=downgrade)
 run(2 "error: --resume requires --checkpoint"
     stream --links=4 --channels=2 --gops=3 --resume)
+# A stream period runs without a deadline, with heuristic or hybrid pricing
+# and the default master-LP rule: --deadline is not a stream flag, and any
+# other --pricing token exits 2 (each used to run as if it were absent).
+run(0 "" stream --links=4 --channels=2 --gops=2 --pricing=heuristic)
+run(2 "error: unknown flag --deadline"
+    stream --links=4 --channels=2 --gops=2 --deadline=0.000001)
+run(2 "error: --pricing: stream takes heuristic\\|hybrid, got 'exact'"
+    stream --links=4 --channels=2 --gops=2 --pricing=exact)
+run(2 "error: --pricing: stream takes heuristic\\|hybrid, got 'steepest'"
+    stream --links=4 --channels=2 --gops=2 --pricing=hybrid,steepest)
 # QoE flags: drain-risk shaping runs; the per-GOP lines carry the buffer
 # fields; bogus policy names and out-of-range thresholds fail fast.
 run(0 "policy=drain-risk"

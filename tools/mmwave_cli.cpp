@@ -22,7 +22,8 @@
 //       with per-link client playout buffers and an optional drain-risk
 //       demand-shaping policy (QoE: stall seconds, layer-delivery ratio).
 //       Every period solves cold; --checkpoint saves the session cursor
-//       after each period and --resume continues from it.
+//       after each period and --resume continues from it.  The periods
+//       run without a deadline and take --pricing=heuristic|hybrid only.
 //   mmwave_cli resolve --checkpoint=FILE [instance flags]
 //                      [--block-links=0,3] [--block-atten=a] [--update]
 //       Re-solve the (optionally perturbed) instance: blocked links
@@ -38,8 +39,7 @@
 //       failed certificate.  This is the verifier leg of the pre-merge gate
 //       (tools/run_analysis.sh).
 //   mmwave_cli serve   [--requests=FILE|FIFO|-] [--out=FILE] [--workers=N]
-//                      [--max-queue=N] [--watchdog-multiple=x]
-//                      [--state=PATH] [--io-retries=N]
+//                      [--max-queue=N] [--state=PATH] [--io-retries=N]
 //       Fleet daemon (fleet::Server): newline-delimited JSON requests in,
 //       one record line per request out, admission order.  SIGTERM/SIGINT
 //       drains gracefully: in-flight requests finish, the queue is
@@ -116,9 +116,13 @@ struct InstanceFlags {
 /// Strict instance-flag parsing: a malformed value ("--links=abc",
 /// "--channels=-3", an unreadable --instance file) is a structured error
 /// the caller prints once and exits kExitInvalidInput on — never a silent
-/// zero that solves the wrong instance.
+/// zero that solves the wrong instance.  A `stream` session solves every
+/// period without a deadline, with heuristic or hybrid pricing and the
+/// default master-LP rule (stream::CgSchedulerOptions), so for it --deadline
+/// stays unread (reject_unknown_flags names it) and --pricing takes only
+/// heuristic|hybrid.
 [[nodiscard]] common::Expected<InstanceFlags> parse_instance(
-    const common::CliFlags& flags) {
+    const common::CliFlags& flags, bool stream = false) {
   InstanceFlags f;
   if (flags.has("instance")) {
     const std::string path = flags.get_string("instance", "");
@@ -161,10 +165,12 @@ struct InstanceFlags {
                                                1e-18, 1e18);
   if (!dscale.ok()) return dscale.status();
   f.demand_scale = dscale.value();
-  const auto deadline =
-      flags.get_double_checked("deadline", f.deadline_sec, 0.0, 1e9);
-  if (!deadline.ok()) return deadline.status();
-  f.deadline_sec = deadline.value();
+  if (!stream) {
+    const auto deadline =
+        flags.get_double_checked("deadline", f.deadline_sec, 0.0, 1e9);
+    if (!deadline.ok()) return deadline.status();
+    f.deadline_sec = deadline.value();
+  }
 
   // --pricing takes a comma-separated token list mixing the CG pricing mode
   // (heuristic|hybrid|exact) with the master-LP simplex pricing rule
@@ -177,10 +183,14 @@ struct InstanceFlags {
     pricing = comma == std::string::npos ? "" : pricing.substr(comma + 1);
     if (token == "heuristic") {
       f.pricing = core::PricingMode::HeuristicOnly;
-    } else if (token == "exact") {
-      f.pricing = core::PricingMode::ExactAlways;
     } else if (token == "hybrid") {
       f.pricing = core::PricingMode::HeuristicThenExact;
+    } else if (stream) {
+      return common::Status::Error(
+          common::ErrorCode::kInvalidInput,
+          "--pricing: stream takes heuristic|hybrid, got '" + token + "'");
+    } else if (token == "exact") {
+      f.pricing = core::PricingMode::ExactAlways;
     } else {
       const auto rule = lp::parse_pricing_rule(token);
       if (!rule.ok()) {
@@ -439,7 +449,7 @@ int cmd_compare(const common::CliFlags& flags) {
 }
 
 int cmd_stream(const common::CliFlags& flags) {
-  const auto parsed = parse_instance(flags);
+  const auto parsed = parse_instance(flags, /*stream=*/true);
   if (!parsed.ok()) {
     std::fprintf(stderr, "error: %s\n", parsed.status().message().c_str());
     return kExitInvalidInput;
@@ -810,13 +820,10 @@ struct FdLineReader {
 int cmd_serve(const common::CliFlags& flags) {
   const auto workers = flags.get_int_checked("workers", 1, 1, 256);
   const auto max_queue = flags.get_int_checked("max-queue", 64, 1, 1 << 20);
-  const auto watchdog =
-      flags.get_double_checked("watchdog-multiple", 8.0, 1.0, 1e6);
   const auto io_retries = flags.get_int_checked("io-retries", 3, 0, 100);
   for (const common::Status& st :
        {workers.ok() ? common::Status::Ok() : workers.status(),
         max_queue.ok() ? common::Status::Ok() : max_queue.status(),
-        watchdog.ok() ? common::Status::Ok() : watchdog.status(),
         io_retries.ok() ? common::Status::Ok() : io_retries.status()}) {
     if (!st.ok()) {
       std::fprintf(stderr, "error: %s\n", st.message().c_str());
@@ -826,7 +833,6 @@ int cmd_serve(const common::CliFlags& flags) {
   fleet::ServerOptions opts;
   opts.workers = static_cast<int>(workers.value());
   opts.max_queue = static_cast<int>(max_queue.value());
-  opts.watchdog_multiple = watchdog.value();
   opts.io_retries = static_cast<int>(io_retries.value());
   opts.state_path = flags.get_string("state", "");
   const std::string requests = flags.get_string("requests", "-");
@@ -882,13 +888,12 @@ int cmd_serve(const common::CliFlags& flags) {
   if (close_fd) ::close(fd);
 
   std::printf("serve: %lld admitted | %lld ok | %lld degraded | %lld shed | "
-              "%lld errors | %lld cancelled | %lld skipped | %lld parked%s\n",
+              "%lld errors | %lld skipped | %lld parked%s\n",
               static_cast<long long>(report.admitted),
               static_cast<long long>(report.completed),
               static_cast<long long>(report.degraded),
               static_cast<long long>(report.shed),
               static_cast<long long>(report.errors),
-              static_cast<long long>(report.cancelled),
               static_cast<long long>(report.resume_skipped),
               static_cast<long long>(report.parked),
               report.drained ? " (drained)" : "");
@@ -924,7 +929,8 @@ int main(int argc, char** argv) {
       "  solve   also accepts --csv=plan.csv --profile --warm-start=0|1\n"
       "          --checkpoint=FILE (save solver state) --resume (warm-start\n"
       "          from that checkpoint; fingerprint must match)\n"
-      "  stream  also accepts --gops=N --p-block=p --metrics-json\n"
+      "  stream  takes no --deadline and --pricing=heuristic|hybrid only;\n"
+      "          also accepts --gops=N --p-block=p --metrics-json\n"
       "          --checkpoint=FILE (rewrite the session checkpoint\n"
       "          at every GOP boundary) --resume (continue a\n"
       "          checkpointed session mid-stream)\n"
@@ -940,8 +946,8 @@ int main(int argc, char** argv) {
       "  check   runs the solve under the certificate checkers and exits\n"
       "          non-zero on any violated certificate\n"
       "  serve   fleet daemon: --requests=FILE|FIFO|- (JSON lines)\n"
-      "          --out=FILE --workers=N --max-queue=N\n"
-      "          --watchdog-multiple=x --state=PATH --io-retries=N;\n"
+      "          --out=FILE --workers=N --max-queue=N --state=PATH\n"
+      "          --io-retries=N;\n"
       "          SIGTERM drains (queue checkpointed under --state,\n"
       "          restart resumes without losing a request)\n"
       "exit status: 0 ok | 1 check failed / unknown command |\n"

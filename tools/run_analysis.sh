@@ -13,8 +13,10 @@
 #                                         Fig. 1 / Fig. 4 scenarios, run on
 #                                         the *sanitized* binaries
 #   5. ThreadSanitizer                    thread-pool + warm-equivalence
-#                                         tests and a --threads bench smoke
-#                                         under MMWAVE_SANITIZE=thread
+#                                         tests, the fleet server suites
+#                                         (serving thread + workers) and a
+#                                         --threads bench smoke under
+#                                         MMWAVE_SANITIZE=thread
 #   6. perf bench                         perf_solvers + perf_resolve
 #                                         (google-benchmark) on the plain
 #                                         build; writes BENCH_cg.json
@@ -63,12 +65,10 @@
 #                                         chaos_soak --fleet drain/restart
 #                                         sweep (records must match the
 #                                         uninterrupted fleet exactly across
-#                                         poison / overflow / drain-crash
-#                                         legs), and perf_fleet, which both
-#                                         measures req/s + latency quantiles
-#                                         and enforces record-equality across
-#                                         worker counts; writes
-#                                         BENCH_fleet.json
+#                                         drain-crash / session-save-failure
+#                                         / poison legs); the suites include
+#                                         the record-equality check across
+#                                         1, 4 and 16 workers
 #  12. QoE gate                           the client-buffer sessions on the
 #                                         sanitized build: the ClientBuffer /
 #                                         DemandPolicy / BlockageSession
@@ -98,7 +98,7 @@
 #                 than the smoke ctest) plus the checkpoint-log suites.
 #   --fleet       the CI fleet gate: build the ASan+UBSan tree and run only
 #                 leg 11 (fleet suites + chaos_soak --fleet with
-#                 a deeper seed sweep + perf_fleet).
+#                 a deeper seed sweep).
 #   --qoe         the CI QoE gate: build the ASan+UBSan tree and run only
 #                 leg 12 (buffer/policy/session suites + perf_qoe with a
 #                 deeper seed sweep than the smoke ctest).
@@ -216,10 +216,11 @@ else
 fi
 
 # ---- Leg 5: ThreadSanitizer over the parallel paths -----------------------
-# The thread pool and the warm-equivalence pipeline are the two places data
-# races could hide; run exactly those tests (plus a --threads bench smoke)
-# under TSan rather than the whole suite — TSan slows everything ~10x.
-note "leg 5: ThreadSanitizer (thread pool + warm equivalence)"
+# The thread pool, the warm-equivalence pipeline and the fleet server (its
+# serving thread and workers share the run state) are where data races
+# could hide; run exactly those tests (plus a --threads bench smoke) under
+# TSan rather than the whole suite — TSan slows everything ~10x.
+note "leg 5: ThreadSanitizer (thread pool + warm equivalence + fleet server)"
 TSAN_DIR="$ROOT/build-analysis-tsan"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 if [[ "$ROBUSTNESS" == 1 || "$COVERAGE_ONLY" == 1 || "$LINT_ONLY" == 1 \
@@ -229,7 +230,7 @@ elif configure_and_build "$TSAN_DIR" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       "-DMMWAVE_SANITIZE=thread"; then
   (cd "$TSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-      -R 'ThreadPool|ParallelFor|ResolveThreads|WarmEquivalence|SimplexWarm') \
+      -R 'ThreadPool|ParallelFor|ResolveThreads|WarmEquivalence|SimplexWarm|FleetServer|FleetRequest') \
     || leg_failed "ctest (TSan: parallel paths)"
   FIG1="$TSAN_DIR/bench/fig1_sched_time"
   if [[ -x "$FIG1" ]]; then
@@ -393,19 +394,19 @@ fi
 
 # ---- Leg 11: fleet gate (serve mode) ---------------------------------------
 # The multi-piconet serve mode end to end on the sanitized build: the fleet
-# server unit suites, the chaos_soak --fleet drain/restart
-# sweep (the fleet analogue of leg 10: resumed record streams must match the
-# uninterrupted ones exactly, with the fleet fault sites firing), and
-# perf_fleet, which is both the throughput/latency bench and the cross-worker
-# record-equality check.  --fleet sweeps more seeds than the pre-merge pass.
+# server unit suites (among them the record-equality check across 1, 4 and
+# 16 workers) and the chaos_soak --fleet drain/restart sweep (the fleet
+# analogue of leg 10: resumed record streams must match the uninterrupted
+# ones exactly, with the fleet fault sites firing).  --fleet sweeps more
+# seeds than the pre-merge pass.
 if [[ "$ROBUSTNESS" == 0 && "$COVERAGE_ONLY" == 0 && "$LINT_ONLY" == 0 \
       && "$SOAK_ONLY" == 0 && "$QOE_ONLY" == 0 ]]; then
-  note "leg 11: fleet gate (fleet suites + chaos_soak --fleet + perf_fleet -> BENCH_fleet.json)"
+  note "leg 11: fleet gate (fleet suites + chaos_soak --fleet)"
   FLEET_SEEDS=4
   [[ "$FLEET_ONLY" == 1 ]] && FLEET_SEEDS=8
   if [[ "$FLEET_ONLY" == 1 ]]; then
     (cd "$ASAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-        -R 'FleetServer|FleetRequest|chaos_soak_fleet_smoke|bench_fleet_smoke|cli_smoke') \
+        -R 'FleetServer|FleetRequest|chaos_soak_fleet_smoke|cli_smoke') \
       || leg_failed "ctest (fleet suites under ASan+UBSan)"
   fi
   FLEET_SOAK="$ASAN_DIR/tools/chaos_soak"
@@ -417,15 +418,6 @@ if [[ "$ROBUSTNESS" == 0 && "$COVERAGE_ONLY" == 0 && "$LINT_ONLY" == 0 \
       || leg_failed "chaos_soak --fleet (drained fleets diverged from uninterrupted)"
   else
     leg_failed "chaos_soak missing (sanitized build incomplete?)"
-  fi
-  PERF_FLEET="$ASAN_DIR/bench/perf_fleet"
-  if [[ -x "$PERF_FLEET" ]]; then
-    "$PERF_FLEET" --requests=24 --workers=1,4,16 \
-        --out="$ROOT/BENCH_fleet.json" \
-      || leg_failed "perf_fleet (records diverged across worker counts)"
-    [[ -s "$ROOT/BENCH_fleet.json" ]] || leg_failed "BENCH_fleet.json not written"
-  else
-    leg_failed "perf_fleet missing (bench targets fell out of the build?)"
   fi
 else
   note "leg 11 skipped"
