@@ -14,13 +14,18 @@ int main(int argc, char** argv) {
   using namespace mmwave;
   common::CliFlags flags;
   flags.parse(argc, argv);
-  const int links = static_cast<int>(flags.get_int("links", 10));
-  const int channels = static_cast<int>(flags.get_int("channels", 3));
-  const int seeds = static_cast<int>(flags.get_int("seeds", 10));
+  const int links = static_cast<int>(
+      bench::require(flags.get_int_checked("links", 10, 1, 4096)));
+  const int channels = static_cast<int>(
+      bench::require(flags.get_int_checked("channels", 3, 1, 1024)));
+  const int seeds = static_cast<int>(
+      bench::require(flags.get_int_checked("seeds", 10, 1, 1'000'000)));
   // Path-loss gains with a realistic noise floor leave tens of dB of SINR
   // headroom; scale the Table I ladder up so the thresholds describe real
   // indoor mmWave MCS operating points and actually bind.
-  const double gamma_scale = flags.get_double("gamma-scale", 20.0);
+  const double gamma_scale = bench::require(
+      flags.get_double_checked("gamma-scale", 20.0, 1e-9, 1e9));
+  bench::reject_unknown_flags(flags);
 
   std::cout << "=== Ablation — beamwidth vs scheduling time (geometric "
                "model) ===\n";

@@ -12,10 +12,15 @@ int main(int argc, char** argv) {
   using namespace mmwave;
   common::CliFlags flags;
   flags.parse(argc, argv);
-  const int links = static_cast<int>(flags.get_int("links", 8));
-  const int channels = static_cast<int>(flags.get_int("channels", 3));
-  const int gops = static_cast<int>(flags.get_int("gops", 10));
-  const int seeds = static_cast<int>(flags.get_int("seeds", 8));
+  const int links = static_cast<int>(
+      bench::require(flags.get_int_checked("links", 8, 1, 4096)));
+  const int channels = static_cast<int>(
+      bench::require(flags.get_int_checked("channels", 3, 1, 1024)));
+  const int gops = static_cast<int>(
+      bench::require(flags.get_int_checked("gops", 10, 1, 1 << 20)));
+  const int seeds = static_cast<int>(
+      bench::require(flags.get_int_checked("seeds", 8, 1, 1'000'000)));
+  bench::reject_unknown_flags(flags);
 
   std::cout << "=== Ablation — streaming under Markov blockage ===\n";
   std::cout << "L=" << links << " K=" << channels << " horizon=" << gops

@@ -11,10 +11,15 @@ int main(int argc, char** argv) {
   using namespace mmwave;
   common::CliFlags flags;
   flags.parse(argc, argv);
-  const int links = static_cast<int>(flags.get_int("links", 4));
-  const int channels = static_cast<int>(flags.get_int("channels", 2));
-  const int levels = static_cast<int>(flags.get_int("levels", 2));
-  const int seeds = static_cast<int>(flags.get_int("seeds", 10));
+  const int links = static_cast<int>(
+      bench::require(flags.get_int_checked("links", 4, 1, 4096)));
+  const int channels = static_cast<int>(
+      bench::require(flags.get_int_checked("channels", 2, 1, 1024)));
+  const int levels = static_cast<int>(
+      bench::require(flags.get_int_checked("levels", 2, 1, 64)));
+  const int seeds = static_cast<int>(
+      bench::require(flags.get_int_checked("seeds", 10, 1, 1'000'000)));
+  bench::reject_unknown_flags(flags);
 
   std::cout << "=== Ablation — CG vs exhaustive P1 optimum ===\n";
   std::cout << "L=" << links << " K=" << channels << " Q=" << levels

@@ -17,11 +17,9 @@ int main(int argc, char** argv) {
 
   // Two regimes unless the caller pinned one: the literal Table I ladder
   // and the binding-interference x3 ladder (see EXPERIMENTS.md).
-  common::CliFlags flags;
-  flags.parse(argc, argv);
-  std::vector<double> regimes = flags.has("gamma-scale")
-                                    ? std::vector<double>{base.gamma_scale}
-                                    : std::vector<double>{1.0, 3.0};
+  const std::vector<double> regimes =
+      base.gamma_scale_given ? std::vector<double>{base.gamma_scale}
+                             : std::vector<double>{1.0, 3.0};
   for (double gamma : regimes) {
     bench::HarnessConfig cfg = base;
     cfg.gamma_scale = gamma;

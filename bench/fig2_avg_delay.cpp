@@ -14,12 +14,9 @@ int main(int argc, char** argv) {
   base = bench::parse_common_flags(argc, argv, base);
   bench::print_config_banner(base, "Fig. 2 — average delay");
 
-  common::CliFlags regime_flags;
-  regime_flags.parse(argc, argv);
-  std::vector<double> regimes =
-      regime_flags.has("gamma-scale")
-          ? std::vector<double>{base.gamma_scale}
-          : std::vector<double>{1.0, 3.0};
+  const std::vector<double> regimes =
+      base.gamma_scale_given ? std::vector<double>{base.gamma_scale}
+                             : std::vector<double>{1.0, 3.0};
   bench::HarnessConfig cfg = base;  // regime for part (b) set below
   std::cout << "(a) delay vs number of links\n";
   for (double gamma : regimes) {

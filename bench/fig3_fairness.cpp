@@ -14,11 +14,9 @@ int main(int argc, char** argv) {
   bench::print_config_banner(base,
                              "Fig. 3 — delay fairness vs number of links");
 
-  common::CliFlags flags;
-  flags.parse(argc, argv);
-  std::vector<double> regimes = flags.has("gamma-scale")
-                                    ? std::vector<double>{base.gamma_scale}
-                                    : std::vector<double>{1.0, 3.0};
+  const std::vector<double> regimes =
+      base.gamma_scale_given ? std::vector<double>{base.gamma_scale}
+                             : std::vector<double>{1.0, 3.0};
   for (double gamma : regimes) {
     bench::HarnessConfig cfg = base;
     cfg.gamma_scale = gamma;

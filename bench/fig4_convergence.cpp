@@ -20,20 +20,28 @@ int main(int argc, char** argv) {
   using namespace mmwave;
   common::CliFlags flags;
   flags.parse(argc, argv);
-  const int links = static_cast<int>(flags.get_int("links", 8));
-  const int channels = static_cast<int>(flags.get_int("channels", 2));
-  const int levels = static_cast<int>(flags.get_int("levels", 3));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const double demand_scale = flags.get_double("demand-scale", 1e-3);
+  const int links = static_cast<int>(
+      bench::require(flags.get_int_checked("links", 8, 1, 4096)));
+  const int channels = static_cast<int>(
+      bench::require(flags.get_int_checked("channels", 2, 1, 1024)));
+  const int levels = static_cast<int>(
+      bench::require(flags.get_int_checked("levels", 3, 1, 64)));
+  const std::uint64_t seed = static_cast<std::uint64_t>(
+      bench::require(flags.get_int_checked("seed", 1, 0)));
+  const double demand_scale = bench::require(
+      flags.get_double_checked("demand-scale", 1e-3, 1e-18, 1e18));
   // Table I's Gamma = {0.1..0.5} is so permissive that almost every link
   // set packs concurrently and CG converges in a couple of iterations (the
   // curve is a step).  Scaling the thresholds makes pricing combinatorial
   // and reproduces the paper's gradual convergence shape; --gamma-scale=1
   // recovers the raw Table I ladder.
-  const double gamma_scale = flags.get_double("gamma-scale", 3.0);
-  const double milp_time = flags.get_double("milp-time", 5.0);
-  const std::int64_t milp_nodes = flags.get_int("milp-nodes", 200'000);
+  const double gamma_scale = bench::require(
+      flags.get_double_checked("gamma-scale", 3.0, 1e-9, 1e9));
+  const double milp_time =
+      bench::require(flags.get_double_checked("milp-time", 5.0, 0.0, 1e9));
+  const std::int64_t milp_nodes =
+      bench::require(flags.get_int_checked("milp-nodes", 200'000, 1));
+  bench::reject_unknown_flags(flags);
 
   std::cout << "=== Fig. 4 — column-generation convergence ===\n";
   std::cout << "L=" << links << " K=" << channels << " Q=" << levels

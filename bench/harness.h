@@ -13,6 +13,10 @@
 //                      0 = auto / hardware_concurrency)
 //   --csv=path         also write the table as CSV
 //
+// Flags are strict: a malformed or out-of-range value, or a flag the bench
+// does not read, exits 2 with a one-line "error:" naming the flag, so a
+// typo never runs a silently different experiment.
+//
 // Seed count: the paper averages every figure point over 50 random
 // topologies; the default here is 10 to keep a full sweep interactive.
 // The paper-faithful invocation is `--seeds=50 --threads=0`, which
@@ -65,34 +69,64 @@ struct HarnessConfig {
   int threads = 1;
   std::optional<std::string> csv_path;
   core::CgOptions cg;
+  /// True when --gamma-scale was given: the figure benches then run that
+  /// one regime instead of both.
+  bool gamma_scale_given = false;
 };
 
-/// Parses the common flags over the defaults in `cfg`.  Malformed values
-/// ("--seeds=lots", "--channels=-1") abort the sweep with a one-line error
-/// instead of silently running a zero-sized experiment.
+/// The value of a checked flag read; a malformed or out-of-range value
+/// exits 2 with its one-line "error: --name: ..." diagnosis.
+template <typename T>
+T require(const common::Expected<T>& expected) {
+  if (!expected.ok()) {
+    std::cerr << "error: " << expected.status().message() << "\n";
+    std::exit(2);
+  }
+  return expected.value();
+}
+
+/// Exits 2 naming every flag on the command line that no getter has read.
+/// Call after the last flag read.
+inline void reject_unknown_flags(const common::CliFlags& flags) {
+  const std::vector<std::string> unread = flags.unread();
+  if (unread.empty()) return;
+  std::cerr << "error: unknown flag";
+  for (std::size_t i = 0; i < unread.size(); ++i)
+    std::cerr << (i == 0 ? " --" : ", --") << unread[i];
+  std::cerr << "\n";
+  std::exit(2);
+}
+
+/// Parses the common flags over the defaults in `cfg`; the caller reads no
+/// other flag.  Malformed values ("--seeds=lots", "--links=4,x") and
+/// unknown flags abort the sweep with a one-line error instead of silently
+/// running a different experiment.
 inline HarnessConfig parse_common_flags(int argc, char** argv,
                                         HarnessConfig cfg = {}) {
   common::CliFlags flags;
   flags.parse(argc, argv);
-  const auto require = [](auto expected) {
-    if (!expected.ok()) {
-      std::cerr << "error: " << expected.status().message() << "\n";
+  cfg.link_counts =
+      require(flags.get_int_list_checked("links", cfg.link_counts));
+  for (const std::int64_t links : cfg.link_counts) {
+    if (links < 1 || links > 4096) {
+      std::cerr << "error: --links: link counts must be in [1, 4096], got "
+                << links << "\n";
       std::exit(2);
     }
-    return expected.value();
-  };
-  cfg.link_counts = flags.get_int_list("links", cfg.link_counts);
+  }
   cfg.channels = static_cast<int>(
       require(flags.get_int_checked("channels", cfg.channels, 1, 1024)));
   cfg.seeds = static_cast<int>(
       require(flags.get_int_checked("seeds", cfg.seeds, 1, 1'000'000)));
   cfg.demand_scale = require(
       flags.get_double_checked("demand-scale", cfg.demand_scale, 1e-18, 1e18));
+  cfg.gamma_scale_given = flags.has("gamma-scale");
   cfg.gamma_scale = require(
       flags.get_double_checked("gamma-scale", cfg.gamma_scale, 1e-9, 1e9));
   cfg.threads = static_cast<int>(
       require(flags.get_int_checked("threads", cfg.threads, 0, 4096)));
   if (flags.has("csv")) cfg.csv_path = flags.get_string("csv", "");
+  reject_unknown_flags(flags);
   return cfg;
 }
 

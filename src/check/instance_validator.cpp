@@ -9,6 +9,11 @@
 namespace mmwave::check {
 namespace {
 
+/// Demands above this many bits are rejected as absurd (well beyond any
+/// per-GOP video demand; guards accidental unit mixups like passing
+/// bytes*1e9 or an un-scaled overflow).
+constexpr double kMaxDemandBits = 1e18;
+
 /// Collects findings up to the cap; keeps counting past it.
 class IssueSink {
  public:
@@ -137,10 +142,10 @@ InstanceReport validate_instance(const net::Network& net,
       } else if (bits < 0.0) {
         sink.add(l, -1, std::string(name) + " demand is negative (" +
                             fmt(bits) + " bits)");
-      } else if (bits > options.max_demand_bits) {
+      } else if (bits > kMaxDemandBits) {
         sink.add(l, -1, std::string(name) + " demand " + fmt(bits) +
                             " bits exceeds the sanity cap of " +
-                            fmt(options.max_demand_bits) +
+                            fmt(kMaxDemandBits) +
                             " (unit mixup?)");
       } else {
         total_demand += bits;

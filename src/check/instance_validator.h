@@ -50,10 +50,6 @@ struct InstanceValidatorOptions {
   /// Stop materializing issue strings after this many findings (the count
   /// of additional ones is still reported via InstanceReport::suppressed).
   int max_issues = 32;
-  /// Demands above this many bits are rejected as absurd (defaults to well
-  /// beyond any per-GOP video demand; guards accidental unit mixups like
-  /// passing bytes*1e9 or an un-scaled overflow).
-  double max_demand_bits = 1e18;
 };
 
 /// Re-derives every instance-level assumption the solvers make:

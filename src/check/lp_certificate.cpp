@@ -20,14 +20,14 @@ std::string LpCertReport::to_string() const {
 
 namespace {
 
-struct Ctx {
-  const lp::LpModel& model;
-  const lp::LpSolution& sol;
-  const LpCertOptions& opt;
-  LpCertReport& report;
-
-  void fail(const std::string& msg) { report.errors.push_back(msg); }
-};
+/// Relative tolerance on primal constraint/bound residuals.
+constexpr double kFeasibilityTol = 1e-6;
+/// Relative tolerance on dual sign / reduced-cost conditions.
+constexpr double kDualTol = 1e-6;
+/// Relative tolerance on complementary-slackness products.
+constexpr double kSlacknessTol = 1e-6;
+/// Relative tolerance on the primal-dual objective gap.
+constexpr double kGapTol = 1e-6;
 
 std::string row_name(const lp::LpModel& model, int i) {
   const std::string& n = model.constraint(i).name;
@@ -42,41 +42,41 @@ std::string var_name(const lp::LpModel& model, int j) {
 }  // namespace
 
 LpCertReport check_lp_certificate(const lp::LpModel& model,
-                                  const lp::LpSolution& solution,
-                                  const LpCertOptions& options) {
-  return check_lp_certificate(model, {}, {}, solution, options);
+                                  const lp::LpSolution& solution) {
+  return check_lp_certificate(model, {}, {}, solution);
 }
 
 LpCertReport check_lp_certificate(const lp::LpModel& model,
                                   const std::vector<double>& lb_override,
                                   const std::vector<double>& ub_override,
-                                  const lp::LpSolution& solution,
-                                  const LpCertOptions& options) {
+                                  const lp::LpSolution& solution) {
   LpCertReport report;
-  Ctx ctx{model, solution, options, report};
+  const auto fail = [&report](const std::string& msg) {
+    report.errors.push_back(msg);
+  };
 
   const int n = model.num_variables();
   const int m = model.num_constraints();
 
   if (solution.status != lp::SolveStatus::Optimal) {
-    ctx.fail(std::string("solution status is ") +
-             lp::to_string(solution.status) + ", not Optimal");
+    fail(std::string("solution status is ") +
+         lp::to_string(solution.status) + ", not Optimal");
     return report;
   }
   if (static_cast<int>(solution.x.size()) != n) {
-    ctx.fail("primal vector has " + std::to_string(solution.x.size()) +
-             " entries for " + std::to_string(n) + " variables");
+    fail("primal vector has " + std::to_string(solution.x.size()) +
+         " entries for " + std::to_string(n) + " variables");
     return report;
   }
   if (m > 0 && static_cast<int>(solution.duals.size()) != m) {
-    ctx.fail("dual vector has " + std::to_string(solution.duals.size()) +
-             " entries for " + std::to_string(m) + " constraints");
+    fail("dual vector has " + std::to_string(solution.duals.size()) +
+         " entries for " + std::to_string(m) + " constraints");
     return report;
   }
   if (!lb_override.empty() &&
       (static_cast<int>(lb_override.size()) != n ||
        static_cast<int>(ub_override.size()) != n)) {
-    ctx.fail("bound overrides must have one entry per variable");
+    fail("bound overrides must have one entry per variable");
     return report;
   }
 
@@ -98,11 +98,11 @@ LpCertReport check_lp_certificate(const lp::LpModel& model,
     const double x = solution.x[j];
     const double lb = lb_of(j), ub = ub_of(j);
     if (!std::isfinite(x)) {
-      ctx.fail(var_name(model, j) + " is not finite");
+      fail(var_name(model, j) + " is not finite");
       continue;
     }
-    const double lo_tol = options.feasibility_tol * (1.0 + std::abs(lb));
-    const double hi_tol = options.feasibility_tol * (1.0 + std::abs(ub));
+    const double lo_tol = kFeasibilityTol * (1.0 + std::abs(lb));
+    const double hi_tol = kFeasibilityTol * (1.0 + std::abs(ub));
     double viol = 0.0;
     if (std::isfinite(lb) && x < lb - lo_tol) viol = (lb - x) / (1.0 + std::abs(lb));
     if (std::isfinite(ub) && x > ub + hi_tol)
@@ -111,7 +111,7 @@ LpCertReport check_lp_certificate(const lp::LpModel& model,
       std::ostringstream ss;
       ss << var_name(model, j) << " = " << x << " outside bounds [" << lb
          << ", " << ub << "]";
-      ctx.fail(ss.str());
+      fail(ss.str());
     }
     report.max_primal_violation = std::max(report.max_primal_violation, viol);
   }
@@ -126,7 +126,7 @@ LpCertReport check_lp_certificate(const lp::LpModel& model,
       scale += std::abs(coef * solution.x[col]);
     }
     activity[i] = act;
-    const double tol = options.feasibility_tol * scale;
+    const double tol = kFeasibilityTol * scale;
     double resid = 0.0;
     switch (row.sense) {
       case lp::Sense::Le: resid = act - row.rhs; break;
@@ -137,7 +137,7 @@ LpCertReport check_lp_certificate(const lp::LpModel& model,
       std::ostringstream ss;
       ss << row_name(model, i) << " violated: activity " << act << " vs rhs "
          << row.rhs;
-      ctx.fail(ss.str());
+      fail(ss.str());
     }
     report.max_primal_violation =
         std::max(report.max_primal_violation, std::max(0.0, resid) / scale);
@@ -151,7 +151,7 @@ LpCertReport check_lp_certificate(const lp::LpModel& model,
     yscale = std::max(yscale, std::abs(y[i]));
   }
   for (int i = 0; i < m; ++i) {
-    const double tol = options.dual_tol * yscale;
+    const double tol = kDualTol * yscale;
     double viol = 0.0;
     switch (model.constraint(i).sense) {
       case lp::Sense::Ge:  // binding from below: y >= 0
@@ -167,7 +167,7 @@ LpCertReport check_lp_certificate(const lp::LpModel& model,
       std::ostringstream ss;
       ss << row_name(model, i) << " dual " << y[i]
          << " has the wrong sign for its sense";
-      ctx.fail(ss.str());
+      fail(ss.str());
     }
     report.max_dual_violation = std::max(report.max_dual_violation, viol);
   }
@@ -196,11 +196,11 @@ LpCertReport check_lp_certificate(const lp::LpModel& model,
   for (int i = 0; i < m; ++i) {
     const double product = y[i] * (activity[i] - model.constraint(i).rhs);
     const double viol = std::abs(product) / obj_scale;
-    if (viol > options.slackness_tol) {
+    if (viol > kSlacknessTol) {
       std::ostringstream ss;
       ss << row_name(model, i) << " complementary slackness violated: dual "
          << y[i] << " x slack " << activity[i] - model.constraint(i).rhs;
-      ctx.fail(ss.str());
+      fail(ss.str());
     }
     report.max_slackness_violation =
         std::max(report.max_slackness_violation, viol);
@@ -210,41 +210,41 @@ LpCertReport check_lp_certificate(const lp::LpModel& model,
     const double c = sign * model.variable(j).cost;
     const double z = c - yA[j];
     const double zscale = 1.0 + std::abs(c) + std::abs(yA[j]);
-    const double ztol = options.dual_tol * zscale;
+    const double ztol = kDualTol * zscale;
     const double lb = lb_of(j), ub = ub_of(j);
     if (std::abs(z) <= ztol) continue;  // z ~ 0: no charge, no slackness claim
 
     if (z > 0.0) {
       if (!std::isfinite(lb)) {
-        ctx.fail(var_name(model, j) + " has positive reduced cost " +
-                 std::to_string(z) + " but no finite lower bound");
+        fail(var_name(model, j) + " has positive reduced cost " +
+             std::to_string(z) + " but no finite lower bound");
         continue;
       }
       dual_obj += z * lb;
       const double viol = z * (solution.x[j] - lb) / obj_scale;
-      if (viol > options.slackness_tol) {
+      if (viol > kSlacknessTol) {
         std::ostringstream ss;
         ss << var_name(model, j) << " complementary slackness violated: "
            << "reduced cost " << z << " but x = " << solution.x[j]
            << " above lower bound " << lb;
-        ctx.fail(ss.str());
+        fail(ss.str());
       }
       report.max_slackness_violation =
           std::max(report.max_slackness_violation, std::max(0.0, viol));
     } else {
       if (!std::isfinite(ub)) {
-        ctx.fail(var_name(model, j) + " has negative reduced cost " +
-                 std::to_string(z) + " but no finite upper bound");
+        fail(var_name(model, j) + " has negative reduced cost " +
+             std::to_string(z) + " but no finite upper bound");
         continue;
       }
       dual_obj += z * ub;
       const double viol = -z * (ub - solution.x[j]) / obj_scale;
-      if (viol > options.slackness_tol) {
+      if (viol > kSlacknessTol) {
         std::ostringstream ss;
         ss << var_name(model, j) << " complementary slackness violated: "
            << "reduced cost " << z << " but x = " << solution.x[j]
            << " below upper bound " << ub;
-        ctx.fail(ss.str());
+        fail(ss.str());
       }
       report.max_slackness_violation =
           std::max(report.max_slackness_violation, std::max(0.0, viol));
@@ -254,22 +254,22 @@ LpCertReport check_lp_certificate(const lp::LpModel& model,
   // ---- Objective consistency and strong duality -------------------------
   const double reported_obj = sign * solution.objective;
   if (std::abs(primal_obj - reported_obj) >
-      options.feasibility_tol * (1.0 + std::abs(primal_obj))) {
+      kFeasibilityTol * (1.0 + std::abs(primal_obj))) {
     std::ostringstream ss;
     ss << "reported objective " << solution.objective
        << " does not match c'x = " << sign * primal_obj;
-    ctx.fail(ss.str());
+    fail(ss.str());
   }
 
   report.primal_objective = sign * primal_obj;
   report.dual_objective = sign * dual_obj;
   report.duality_gap = std::abs(primal_obj - dual_obj) /
                        (1.0 + std::abs(primal_obj) + std::abs(dual_obj));
-  if (report.duality_gap > options.gap_tol) {
+  if (report.duality_gap > kGapTol) {
     std::ostringstream ss;
     ss << "duality gap: c'x = " << sign * primal_obj
        << " vs dual objective y'b + bound terms = " << sign * dual_obj;
-    ctx.fail(ss.str());
+    fail(ss.str());
   }
 
   return report;

@@ -28,17 +28,6 @@
 
 namespace mmwave::check {
 
-struct LpCertOptions {
-  /// Relative tolerance on primal constraint/bound residuals.
-  double feasibility_tol = 1e-6;
-  /// Relative tolerance on dual sign / reduced-cost conditions.
-  double dual_tol = 1e-6;
-  /// Relative tolerance on complementary-slackness products.
-  double slackness_tol = 1e-6;
-  /// Relative tolerance on the primal-dual objective gap.
-  double gap_tol = 1e-6;
-};
-
 struct LpCertReport {
   std::vector<std::string> errors;
 
@@ -56,10 +45,10 @@ struct LpCertReport {
   std::string to_string() const;
 };
 
-/// Checks the (x, duals) certificate of `solution` against `model`.
+/// Checks the (x, duals) certificate of `solution` against `model`.  Every
+/// condition holds to a relative tolerance of 1e-6.
 LpCertReport check_lp_certificate(const lp::LpModel& model,
-                                  const lp::LpSolution& solution,
-                                  const LpCertOptions& options = {});
+                                  const lp::LpSolution& solution);
 
 /// Same, under per-variable bound overrides (branch & bound nodes).  `lb`
 /// and `ub` must have one entry per variable; empty vectors fall back to
@@ -67,7 +56,6 @@ LpCertReport check_lp_certificate(const lp::LpModel& model,
 LpCertReport check_lp_certificate(const lp::LpModel& model,
                                   const std::vector<double>& lb,
                                   const std::vector<double>& ub,
-                                  const lp::LpSolution& solution,
-                                  const LpCertOptions& options = {});
+                                  const lp::LpSolution& solution);
 
 }  // namespace mmwave::check

@@ -44,6 +44,13 @@ std::string VerifyReport::to_string() const {
 
 namespace {
 
+/// Relative slack on SINR thresholds (absorbs solver tolerance dust).
+constexpr double kSinrRelSlack = 1e-6;
+/// Relative slack on the Pmax cap.
+constexpr double kPowerRelSlack = 1e-9;
+/// Relative slack on timeline demand coverage.
+constexpr double kDemandRelSlack = 1e-6;
+
 Violation make(ViolationKind kind, int link, int channel, double measured,
                double limit, std::string detail) {
   Violation v;
@@ -67,7 +74,7 @@ std::string describe(const char* what, double measured, double limit) {
 VerifyReport ScheduleVerifier::verify(const sched::Schedule& schedule) const {
   VerifyReport report;
   const double pmax = net_.params().p_max_watts;
-  const double pmax_slack = pmax * (1.0 + options_.power_rel_slack);
+  const double pmax_slack = pmax * (1.0 + kPowerRelSlack);
 
   // ---- Per-transmission range checks ------------------------------------
   // Transmissions with out-of-range indices are excluded from the
@@ -97,7 +104,7 @@ VerifyReport ScheduleVerifier::verify(const sched::Schedule& schedule) const {
     }
     // A power violation is reported but does not exclude the transmission
     // from the cross-checks below — only un-indexable ones must be skipped.
-    if (tx.power_watts < -pmax * options_.power_rel_slack ||
+    if (tx.power_watts < -pmax * kPowerRelSlack ||
         tx.power_watts > pmax_slack) {
       report.violations.push_back(
           make(ViolationKind::PowerOutOfRange, tx.link, tx.channel,
@@ -180,7 +187,7 @@ VerifyReport ScheduleVerifier::verify(const sched::Schedule& schedule) const {
               ? signal / interference
               : (signal > 0.0 ? std::numeric_limits<double>::infinity() : 0.0);
       const double gamma = net_.rate_level(rx->rate_level).sinr_threshold;
-      if (sinr < gamma * (1.0 - options_.sinr_rel_slack)) {
+      if (sinr < gamma * (1.0 - kSinrRelSlack)) {
         std::ostringstream ss;
         ss << "SINR " << sinr << " below gamma^q " << gamma << " at level "
            << rx->rate_level;
@@ -239,7 +246,7 @@ VerifyReport ScheduleVerifier::verify_timeline(
     for (const LayerCase& c :
          {LayerCase{"HP", hp_bits[l], demands[l].hp_bits},
           LayerCase{"LP", lp_bits[l], demands[l].lp_bits}}) {
-      if (c.delivered < c.demanded * (1.0 - options_.demand_rel_slack)) {
+      if (c.delivered < c.demanded * (1.0 - kDemandRelSlack)) {
         std::ostringstream ss;
         ss << c.name << " coverage shortfall: delivered " << c.delivered
            << " of " << c.demanded << " bits";

@@ -65,12 +65,6 @@ struct VerifyReport {
 };
 
 struct VerifyOptions {
-  /// Relative slack on SINR thresholds (absorbs solver tolerance dust).
-  double sinr_rel_slack = 1e-6;
-  /// Relative slack on the Pmax cap.
-  double power_rel_slack = 1e-9;
-  /// Relative slack on timeline demand coverage.
-  double demand_rel_slack = 1e-6;
   /// Accept one transmission per (link, layer) on distinct channels
   /// (the Section III remark) instead of one per link.
   bool allow_layer_split = false;

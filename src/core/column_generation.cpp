@@ -20,6 +20,29 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Early-stop target of a non-final exact-pricing call: any column priced
+/// this comfortably below zero reduced cost will do (the certification call
+/// always runs to the cutoff).
+constexpr double kEarlyStopPsi = 1.0 + 1e-4;
+/// Under a deadline, each exact-pricing call gets
+///   min(exact.milp.time_limit_sec,
+///       max(kMilpBudgetFraction * remaining, kMinMilpBudgetSec))
+/// capped at the remaining budget itself, so the MILP budget shrinks as the
+/// deadline nears.
+constexpr double kMilpBudgetFraction = 0.5;
+constexpr double kMinMilpBudgetSec = 0.05;
+/// Stall detection: this many consecutive iterations without relative LB/UB
+/// progress climb one rung of the escalation ladder — greedy pricing ->
+/// full-budget exact MILP -> dual-perturbation retry.
+constexpr int kStallWindow = 15;
+/// Relative LB/UB movement below this counts as "no progress".
+constexpr double kStallRelProgress = 1e-9;
+/// Magnitude of the multiplicative dual perturbation of the last-resort
+/// repricing retry (columns found under perturbed duals are only accepted
+/// if they price negative under the true duals), and its RNG seed.
+constexpr double kDualPerturbation = 1e-5;
+constexpr std::uint64_t kPerturbationSeed = 0x5EEDF00D;
+
 /// Wall-clock budget of one solve.  The fault site lets tests script "the
 /// deadline expires mid-iteration" deterministically; once exhausted (for
 /// real or injected) it stays exhausted.
@@ -172,15 +195,13 @@ CgResult solve_cg_impl(const net::Network& net,
 
   // Reject malformed instances (NaN gains, negative demands, size
   // mismatches) before any solver arithmetic touches them.
-  if (options.validate_input) {
-    const check::InstanceReport report = check::validate_instance(net, demands);
-    if (!report.ok()) {
-      set_degraded(result, CgStopReason::kInvalidInput,
-                   common::Status::Error(common::ErrorCode::kInvalidInput,
-                                         report.to_string()));
-      result.solve_seconds = deadline.elapsed();
-      return result;
-    }
+  const check::InstanceReport report = check::validate_instance(net, demands);
+  if (!report.ok()) {
+    set_degraded(result, CgStopReason::kInvalidInput,
+                 common::Status::Error(common::ErrorCode::kInvalidInput,
+                                       report.to_string()));
+    result.solve_seconds = deadline.elapsed();
+    return result;
   }
 
   // A link that cannot reach even the lowest rate level alone on any
@@ -318,25 +339,20 @@ CgResult solve_cg_impl(const net::Network& net,
   /// through the deadline.  `full` disables the early-stop target
   /// (escalated / certification calls).  Every call but those of
   /// ExactAlways (which promises an exact Phi each iteration, Fig. 4)
-  /// stops once its bound proves Psi <= 1 + eps: that settles "no
+  /// stops once its bound proves Psi <= 1 + kCgEps: that settles "no
   /// improving column" without closing the gap to the optimal Psi.
   const auto budgeted_exact = [&](bool full) {
     MilpPricingOptions exact = options.exact;
     exact.milp.cutoff = options.pricing == PricingMode::ExactAlways
                             ? std::nan("")
-                            : 1.0 + options.eps;
-    if (!full && options.exact_early_stop) {
-      // Any column comfortably below zero reduced cost will do.
-      exact.target_psi = 1.0 + 1e-4;
-    } else {
-      exact.target_psi = std::nan("");
-    }
+                            : 1.0 + kCgEps;
+    exact.target_psi = full ? std::nan("") : kEarlyStopPsi;
     const double remaining = deadline.remaining();
     if (std::isfinite(remaining)) {
       double budget =
           std::min(exact.milp.time_limit_sec,
-                   std::max(options.milp_budget_fraction * remaining,
-                            options.min_milp_budget_sec));
+                   std::max(kMilpBudgetFraction * remaining,
+                            kMinMilpBudgetSec));
       budget = std::min(budget, std::max(remaining, 0.0));
       exact.milp.time_limit_sec = budget;
       // A real deadline makes the budget hard: push it into every node LP
@@ -355,7 +371,7 @@ CgResult solve_cg_impl(const net::Network& net,
   // 1 = full-budget exact MILP, 2 = full exact under perturbed duals.
   int escalation = 0;
   bool perturbation_spent = false;
-  common::Rng perturb_rng(options.perturbation_seed);
+  common::Rng perturb_rng(kPerturbationSeed);
   // Stall window: consecutive iterations without relative LB/UB progress.
   int no_progress_iters = 0;
   double prev_ub = kInf;
@@ -406,10 +422,10 @@ CgResult solve_cg_impl(const net::Network& net,
     if (perturbed) {
       perturbation_spent = true;
       for (double& v : lhp)
-        v = std::max(0.0, v * (1.0 + options.dual_perturbation *
+        v = std::max(0.0, v * (1.0 + kDualPerturbation *
                                          (perturb_rng.uniform() - 0.5)));
       for (double& v : llp)
-        v = std::max(0.0, v * (1.0 + options.dual_perturbation *
+        v = std::max(0.0, v * (1.0 + kDualPerturbation *
                                          (perturb_rng.uniform() - 0.5)));
       MMWAVE_LOG_WARN << "iteration " << iter
                       << ": repricing under perturbed duals (stall escape)";
@@ -485,10 +501,10 @@ CgResult solve_cg_impl(const net::Network& net,
     // ---- Stall window ---------------------------------------------------
     const double ub_scale = 1.0 + std::abs(mp.objective_slots);
     const bool ub_progress =
-        prev_ub - mp.objective_slots > options.stall_rel_progress * ub_scale;
+        prev_ub - mp.objective_slots > kStallRelProgress * ub_scale;
     const bool lb_progress =
         std::isfinite(best_lb) &&
-        best_lb - prev_lb > options.stall_rel_progress * (1.0 + std::abs(best_lb));
+        best_lb - prev_lb > kStallRelProgress * (1.0 + std::abs(best_lb));
     if (ub_progress || lb_progress) {
       no_progress_iters = 0;
       // Progress de-escalates: the expensive recovery modes are only for
@@ -523,18 +539,17 @@ CgResult solve_cg_impl(const net::Network& net,
     // only ever decided by a hard signal: duplicates, inconclusive pricing,
     // limits or the deadline.  A long degenerate-but-converging tail must
     // not be killed merely for a flat objective).
-    if (options.stall_window > 0 &&
-        no_progress_iters >= options.stall_window) {
+    if (no_progress_iters >= kStallWindow) {
       no_progress_iters = 0;
       escalate("no LB/UB progress over the stall window");
     }
 
     // ---- Termination ----------------------------------------------------
     const bool no_improving_column =
-        perturbed ? true_rc >= -options.eps : phi >= -options.eps;
+        perturbed ? true_rc >= -kCgEps : phi >= -kCgEps;
     if (no_improving_column) {
       if (exact_used && pricing.exact && !perturbed) {
-        // Optimal: the exact pricer certified Phi >= -eps.
+        // Optimal: the exact pricer certified Phi >= -kCgEps.
         result.converged = true;
         result.stop_reason = CgStopReason::kConverged;
         stopped = true;

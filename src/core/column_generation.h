@@ -5,7 +5,7 @@
 //   2. solve the MP, read the duals (simplex multipliers);
 //   3. price: greedy heuristic first, exact MILP when the heuristic finds
 //      nothing (or always, in Exact mode);
-//   4. if the most negative reduced cost Phi >= -eps with an exact pricer,
+//   4. if the most negative reduced cost Phi >= -kCgEps with an exact pricer,
 //      the MP optimum equals the P1 optimum — stop;
 //   5. otherwise enter the new column and repeat.
 //
@@ -43,10 +43,12 @@ enum class PricingMode {
   HeuristicOnly,
 };
 
+/// Reduced-cost tolerance: Phi >= -kCgEps under an exact pricer certifies
+/// the P1 optimum and terminates.
+inline constexpr double kCgEps = 1e-6;
+
 struct CgOptions {
   PricingMode pricing = PricingMode::HeuristicThenExact;
-  /// Reduced-cost tolerance: Phi >= -eps terminates.
-  double eps = 1e-6;
   int max_iterations = 1000;
   /// Early stop when (UB - bestLB)/UB <= gap_tolerance (0 disables; only
   /// effective on iterations that produce a valid lower bound).
@@ -61,10 +63,6 @@ struct CgOptions {
     exact.milp.time_limit_sec = 10.0;
     exact.milp.max_nodes = 50'000;
   }
-  /// In HeuristicThenExact mode, stop the exact pricer at the first
-  /// improving column instead of the true optimum (faster; the final
-  /// certification iteration always runs to optimality).
-  bool exact_early_stop = true;
   /// Warm-start every master solve from the previous optimal basis (the
   /// appended column enters nonbasic; phase 1 is skipped while the old
   /// basis stays primal-feasible).  Off = cold two-phase solve every
@@ -87,34 +85,10 @@ struct CgOptions {
   /// Wall-clock budget for the whole solve, seconds (0 disables).  On
   /// expiry the solve stops where it is and returns the incumbent schedule
   /// with its best Theorem-1 bound, `degraded` set and the reason recorded
-  /// — the anytime contract of Algorithm 1.
+  /// — the anytime contract of Algorithm 1.  Each exact-pricing call's
+  /// MILP budget shrinks with the remaining time, so a single call can
+  /// never blow through the deadline.
   double deadline_sec = 0.0;
-  /// Under a deadline, each exact-pricing call gets
-  ///   min(exact.milp.time_limit_sec,
-  ///       max(milp_budget_fraction * remaining, min_milp_budget_sec))
-  /// capped at the remaining budget itself, so the MILP budget shrinks as
-  /// the deadline nears and a single pricing call can never blow through
-  /// the deadline.
-  double milp_budget_fraction = 0.5;
-  double min_milp_budget_sec = 0.05;
-  /// Stall detection: this many consecutive iterations without relative
-  /// LB/UB progress (or a duplicate/inconclusive pricing round) trigger the
-  /// escalation ladder — greedy pricing -> full-budget exact MILP ->
-  /// dual-perturbation retry — and, exhausted, a degraded stop instead of
-  /// an endless loop.  0 disables the window (duplicate-column escalation
-  /// stays active).
-  int stall_window = 15;
-  /// Relative LB/UB movement below this counts as "no progress".
-  double stall_rel_progress = 1e-9;
-  /// Magnitude of the multiplicative dual perturbation of the last-resort
-  /// repricing retry (columns found under perturbed duals are only accepted
-  /// if they price negative under the true duals).
-  double dual_perturbation = 1e-5;
-  std::uint64_t perturbation_seed = 0x5EEDF00D;
-  /// Reject malformed instances (NaN/negative gains or demands, size
-  /// mismatches) via check::validate_instance before the solver touches
-  /// them; failures return degraded + kInvalidInput instead of UB/garbage.
-  bool validate_input = true;
 
   // --- Warm pool (checkpoint/resolve layer) -----------------------------
   /// Columns seeded into the master ahead of the CG loop, after the TDMA
@@ -129,7 +103,7 @@ struct CgOptions {
 
 /// Why the column-generation loop stopped.
 enum class CgStopReason {
-  /// Optimality certified (Phi >= -eps, exact pricer) or the requested gap
+  /// Optimality certified (Phi >= -kCgEps, exact pricer) or the requested gap
   /// tolerance was reached.
   kConverged,
   /// HeuristicOnly mode: the heuristic found no more improving columns
@@ -158,7 +132,7 @@ struct IterationStat {
   /// Most negative reduced cost Phi = 1 - Psi of this iteration's pricing.
   /// Exact when `exact_pricing` and the MILP ran to optimality (always so
   /// under PricingMode::ExactAlways; a MILP stopped at its cutoff certifies
-  /// only Phi >= -eps); otherwise it is the reduced cost of the best column
+  /// only Phi >= -kCgEps); otherwise it is the reduced cost of the best column
   /// found (an upper bound on the true Phi).
   double phi = 0.0;
   /// Theorem-1 lower bound (NaN when no valid bound this iteration).
@@ -235,7 +209,7 @@ struct VerificationSummary {
 };
 
 struct CgResult {
-  /// True iff optimality was certified (Phi >= -eps under exact pricing)
+  /// True iff optimality was certified (Phi >= -kCgEps under exact pricing)
   /// or the requested gap tolerance was reached.
   bool converged = false;
   /// Final MP objective (slots).  This is the P1 optimum when `converged`

@@ -393,9 +393,11 @@ PricingResult solve_pricing_milp(const net::Network& net,
                   sol.x[c.pvar_.at({xv.link, xv.channel})]});
   }
 
-  if (options.clean_powers && !options.fixed_power && !schedule.empty()) {
-    // Re-minimize powers channel by channel; the active set is feasible so
-    // the Perron solve should succeed — keep MILP powers if it does not.
+  if (!options.fixed_power && !schedule.empty()) {
+    // Re-minimize powers channel by channel (the MILP only needs
+    // feasibility; minimal powers are the natural operating point and leave
+    // headroom).  The active set is feasible so the Perron solve should
+    // succeed — keep MILP powers if it does not.
     std::map<int, std::vector<const sched::Transmission*>> by_channel;
     for (const sched::Transmission& tx : schedule.transmissions())
       by_channel[tx.channel].push_back(&tx);

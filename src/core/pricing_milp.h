@@ -28,10 +28,6 @@ struct MilpPricingOptions {
   /// found (NaN disables).  Column generation only needs *an* improving
   /// column except on the final certification iteration.
   double target_psi = std::nan("");
-  /// Re-minimize transmit powers of the extracted schedule per channel
-  /// (the MILP only needs feasibility; minimal powers are the natural
-  /// operating point and leave headroom).
-  bool clean_powers = true;
   /// Ablation: force P_l^k = Pmax whenever link l is active on channel k,
   /// i.e. no power adaptation.  Default off.
   bool fixed_power = false;

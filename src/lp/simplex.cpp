@@ -18,6 +18,14 @@ namespace {
 using common::LuFactorization;
 using common::Matrix;
 
+/// Primal feasibility tolerance: bound and row residuals below it count
+/// as satisfied, and a step no longer than it counts as degenerate.
+constexpr double kFeasibilityTol = 1e-7;
+/// Reduced-cost tolerance of the optimality test in pricing.
+constexpr double kOptimalityTol = 1e-7;
+/// Consecutive non-improving pivots before switching to Bland's rule.
+constexpr int kStallThreshold = 60;
+
 enum class VarState : std::uint8_t { Basic, AtLower, AtUpper, FreeNonbasic };
 
 /// Basis-representation engine of the revised simplex.  The iteration loop
@@ -303,7 +311,7 @@ class Simplex {
       const Variable& v = model.variable(j);
       lb_[j] = use_override ? lb_override[j] : v.lb;
       ub_[j] = use_override ? ub_override[j] : v.ub;
-      if (lb_[j] > ub_[j] + options_.feasibility_tol) bad_bounds_ = true;
+      if (lb_[j] > ub_[j] + kFeasibilityTol) bad_bounds_ = true;
       cost_[j] = maximize_ ? -v.cost : v.cost;
       // Structural columns come straight from the model's incrementally
       // maintained transpose view: O(nnz) instead of re-scanning every row.
@@ -535,7 +543,7 @@ class Simplex {
     }
     if (!refactor_basis()) return false;
 
-    const double tol = options_.feasibility_tol * (1.0 + rhs_scale_);
+    const double tol = kFeasibilityTol * (1.0 + rhs_scale_);
     for (int i = 0; i < m_; ++i) {
       const int bj = basis_[i];
       if (xval_[bj] < lb_[bj] - tol || xval_[bj] > ub_[bj] + tol) return false;
@@ -631,7 +639,7 @@ class Simplex {
       ++stats_.ftran_calls;
       const std::vector<double>& d = d_;
 
-      // Ratio test.  Relaxed ratios (bound + feasibility_tol) are used only
+      // Ratio test.  Relaxed ratios (bound + kFeasibilityTol) are used only
       // to *select* the blocking variable (Harris-style, for numerical
       // stability); the actual step is the exact ratio of the winner, so
       // iterates land exactly on bounds.
@@ -653,12 +661,12 @@ class Simplex {
         int hits_upper;
         if (delta > 0) {
           if (!std::isfinite(ub_[bj])) continue;
-          t_rel = (ub_[bj] - xval_[bj] + options_.feasibility_tol) / delta;
+          t_rel = (ub_[bj] - xval_[bj] + kFeasibilityTol) / delta;
           t_ex = (ub_[bj] - xval_[bj]) / delta;
           hits_upper = 1;
         } else {
           if (!std::isfinite(lb_[bj])) continue;
-          t_rel = (lb_[bj] - xval_[bj] - options_.feasibility_tol) / delta;
+          t_rel = (lb_[bj] - xval_[bj] - kFeasibilityTol) / delta;
           t_ex = (lb_[bj] - xval_[bj]) / delta;
           hits_upper = 0;
         }
@@ -688,8 +696,8 @@ class Simplex {
       const double t = bound_flip ? range : t_exact;
 
       ++iterations_;
-      if (t <= options_.feasibility_tol) {
-        if (++stall > options_.stall_threshold) bland = true;
+      if (t <= kFeasibilityTol) {
+        if (++stall > kStallThreshold) bland = true;
       } else {
         stall = 0;
         bland = false;
@@ -761,7 +769,7 @@ class Simplex {
   /// pricing rule; under Bland's rule the first (lowest-index) eligible
   /// column is taken unconditionally, preserving the anti-cycling proof.
   int price(bool bland) {
-    const double tol = options_.optimality_tol * (1.0 + cost_scale_);
+    const double tol = kOptimalityTol * (1.0 + cost_scale_);
     candidates_.clear();
     for (int j = 0; j < num_cols_; ++j) {
       if (state_[j] == VarState::Basic) continue;

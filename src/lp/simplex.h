@@ -58,13 +58,9 @@ struct LpOptions {
   /// kLimitHit error.  This is what lets a deadline preempt a long LP
   /// mid-solve instead of waiting out the iteration cap.
   double time_limit_sec = 0.0;
-  double feasibility_tol = 1e-7;
-  double optimality_tol = 1e-7;
   /// Refactorize the basis from scratch every this many pivots (bounds the
   /// eta file of the sparse engine, sheds drift on the dense one).
   int refactor_interval = 128;
-  /// Consecutive non-improving pivots before switching to Bland's rule.
-  int stall_threshold = 60;
   /// Entering-variable pricing rule (see lp/pricing.h).
   PricingRule pricing = PricingRule::kDantzig;
   /// Use the dense explicit-inverse basis engine instead of the sparse LU.

@@ -13,6 +13,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// An integral variable within this of an integer counts as integral.
+constexpr double kIntegralityTol = 1e-6;
+/// A limit-truncated solve whose relative gap (MilpSolution::gap) is at
+/// most this reports Optimal instead of Feasible.
+constexpr double kGapTol = 1e-9;
+
 /// Bound tightening relative to the parent node; nodes share ancestors.
 struct BoundChange {
   int var;
@@ -50,9 +56,9 @@ class BranchAndBound {
       if (model.is_integral(j)) {
         // Tighten integral bounds to integers up front.
         if (std::isfinite(root_lb_[j]))
-          root_lb_[j] = std::ceil(root_lb_[j] - options.integrality_tol);
+          root_lb_[j] = std::ceil(root_lb_[j] - kIntegralityTol);
         if (std::isfinite(root_ub_[j]))
-          root_ub_[j] = std::floor(root_ub_[j] + options.integrality_tol);
+          root_ub_[j] = std::floor(root_ub_[j] + kIntegralityTol);
       }
     }
   }
@@ -76,7 +82,7 @@ class BranchAndBound {
     }
 
     if (warm_start != nullptr) {
-      if (is_feasible_point(model_, *warm_start, options_.integrality_tol)) {
+      if (is_feasible_point(model_, *warm_start, kIntegralityTol)) {
         set_incumbent(*warm_start);
       } else {
         MMWAVE_LOG_WARN << "milp: warm start rejected (infeasible)";
@@ -201,8 +207,8 @@ class BranchAndBound {
         sol.status = MilpStatus::TargetReached;
       } else if (limit_hit) {
         sol.best_bound = user_value(std::min(open_bound, incumbent_obj_));
-        sol.status = sol.gap() <= options_.gap_tol ? MilpStatus::Optimal
-                                                   : MilpStatus::Feasible;
+        sol.status = sol.gap() <= kGapTol ? MilpStatus::Optimal
+                                         : MilpStatus::Feasible;
         if (sol.status == MilpStatus::Feasible) {
           sol.error = common::Status::Error(
               common::ErrorCode::kLimitHit,
@@ -326,12 +332,12 @@ class BranchAndBound {
   /// Most-fractional integral variable; -1 when integral within tolerance.
   int pick_branch_variable(const std::vector<double>& x) const {
     int best = -1;
-    double best_score = options_.integrality_tol;
+    double best_score = kIntegralityTol;
     for (int j = 0; j < n_; ++j) {
       if (!model_.is_integral(j)) continue;
       const double frac = x[j] - std::floor(x[j]);
       const double dist = std::min(frac, 1.0 - frac);
-      if (dist <= options_.integrality_tol) continue;
+      if (dist <= kIntegralityTol) continue;
       // Most fractional, weighted slightly by cost magnitude to break ties
       // toward variables that matter for the objective.
       const double score =
@@ -350,7 +356,7 @@ class BranchAndBound {
     for (int j = 0; j < n_; ++j) {
       if (!model_.is_integral(j)) continue;
       const double snapped = std::round(rounded[j]);
-      if (std::abs(snapped - rounded[j]) > options_.integrality_tol)
+      if (std::abs(snapped - rounded[j]) > kIntegralityTol)
         any = true;
       rounded[j] = snapped;
     }

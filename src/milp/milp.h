@@ -90,9 +90,6 @@ const char* to_string(MilpStatus status);
 struct MilpOptions {
   std::int64_t max_nodes = 200000;
   double time_limit_sec = 60.0;
-  double integrality_tol = 1e-6;
-  /// Stop when (incumbent - bound) / max(1, |incumbent|) falls below this.
-  double gap_tol = 1e-9;
   /// If finite: stop as soon as the incumbent objective reaches this value
   /// (>= for Maximize models, <= for Minimize).
   double target_objective = std::nan("");

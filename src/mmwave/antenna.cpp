@@ -15,27 +15,4 @@ double FlatTopPattern::gain(double theta) const {
   return std::abs(theta) <= half_beamwidth_ ? 1.0 : sidelobe_;
 }
 
-GaussianPattern::GaussianPattern(double beamwidth_rad, double sidelobe)
-    : sidelobe_(sidelobe) {
-  assert(beamwidth_rad > 0.0);
-  // Half-power at theta = beamwidth/2: exp(-(bw/2)^2 / (2 sigma^2)) = 1/2.
-  const double half = beamwidth_rad / 2.0;
-  sigma_ = half / std::sqrt(2.0 * std::log(2.0));
-}
-
-double GaussianPattern::gain(double theta) const {
-  const double g = std::exp(-theta * theta / (2.0 * sigma_ * sigma_));
-  return std::max(g, sidelobe_);
-}
-
-std::unique_ptr<AntennaPattern> make_flat_top(double beamwidth_rad,
-                                              double sidelobe) {
-  return std::make_unique<FlatTopPattern>(beamwidth_rad, sidelobe);
-}
-
-std::unique_ptr<AntennaPattern> make_gaussian(double beamwidth_rad,
-                                              double sidelobe) {
-  return std::make_unique<GaussianPattern>(beamwidth_rad, sidelobe);
-}
-
 }  // namespace mmwave::net

@@ -1,54 +1,26 @@
-// Directional antenna gain patterns Delta(theta) (Section III, eq. (4)).
+// Directional antenna gain pattern Delta(theta) (Section III, eq. (4)).
 //
 // The paper models the interference from link l1's transmitter to link l2's
 // receiver as G * Delta(theta(l1, l2)) where Delta is the normalized
-// directional gain at offset angle theta from boresight.  Two standard
-// patterns are provided:
-//  * flat-top ("keyhole"): full gain inside the half-power beamwidth,
-//    constant sidelobe level outside — the model used by most mmWave MAC
-//    papers, including the paper's references [5], [6];
-//  * Gaussian mainlobe with a sidelobe floor — a smoother alternative used
-//    for ablations.
+// directional gain at offset angle theta from boresight.  The geometric
+// channel model uses the flat-top ("keyhole") pattern: full gain inside the
+// half-power beamwidth, constant sidelobe level outside — the model used by
+// most mmWave MAC papers, including the paper's references [5], [6].
 #pragma once
-
-#include <memory>
 
 namespace mmwave::net {
 
-class AntennaPattern {
- public:
-  virtual ~AntennaPattern() = default;
-  /// Normalized gain in [0, 1] at offset angle `theta` radians from
-  /// boresight; theta is folded into [0, pi] by the caller.
-  virtual double gain(double theta) const = 0;
-};
-
 /// Constant mainlobe gain of 1 within +-beamwidth/2, `sidelobe` outside.
-class FlatTopPattern : public AntennaPattern {
+class FlatTopPattern {
  public:
   FlatTopPattern(double beamwidth_rad, double sidelobe);
-  double gain(double theta) const override;
+  /// Normalized gain in [0, 1] at offset angle `theta` radians from
+  /// boresight; theta is folded into [0, pi] by the caller.
+  double gain(double theta) const;
 
  private:
   double half_beamwidth_;
   double sidelobe_;
 };
-
-/// exp(-theta^2 / (2 sigma^2)) mainlobe (sigma from the half-power
-/// beamwidth), floored at `sidelobe`.
-class GaussianPattern : public AntennaPattern {
- public:
-  GaussianPattern(double beamwidth_rad, double sidelobe);
-  double gain(double theta) const override;
-
- private:
-  double sigma_;
-  double sidelobe_;
-};
-
-std::unique_ptr<AntennaPattern> make_flat_top(double beamwidth_rad,
-                                              double sidelobe);
-std::unique_ptr<AntennaPattern> make_gaussian(double beamwidth_rad,
-                                              double sidelobe);
 
 }  // namespace mmwave::net

@@ -59,7 +59,7 @@ GeometricChannelModel::GeometricChannelModel(
       placement_(random_placement(num_links, config.room_size_m,
                                   config.min_link_len_m,
                                   config.max_link_len_m, rng)),
-      pattern_(make_flat_top(config.beamwidth_rad, config.sidelobe_gain)) {
+      pattern_(config.beamwidth_rad, config.sidelobe_gain) {
   // Per-(ordered pair, channel) lognormal fading for frequency selectivity.
   // Index [from * L + to] with from == to used for the direct path.
   fading_.resize(static_cast<std::size_t>(num_links) * num_links *
@@ -101,7 +101,7 @@ GeometricChannelModel::GeometricChannelModel(
       // Offsets of the interference ray from each end's boresight.
       const double theta_tx = angle_offset(tx_boresight, bearing(tx, rx));
       const double theta_rx = angle_offset(rx_boresight, bearing(rx, tx));
-      const double ant = pattern_->gain(theta_tx) * pattern_->gain(theta_rx);
+      const double ant = pattern_.gain(theta_tx) * pattern_.gain(theta_rx);
       const double d = std::max(distance(tx, rx), 0.1);
       for (int k = 0; k < num_channels; ++k) {
         cross_[(static_cast<std::size_t>(from) * num_links + to) *

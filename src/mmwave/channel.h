@@ -12,12 +12,11 @@
 //    uniform [0,1].  All headline figures are reproduced with this model.
 //
 //  * GeometricChannelModel — a physically-motivated indoor 60 GHz model
-//    (free-space path loss, directional antennas via AntennaPattern,
+//    (free-space path loss, flat-top directional antennas,
 //    per-channel frequency-selective fading) used in ablations to show that
 //    conclusions are not an artifact of the i.i.d. uniform assumption.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -107,7 +106,7 @@ class GeometricChannelModel : public ChannelModel {
   double noise_watts_;
   GeometricChannelConfig config_;
   Placement placement_;
-  std::unique_ptr<AntennaPattern> pattern_;
+  FlatTopPattern pattern_;
   std::vector<double> fading_;  // [(from * L + to) * K + k], linear scale
   std::vector<double> direct_;
   std::vector<double> cross_;

@@ -43,12 +43,8 @@ Scheduler make_cg_scheduler(const CgSchedulerOptions& options,
     cg.pricing = options.heuristic_only
                      ? core::PricingMode::HeuristicOnly
                      : core::PricingMode::HeuristicThenExact;
-    cg.verify = options.verify;
     const auto result = core::solve_column_generation(net, demands, cg);
     if (context != nullptr) {
-      if (options.verify && !result.verification.errors.empty()) {
-        ++context->verify_failures;
-      }
       // Fold this period's plan into the digest chain: a resumed session
       // replaying the same periods must reproduce the same chain.
       const std::uint64_t digest = timeline_digest(result.timeline);

@@ -60,18 +60,16 @@ struct SolverContext {
   /// witness that a resumed session re-derives the exact same plans.
   std::uint64_t last_plan_digest = 0;
   std::uint64_t plan_digest_chain = 0;
-  /// Solves whose certificate re-check (CgSchedulerOptions::verify)
-  /// reported at least one error.  Stays 0 on healthy runs.
-  int verify_failures = 0;
 };
 
 /// Built-in scheduler adapters.
 Scheduler make_cg_scheduler(const struct CgSchedulerOptions& options);
 /// The same cold CG scheduler, recording each solve into `context` when it
-/// is non-null: the plan digest chain, verification failures and (with
-/// capture_checkpoint) the latest solve's checkpoint.  The plans are those
-/// of the context-free overload.  `context` must outlive the scheduler and
-/// is not thread-safe (one session loop at a time).
+/// is non-null: the plan digest chain and (with capture_checkpoint) the
+/// latest solve's checkpoint.  It records no verification failures: the
+/// session scheduler never runs the certificate checkers.  The plans are
+/// those of the context-free overload.  `context` must outlive the
+/// scheduler and is not thread-safe (one session loop at a time).
 Scheduler make_cg_scheduler(const struct CgSchedulerOptions& options,
                             SolverContext* context);
 Scheduler make_tdma_scheduler();
@@ -84,9 +82,6 @@ struct CgSchedulerOptions {
   /// Capture a core::CgCheckpoint of each solve into the SolverContext so
   /// the session loop can persist a checkpoint after every period.
   bool capture_checkpoint = false;
-  /// Re-check LP certificates and column feasibility after every solve;
-  /// failures are counted in SolverContext::verify_failures.
-  bool verify = false;
 };
 
 struct SessionConfig {

@@ -134,7 +134,7 @@ TEST(CgAnytime, MilpTruncationKeepsBoundsValid) {
   ASSERT_FALSE(result.history.empty());
   EXPECT_FALSE(result.history.back().exact_pricing)
       << "the certifying call closed honestly; the fault did not reach it";
-  EXPECT_GE(result.history.back().phi, -opts.eps);
+  EXPECT_GE(result.history.back().phi, -kCgEps);
   ASSERT_TRUE(result.degraded);
   EXPECT_TRUE(result.stop_reason == CgStopReason::kPricingFailure ||
               result.stop_reason == CgStopReason::kStalled)

@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "baselines/baselines.h"
+#include "common/rng.h"
+#include "video/demand.h"
 
 namespace mmwave::core {
 namespace {
@@ -92,7 +98,7 @@ TEST(ColumnGeneration, PhiNonPositiveUntilTermination) {
   for (std::size_t i = 0; i + 1 < result.history.size(); ++i) {
     EXPECT_LT(result.history[i].phi, 0.0);
   }
-  EXPECT_GE(result.history.back().phi, -opts.eps);
+  EXPECT_GE(result.history.back().phi, -kCgEps);
 }
 
 TEST(ColumnGeneration, FinalTimelineMeetsDemands) {
@@ -230,6 +236,133 @@ TEST(ColumnGeneration, IterationLimitRespected) {
   // Even truncated, the incumbent serves the demands (master is feasible).
   const auto exec = sched::execute_timeline(net, result.timeline, demands);
   EXPECT_TRUE(exec.all_demands_met);
+}
+
+// ---- Recorded answers -----------------------------------------------------
+// The solver's tolerances, budgets and escalation constants are fixed in
+// code; a changed value shows up here as a different iteration count, pool
+// or plan, not only as a slower benchmark.  Each row was recorded from the
+// solver it pins; the MILP wall-clock limit is lifted so no row depends on
+// machine speed (perfbench does the same).
+
+/// FNV-1a (64-bit) over the timeline's schedule keys, one per line.
+std::uint64_t timeline_key_digest(
+    const std::vector<sched::TimedSchedule>& timeline) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const sched::TimedSchedule& ts : timeline) {
+    for (const unsigned char c : ts.schedule.key() + "\n") {
+      h ^= c;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+struct RecordedCase {
+  const char* name;
+  // Table I instance, demands as `mmwave_cli --demand-scale=1e-3`.
+  int links, channels, levels;
+  double gamma_scale;
+  std::uint64_t seed;
+  PricingMode pricing;
+  std::int64_t max_nodes;  // 0 keeps the CgOptions default
+  bool verify;
+  // Recorded answer.
+  bool converged;
+  CgStopReason stop_reason;
+  int iterations;
+  std::size_t pool_size, timeline_size;
+  std::uint64_t timeline_digest;
+  double total_slots, lower_bound;  // NaN: no Theorem-1 bound
+  int lp_certificates, columns_verified, bound_checks;
+  /// A warning the solve must print ("" for none).
+  const char* warning;
+};
+
+constexpr double kNoBound = std::numeric_limits<double>::quiet_NaN();
+
+const RecordedCase kRecorded[] = {
+    {"table-I L=10 K=5 hybrid", 10, 5, 5, 1.0, 1,
+     PricingMode::HeuristicThenExact, 0, false,
+     true, CgStopReason::kConverged, 3, 22, 4, 0xb2c348e42cb22b3cULL,
+     88.906216686124452, 88.906216686124452, 0, 0, 0, ""},
+    {"gamma x3 L=12 K=3 Q=4 hybrid", 12, 3, 4, 3.0, 5,
+     PricingMode::HeuristicThenExact, 0, false,
+     true, CgStopReason::kConverged, 51, 74, 21, 0x9326d479721e3bedULL,
+     45.271296329057122, 45.271296329057179, 0, 0, 0, ""},
+    {"gamma x3 L=12 K=3 Q=4 exact", 12, 3, 4, 3.0, 5,
+     PricingMode::ExactAlways, 0, false,
+     true, CgStopReason::kConverged, 35, 58, 17, 0xe40f8621ef53b8d3ULL,
+     45.271296329057115, 45.27129632905713, 0, 0, 0, ""},
+    {"gamma x3 L=12 K=3 Q=4 heuristic", 12, 3, 4, 3.0, 5,
+     PricingMode::HeuristicOnly, 0, false,
+     false, CgStopReason::kHeuristicFixedPoint, 51, 74, 21,
+     0x9326d479721e3bedULL, 45.271296329057122, kNoBound, 0, 0, 0, ""},
+    // A 4-node B&B budget leaves exact pricing inconclusive, so the
+    // escalation ladder reaches the perturbed-dual retry (twice).
+    {"gamma x3 L=7 K=3 Q=4 4-node budget", 7, 3, 4, 3.0, 7,
+     PricingMode::HeuristicThenExact, 4, false,
+     false, CgStopReason::kPricingFailure, 41, 48, 13, 0x6548f44b282ddd0bULL,
+     43.777503557254292, 35.473185797439804, 0, 0, 0,
+     "repricing under perturbed duals"},
+    {"table-I L=10 K=5 hybrid verified", 10, 5, 5, 1.0, 1,
+     PricingMode::HeuristicThenExact, 0, true,
+     true, CgStopReason::kConverged, 3, 22, 4, 0xb2c348e42cb22b3cULL,
+     88.906216686124452, 88.906216686124452, 4, 22, 1, ""},
+};
+
+void expect_close(double recorded, double got, const char* what,
+                  const char* name) {
+  if (std::isnan(recorded)) {
+    EXPECT_TRUE(std::isnan(got)) << name << ": " << what << " = " << got;
+    return;
+  }
+  EXPECT_NEAR(got, recorded, 1e-9 * std::abs(recorded))
+      << name << ": " << what;
+}
+
+TEST(ColumnGeneration, AnswersMatchRecordedValues) {
+  for (const RecordedCase& c : kRecorded) {
+    common::Rng rng(c.seed);
+    net::NetworkParams p;
+    p.num_links = c.links;
+    p.num_channels = c.channels;
+    p.sinr_thresholds.resize(c.levels);
+    for (int q = 0; q < c.levels; ++q)
+      p.sinr_thresholds[q] = 0.1 * (q + 1) * c.gamma_scale;
+    const net::Network net = net::Network::table_i(p, rng);
+    video::DemandConfig dcfg;
+    dcfg.demand_scale = 1e-3;
+    common::Rng drng = rng.fork(0x5EED);
+    const auto demands = video::make_link_demands(c.links, dcfg, drng);
+
+    CgOptions opts;
+    opts.pricing = c.pricing;
+    opts.verify = c.verify;
+    opts.exact.milp.time_limit_sec = 1e9;
+    if (c.max_nodes > 0) opts.exact.milp.max_nodes = c.max_nodes;
+    testing::internal::CaptureStderr();
+    const CgResult r = solve_column_generation(net, demands, opts);
+    const std::string log = testing::internal::GetCapturedStderr();
+
+    EXPECT_EQ(r.converged, c.converged) << c.name;
+    EXPECT_EQ(r.stop_reason, c.stop_reason)
+        << c.name << ": " << to_string(r.stop_reason);
+    EXPECT_EQ(r.iterations, c.iterations) << c.name;
+    EXPECT_EQ(r.pool.size(), c.pool_size) << c.name;
+    EXPECT_EQ(r.timeline.size(), c.timeline_size) << c.name;
+    EXPECT_EQ(timeline_key_digest(r.timeline), c.timeline_digest) << c.name;
+    expect_close(c.total_slots, r.total_slots, "total_slots", c.name);
+    expect_close(c.lower_bound, r.lower_bound, "lower_bound", c.name);
+    EXPECT_EQ(r.verification.lp_certificates, c.lp_certificates) << c.name;
+    EXPECT_EQ(r.verification.columns_verified, c.columns_verified) << c.name;
+    EXPECT_EQ(r.verification.bound_checks, c.bound_checks) << c.name;
+    EXPECT_TRUE(r.verification.errors.empty()) << c.name;
+    if (*c.warning != '\0') {
+      EXPECT_NE(log.find(c.warning), std::string::npos) << c.name << ":\n"
+                                                        << log;
+    }
+  }
 }
 
 TEST(ColumnGeneration, HistoryColumnsGrow) {

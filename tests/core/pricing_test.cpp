@@ -163,7 +163,7 @@ TEST(MilpPricing, TargetPsiStopsEarlyWithImprovingColumn) {
 // "none" comes with a bound that proves it.  Psi* is linear in the duals,
 // so rescaling random duals by r / Psi* puts the optimum at r, around 1.
 TEST(MilpPricing, CutoffAgreesWithUncutOnRandomDuals) {
-  const double eps = CgOptions().eps;
+  const double eps = kCgEps;
   common::Rng rng(0xD0A15);
   int improving = 0;
   int none = 0;
@@ -214,7 +214,6 @@ TEST(MilpPricing, CleanPowersAreMinimal) {
   std::vector<video::LinkDemand> demands(net.num_links(), {1000.0, 500.0});
   const auto mp = tdma_duals(net, demands);
   MilpPricingOptions opts;
-  opts.clean_powers = true;
   const auto pr = solve_pricing_milp(net, mp.lambda_hp, mp.lambda_lp, opts);
   // Minimal powers make every SINR constraint tight per channel group.
   std::map<int, std::vector<const sched::Transmission*>> by_channel;

@@ -26,34 +26,5 @@ TEST(FlatTop, SymmetricInTheta) {
   EXPECT_DOUBLE_EQ(p.gain(-1.0), p.gain(1.0));
 }
 
-TEST(Gaussian, HalfPowerAtHalfBeamwidth) {
-  GaussianPattern p(0.6, 0.0);
-  EXPECT_NEAR(p.gain(0.3), 0.5, 1e-12);
-  EXPECT_DOUBLE_EQ(p.gain(0.0), 1.0);
-}
-
-TEST(Gaussian, MonotoneDecreasingUntilFloor) {
-  GaussianPattern p(0.6, 0.01);
-  double prev = 2.0;
-  for (double theta = 0.0; theta <= M_PI; theta += 0.1) {
-    const double g = p.gain(theta);
-    EXPECT_LE(g, prev + 1e-15);
-    EXPECT_GE(g, 0.01);
-    prev = g;
-  }
-}
-
-TEST(Gaussian, FloorApplies) {
-  GaussianPattern p(0.3, 0.07);
-  EXPECT_DOUBLE_EQ(p.gain(M_PI), 0.07);
-}
-
-TEST(Factories, ProduceWorkingPatterns) {
-  auto f = make_flat_top(0.5, 0.1);
-  auto g = make_gaussian(0.5, 0.1);
-  EXPECT_DOUBLE_EQ(f->gain(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(g->gain(0.0), 1.0);
-}
-
 }  // namespace
 }  // namespace mmwave::net

@@ -78,11 +78,18 @@
 #                                         must strictly beat blind on enough
 #                                         seeds with no stall or layer-ratio
 #                                         regression); writes BENCH_qoe.json
+#  13. perfbench                          the frozen end-to-end benchmark:
+#                                         perfbench/run.py builds perf_e2e
+#                                         against src/ in Release and runs
+#                                         each workload (certify, bnb,
+#                                         stream, fleet) for 0.5 s at seed
+#                                         1; fails on a build failure or a
+#                                         `correct: false` run
 #
-# Usage:  tools/run_analysis.sh [--fast|--robustness|--coverage|--lint|--soak|--fleet|--qoe]
-#   --fast        skip legs 1, 6 and 8 (the plain build, the perf bench and
-#                 the coverage gate) — the sanitized legs still run the full
-#                 suite, so this is the quick pre-push variant.
+# Usage:  tools/run_analysis.sh [--fast|--robustness|--coverage|--lint|--soak|--fleet|--qoe|--perfbench]
+#   --fast        skip legs 1, 6, 8 and 13 (the plain build, the perf
+#                 benches and the coverage gate) — the sanitized legs still
+#                 run the full suite, so this is the quick pre-push variant.
 #   --robustness  the CI degraded-path gate: build the ASan+UBSan tree and
 #                 run only legs 4 and 7 (certificate verifier + fault/fuzz
 #                 batteries).  Skips the full sanitized ctest sweep, the
@@ -102,6 +109,7 @@
 #   --qoe         the CI QoE gate: build the ASan+UBSan tree and run only
 #                 leg 12 (buffer/policy/session suites + perf_qoe with a
 #                 deeper seed sweep than the smoke ctest).
+#   --perfbench   the CI benchmark-build gate: run only leg 13.
 set -u
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -113,6 +121,7 @@ LINT_ONLY=0
 SOAK_ONLY=0
 FLEET_ONLY=0
 QOE_ONLY=0
+PERFBENCH_ONLY=0
 case "${1:-}" in
   --fast) FAST=1 ;;
   --robustness) ROBUSTNESS=1 ;;
@@ -121,6 +130,7 @@ case "${1:-}" in
   --soak) SOAK_ONLY=1 ;;
   --fleet) FLEET_ONLY=1 ;;
   --qoe) QOE_ONLY=1 ;;
+  --perfbench) PERFBENCH_ONLY=1 ;;
 esac
 
 failures=()
@@ -137,6 +147,36 @@ run_ctest() {
   local dir="$1"
   (cd "$dir" && ctest --output-on-failure -j "$JOBS")
 }
+
+summary() {
+  note "summary"
+  if (( ${#failures[@]} )); then
+    printf 'ANALYSIS FAILED (%d leg(s)):\n' "${#failures[@]}"
+    printf '  - %s\n' "${failures[@]}"
+    exit 1
+  fi
+  echo "all analysis legs passed"
+  exit 0
+}
+
+# ---- Leg 13: the frozen end-to-end benchmark ------------------------------
+# perfbench/ is a stand-alone CMake project that only perfbench/run.py
+# builds, so no ctest entry compiles it: without this leg an API change in
+# src/ that breaks perf_e2e.cpp would surface only at the benchmark check.
+# run.py exits nonzero on a build failure or a `correct: false` run.
+run_perfbench() {
+  note "leg 13: perfbench (build perf_e2e, 0.5 s per workload)"
+  local workload
+  for workload in certify bnb stream fleet; do
+    (cd "$ROOT" && python3 perfbench/run.py --workload "$workload" --seed 1 \
+        --seconds 0.5 --trace 0) || leg_failed "perfbench $workload"
+  done
+}
+
+if [[ "$PERFBENCH_ONLY" == 1 ]]; then
+  run_perfbench
+  summary
+fi
 
 # ---- Leg 1: plain RelWithDebInfo + Werror ---------------------------------
 if [[ "$FAST" == 0 && "$ROBUSTNESS" == 0 && "$COVERAGE_ONLY" == 0 \
@@ -454,11 +494,14 @@ else
   note "leg 12 skipped"
 fi
 
-# ---- Summary --------------------------------------------------------------
-note "summary"
-if (( ${#failures[@]} )); then
-  printf 'ANALYSIS FAILED (%d leg(s)):\n' "${#failures[@]}"
-  printf '  - %s\n' "${failures[@]}"
-  exit 1
+# ---- Leg 13 (full run only; --perfbench ran it above) ----------------------
+if [[ "$FAST" == 0 && "$ROBUSTNESS" == 0 && "$COVERAGE_ONLY" == 0 \
+      && "$LINT_ONLY" == 0 && "$SOAK_ONLY" == 0 && "$FLEET_ONLY" == 0 \
+      && "$QOE_ONLY" == 0 ]]; then
+  run_perfbench
+else
+  note "leg 13 skipped"
 fi
-echo "all analysis legs passed"
+
+# ---- Summary --------------------------------------------------------------
+summary
