@@ -13,9 +13,9 @@
 //                      0 = auto / hardware_concurrency)
 //   --csv=path         also write the table as CSV
 //
-// Flags are strict: a malformed or out-of-range value, or a flag the bench
-// does not read, exits 2 with a one-line "error:" naming the flag, so a
-// typo never runs a silently different experiment.
+// Flags are strict: a malformed or out-of-range value, a flag the bench
+// does not read or a stray positional argument exits 2 with a one-line
+// "error:" naming it, so a typo never runs a silently different experiment.
 //
 // Seed count: the paper averages every figure point over 50 random
 // topologies; the default here is 10 to keep a full sweep interactive.
@@ -85,15 +85,13 @@ T require(const common::Expected<T>& expected) {
   return expected.value();
 }
 
-/// Exits 2 naming every flag on the command line that no getter has read.
-/// Call after the last flag read.
+/// Exits 2 naming every flag on the command line that no getter has read,
+/// or else every positional argument (a bench takes none).  Call after the
+/// last flag read.
 inline void reject_unknown_flags(const common::CliFlags& flags) {
-  const std::vector<std::string> unread = flags.unread();
-  if (unread.empty()) return;
-  std::cerr << "error: unknown flag";
-  for (std::size_t i = 0; i < unread.size(); ++i)
-    std::cerr << (i == 0 ? " --" : ", --") << unread[i];
-  std::cerr << "\n";
+  const common::Status unused = flags.check_unused();
+  if (unused.ok()) return;
+  std::cerr << "error: " << unused.message() << "\n";
   std::exit(2);
 }
 

@@ -91,9 +91,9 @@ RunResult run_once(const BenchConfig& bc, std::uint64_t seed,
 int main(int argc, char** argv) {
   common::CliFlags flags;
   flags.parse(argc, argv);
-  // Strict flags: a malformed or out-of-range value, or a flag the bench
-  // does not accept, exits 2 naming the flag — a typo must never loosen
-  // the gate.
+  // Strict flags: a malformed or out-of-range value, a flag the bench does
+  // not accept or a stray argument exits 2 naming it — a typo must never
+  // loosen the gate.
   common::Status bad;
   const auto int_flag = [&](const char* name, std::int64_t def,
                             std::int64_t lo, std::int64_t hi) {
@@ -119,11 +119,7 @@ int main(int argc, char** argv) {
                   std::numeric_limits<double>::min(), 1.0);
   const int min_improved = int_flag("min-improved", 3, 0, seeds);
   const std::string out_path = flags.get_string("out", "");
-  const std::vector<std::string> unread = flags.unread();
-  if (bad.ok() && !unread.empty()) {
-    bad = common::Status::Error(common::ErrorCode::kInvalidInput,
-                                "unknown flag --" + unread.front());
-  }
+  if (bad.ok()) bad = flags.check_unused();
   if (!bad.ok()) {
     std::fprintf(stderr, "error: %s\n", bad.message().c_str());
     return 2;

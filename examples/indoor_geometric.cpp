@@ -6,8 +6,10 @@
 //
 //   ./examples/indoor_geometric [--links=8] [--channels=3] [--seed=5]
 //                               [--beamwidth=0.6]
+#include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include "common/cli.h"
@@ -20,11 +22,23 @@ int main(int argc, char** argv) {
   using namespace mmwave;
   common::CliFlags flags;
   flags.parse(argc, argv);
-  const int links = static_cast<int>(flags.get_int("links", 8));
-  const int channels = static_cast<int>(flags.get_int("channels", 3));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(flags.get_int("seed", 5));
-  const double beamwidth = flags.get_double("beamwidth", 0.6);
+  const auto links_flag = flags.get_int_checked("links", 8, 1, 4096);
+  const auto channels_flag = flags.get_int_checked("channels", 3, 1, 1024);
+  const auto seed_flag = flags.get_int_checked("seed", 5, 0);
+  const auto beamwidth_flag = flags.get_double_checked(
+      "beamwidth", 0.6, std::numeric_limits<double>::min(), 2.0 * M_PI);
+  for (const common::Status& status :
+       {links_flag.status(), channels_flag.status(), seed_flag.status(),
+        beamwidth_flag.status(), flags.check_unused()}) {
+    if (!status.ok()) {
+      std::fprintf(stderr, "error: %s\n", status.message().c_str());
+      return 2;
+    }
+  }
+  const int links = static_cast<int>(links_flag.value());
+  const int channels = static_cast<int>(channels_flag.value());
+  const auto seed = static_cast<std::uint64_t>(seed_flag.value());
+  const double beamwidth = beamwidth_flag.value();
 
   common::Rng rng(seed);
   net::NetworkParams params;

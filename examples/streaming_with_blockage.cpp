@@ -22,12 +22,24 @@ int main(int argc, char** argv) {
   using namespace mmwave;
   common::CliFlags flags;
   flags.parse(argc, argv);
-  const int links = static_cast<int>(flags.get_int("links", 8));
-  const int channels = static_cast<int>(flags.get_int("channels", 3));
-  const int gops = static_cast<int>(flags.get_int("gops", 12));
-  const double p_block = flags.get_double("p-block", 0.25);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(flags.get_int("seed", 9));
+  const auto links_flag = flags.get_int_checked("links", 8, 1, 4096);
+  const auto channels_flag = flags.get_int_checked("channels", 3, 1, 1024);
+  const auto gops_flag = flags.get_int_checked("gops", 12, 1, 1'000'000);
+  const auto p_block_flag = flags.get_double_checked("p-block", 0.25, 0.0, 1.0);
+  const auto seed_flag = flags.get_int_checked("seed", 9, 0);
+  for (const common::Status& status :
+       {links_flag.status(), channels_flag.status(), gops_flag.status(),
+        p_block_flag.status(), seed_flag.status(), flags.check_unused()}) {
+    if (!status.ok()) {
+      std::fprintf(stderr, "error: %s\n", status.message().c_str());
+      return 2;
+    }
+  }
+  const int links = static_cast<int>(links_flag.value());
+  const int channels = static_cast<int>(channels_flag.value());
+  const int gops = static_cast<int>(gops_flag.value());
+  const double p_block = p_block_flag.value();
+  const auto seed = static_cast<std::uint64_t>(seed_flag.value());
 
   net::NetworkParams params;
   params.num_links = links;

@@ -20,11 +20,23 @@ int main(int argc, char** argv) {
   using namespace mmwave;
   common::CliFlags flags;
   flags.parse(argc, argv);
-  const int links = static_cast<int>(flags.get_int("links", 12));
-  const int channels = static_cast<int>(flags.get_int("channels", 5));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(flags.get_int("seed", 7));
-  const double scale = flags.get_double("demand-scale", 2e-4);
+  const auto links_flag = flags.get_int_checked("links", 12, 1, 4096);
+  const auto channels_flag = flags.get_int_checked("channels", 5, 1, 1024);
+  const auto seed_flag = flags.get_int_checked("seed", 7, 0);
+  const auto scale_flag =
+      flags.get_double_checked("demand-scale", 2e-4, 1e-18, 1e18);
+  for (const common::Status& status :
+       {links_flag.status(), channels_flag.status(), seed_flag.status(),
+        scale_flag.status(), flags.check_unused()}) {
+    if (!status.ok()) {
+      std::fprintf(stderr, "error: %s\n", status.message().c_str());
+      return 2;
+    }
+  }
+  const int links = static_cast<int>(links_flag.value());
+  const int channels = static_cast<int>(channels_flag.value());
+  const auto seed = static_cast<std::uint64_t>(seed_flag.value());
+  const double scale = scale_flag.value();
 
   common::Rng rng(seed);
   net::NetworkParams params;

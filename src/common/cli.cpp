@@ -65,6 +65,21 @@ std::vector<std::string> CliFlags::unread() const {
   return out;
 }
 
+[[nodiscard]] Status CliFlags::check_unused(
+    std::size_t positional_taken) const {
+  std::string names;
+  for (const std::string& name : unread())
+    names += (names.empty() ? "--" : ", --") + name;
+  if (!names.empty())
+    return Status::Error(ErrorCode::kInvalidInput, "unknown flag " + names);
+  for (std::size_t i = positional_taken; i < positional_.size(); ++i)
+    names += (names.empty() ? "'" : ", '") + positional_[i] + "'";
+  if (!names.empty())
+    return Status::Error(ErrorCode::kInvalidInput,
+                         "unexpected argument " + names);
+  return Status::Ok();
+}
+
 bool CliFlags::has(const std::string& name) const {
   return find(name) != nullptr;
 }
@@ -73,19 +88,6 @@ std::string CliFlags::get_string(const std::string& name,
                                  const std::string& def) const {
   const std::string* raw = find(name);
   return raw == nullptr ? def : *raw;
-}
-
-std::int64_t CliFlags::get_int(const std::string& name,
-                               std::int64_t def) const {
-  const std::string* raw = find(name);
-  if (raw == nullptr) return def;
-  return std::strtoll(raw->c_str(), nullptr, 10);
-}
-
-double CliFlags::get_double(const std::string& name, double def) const {
-  const std::string* raw = find(name);
-  if (raw == nullptr) return def;
-  return std::strtod(raw->c_str(), nullptr);
 }
 
 bool CliFlags::get_bool(const std::string& name, bool def) const {
@@ -128,19 +130,6 @@ bool CliFlags::get_bool(const std::string& name, bool def) const {
     return flag_error(name, os.str());
   }
   return v;
-}
-
-std::vector<std::int64_t> CliFlags::get_int_list(
-    const std::string& name, const std::vector<std::int64_t>& def) const {
-  const std::string* raw = find(name);
-  if (raw == nullptr) return def;
-  std::vector<std::int64_t> out;
-  std::stringstream ss(*raw);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) out.push_back(std::strtoll(tok.c_str(), nullptr, 10));
-  }
-  return out;
 }
 
 [[nodiscard]] Expected<std::vector<std::int64_t>> CliFlags::get_int_list_checked(

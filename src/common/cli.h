@@ -1,9 +1,9 @@
 // Minimal --flag=value command-line parsing for the tools, bench and
 // example binaries.  Flags are read through getters that take a default.
 // Every getter and has() records the name it was asked for, so a program
-// that has read all the flags it accepts can call unread() and reject the
-// rest as unknown (mmwave_cli does, with exit status 2) instead of silently
-// ignoring a typo.
+// that has read all the flags it accepts can call check_unused() and
+// reject the rest (every binary does, with exit status 2) instead of
+// silently ignoring a typo or a stray argument.
 #pragma once
 
 #include <cstdint>
@@ -31,14 +31,12 @@ class CliFlags {
 
   std::string get_string(const std::string& name,
                          const std::string& def) const;
-  std::int64_t get_int(const std::string& name, std::int64_t def) const;
-  double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;
 
-  /// Strict variants: an absent flag yields the default, but a present flag
+  /// Numeric flags: an absent flag yields the default, but a present flag
   /// whose value is not fully numeric ("--links=abc", "--links=10x") or out
   /// of [lo, hi] yields kInvalidInput with a one-line "--name: ..."
-  /// diagnosis instead of the silent-zero of the strtoll-based getters.
+  /// diagnosis, never a silent zero.
   [[nodiscard]] Expected<std::int64_t> get_int_checked(
       const std::string& name, std::int64_t def,
       std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
@@ -48,12 +46,10 @@ class CliFlags {
       double lo = -std::numeric_limits<double>::infinity(),
       double hi = std::numeric_limits<double>::infinity()) const;
 
-  /// Comma-separated integer list, e.g. --links=10,15,20.
-  std::vector<std::int64_t> get_int_list(
-      const std::string& name, const std::vector<std::int64_t>& def) const;
-  /// Strict variant: an absent flag yields the default, but every token of
-  /// a present flag must be a full integer ("--block-links=1,y" and
-  /// "--block-links=1," are kInvalidInput naming the flag, never link 0).
+  /// Comma-separated integer list, e.g. --links=10,15,20.  An absent flag
+  /// yields the default, but every token of a present flag must be a full
+  /// integer ("--block-links=1,y" and "--block-links=1," are kInvalidInput
+  /// naming the flag, never link 0).
   [[nodiscard]] Expected<std::vector<std::int64_t>> get_int_list_checked(
       const std::string& name, const std::vector<std::int64_t>& def) const;
 
@@ -63,6 +59,13 @@ class CliFlags {
   /// Names of the flags on the command line that no getter or has() has
   /// asked for yet, in sorted order.  Empty once every given flag was read.
   std::vector<std::string> unread() const;
+
+  /// The typo guard, called after the last flag read and before any work:
+  /// kInvalidInput with a one-line message naming every unread flag
+  /// ("unknown flag --linkz, --seedz"), or else every positional argument
+  /// past the first `positional_taken` ("unexpected argument 'stray'");
+  /// Ok when the program read everything it was given.
+  [[nodiscard]] Status check_unused(std::size_t positional_taken = 0) const;
 
  private:
   /// The raw value of `name`, or nullptr when absent; records the read.

@@ -12,7 +12,6 @@
 #include "check/schedule_verifier.h"
 #include "common/fault_injection.h"
 #include "common/log.h"
-#include "common/rng.h"
 #include "mmwave/power_control.h"
 
 namespace mmwave::core {
@@ -31,17 +30,6 @@ constexpr double kEarlyStopPsi = 1.0 + 1e-4;
 /// deadline nears.
 constexpr double kMilpBudgetFraction = 0.5;
 constexpr double kMinMilpBudgetSec = 0.05;
-/// Stall detection: this many consecutive iterations without relative LB/UB
-/// progress climb one rung of the escalation ladder — greedy pricing ->
-/// full-budget exact MILP -> dual-perturbation retry.
-constexpr int kStallWindow = 15;
-/// Relative LB/UB movement below this counts as "no progress".
-constexpr double kStallRelProgress = 1e-9;
-/// Magnitude of the multiplicative dual perturbation of the last-resort
-/// repricing retry (columns found under perturbed duals are only accepted
-/// if they price negative under the true duals), and its RNG seed.
-constexpr double kDualPerturbation = 1e-5;
-constexpr std::uint64_t kPerturbationSeed = 0x5EEDF00D;
 
 /// Wall-clock budget of one solve.  The fault site lets tests script "the
 /// deadline expires mid-iteration" deterministically; once exhausted (for
@@ -336,17 +324,16 @@ CgResult solve_cg_impl(const net::Network& net,
 
   /// Per-call exact-pricing options under the deadline: the MILP budget
   /// shrinks with the remaining wall clock so one call can never blow
-  /// through the deadline.  `full` disables the early-stop target
-  /// (escalated / certification calls).  Every call but those of
-  /// ExactAlways (which promises an exact Phi each iteration, Fig. 4)
-  /// stops once its bound proves Psi <= 1 + kCgEps: that settles "no
-  /// improving column" without closing the gap to the optimal Psi.
-  const auto budgeted_exact = [&](bool full) {
+  /// through the deadline.  ExactAlways promises an exact Phi each
+  /// iteration (Fig. 4), so its calls run to optimality; every other call
+  /// takes the first column with Psi >= kEarlyStopPsi, and stops once its
+  /// bound proves Psi <= 1 + kCgEps: that settles "no improving column"
+  /// without closing the gap to the optimal Psi.
+  const bool exact_always = options.pricing == PricingMode::ExactAlways;
+  const auto budgeted_exact = [&]() {
     MilpPricingOptions exact = options.exact;
-    exact.milp.cutoff = options.pricing == PricingMode::ExactAlways
-                            ? std::nan("")
-                            : 1.0 + kCgEps;
-    exact.target_psi = full ? std::nan("") : kEarlyStopPsi;
+    exact.milp.cutoff = exact_always ? std::nan("") : 1.0 + kCgEps;
+    exact.target_psi = exact_always ? std::nan("") : kEarlyStopPsi;
     const double remaining = deadline.remaining();
     if (std::isfinite(remaining)) {
       double budget =
@@ -366,16 +353,6 @@ CgResult solve_cg_impl(const net::Network& net,
   MasterCertificate cert;
   MasterCertificate* cert_out = options.verify ? &cert : nullptr;
 
-  // --- Anytime/robustness state ------------------------------------------
-  // Escalation ladder: 0 = normal pricing (greedy first, early-stop exact),
-  // 1 = full-budget exact MILP, 2 = full exact under perturbed duals.
-  int escalation = 0;
-  bool perturbation_spent = false;
-  common::Rng perturb_rng(kPerturbationSeed);
-  // Stall window: consecutive iterations without relative LB/UB progress.
-  int no_progress_iters = 0;
-  double prev_ub = kInf;
-  double prev_lb = -kInf;
   // Incumbent snapshot: tau and duals of the last master solve that
   // succeeded, so a later breakdown still returns the best schedule seen
   // (and a checkpoint can still record usable multipliers).
@@ -384,8 +361,7 @@ CgResult solve_cg_impl(const net::Network& net,
   std::vector<double> incumbent_lambda_lp;
   double incumbent_objective = std::nan("");
 
-  bool stopped = false;  // a stop_reason was decided inside the loop
-  for (int iter = 0; iter < options.max_iterations && !stopped; ++iter) {
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
     if (deadline.exhausted()) {
       set_degraded(result, CgStopReason::kDeadline,
                    common::Status::Error(
@@ -413,60 +389,38 @@ CgResult solve_cg_impl(const net::Network& net,
     const auto pricing_t0 = Clock::now();
 
     // ---- Pricing --------------------------------------------------------
-    // The duals the pricer sees: on the last-resort retry they are
-    // multiplicatively perturbed to break a numerical cycle; any column
-    // found is only accepted if it prices negative under the TRUE duals.
-    const bool perturbed = escalation >= 2;
-    std::vector<double> lhp = mp.lambda_hp;
-    std::vector<double> llp = mp.lambda_lp;
-    if (perturbed) {
-      perturbation_spent = true;
-      for (double& v : lhp)
-        v = std::max(0.0, v * (1.0 + kDualPerturbation *
-                                         (perturb_rng.uniform() - 0.5)));
-      for (double& v : llp)
-        v = std::max(0.0, v * (1.0 + kDualPerturbation *
-                                         (perturb_rng.uniform() - 0.5)));
-      MMWAVE_LOG_WARN << "iteration " << iter
-                      << ": repricing under perturbed duals (stall escape)";
-    }
-
     PricingResult pricing;
     bool exact_used = false;
-    if (options.pricing == PricingMode::ExactAlways) {
-      const PricingResult greedy = timed_greedy(lhp, llp);
-      pricing = timed_milp(lhp, llp, budgeted_exact(/*full=*/true),
+    if (exact_always) {
+      const PricingResult greedy = timed_greedy(mp.lambda_hp, mp.lambda_lp);
+      pricing = timed_milp(mp.lambda_hp, mp.lambda_lp, budgeted_exact(),
                            greedy.found ? &greedy.schedule : nullptr);
       exact_used = true;
     } else {
-      pricing = timed_greedy(lhp, llp);
-      const bool heuristic_failed =
-          !pricing.found || master.contains(pricing.schedule);
-      if ((heuristic_failed || escalation >= 1) &&
+      pricing = timed_greedy(mp.lambda_hp, mp.lambda_lp);
+      // Only a new column improving by more than kCgEps settles the
+      // iteration; anything else goes to the exact oracle.
+      const bool heuristic_failed = !pricing.found ||
+                                    1.0 - pricing.psi >= -kCgEps ||
+                                    master.contains(pricing.schedule);
+      if (heuristic_failed &&
           options.pricing == PricingMode::HeuristicThenExact) {
-        pricing = timed_milp(lhp, llp, budgeted_exact(escalation >= 1),
+        pricing = timed_milp(mp.lambda_hp, mp.lambda_lp, budgeted_exact(),
                              pricing.found ? &pricing.schedule : nullptr);
         exact_used = true;
       }
     }
 
-    // Reduced cost of the candidate under the true duals (equals
-    // 1 - pricing.psi except on perturbed retries).
-    const double true_rc =
-        perturbed ? master.reduced_cost(pricing.schedule, mp.lambda_hp,
-                                        mp.lambda_lp)
-                  : 1.0 - pricing.psi;
     const double phi = 1.0 - pricing.psi;
-    // Valid lower bound on the true most negative reduced cost.  A
-    // perturbed repricing certifies nothing about the true duals.
-    const double phi_lb = perturbed ? -kInf : 1.0 - pricing.psi_upper_bound;
+    // Valid lower bound on the most negative reduced cost.
+    const double phi_lb = 1.0 - pricing.psi_upper_bound;
 
     IterationStat stat;
     stat.iteration = iter;
     stat.master_objective = mp.objective_slots;
     stat.phi = phi;
     stat.num_columns = static_cast<int>(master.num_columns());
-    stat.exact_pricing = exact_used && pricing.exact && !perturbed;
+    stat.exact_pricing = exact_used && pricing.exact;
     stat.master_seconds = last_master_seconds;
     stat.pricing_seconds = seconds_since(pricing_t0);
     stat.master_pivots = mp.simplex_iterations;
@@ -498,81 +452,19 @@ CgResult solve_cg_impl(const net::Network& net,
     result.total_slots = mp.objective_slots;
     result.iterations = iter + 1;
 
-    // ---- Stall window ---------------------------------------------------
-    const double ub_scale = 1.0 + std::abs(mp.objective_slots);
-    const bool ub_progress =
-        prev_ub - mp.objective_slots > kStallRelProgress * ub_scale;
-    const bool lb_progress =
-        std::isfinite(best_lb) &&
-        best_lb - prev_lb > kStallRelProgress * (1.0 + std::abs(best_lb));
-    if (ub_progress || lb_progress) {
-      no_progress_iters = 0;
-      // Progress de-escalates: the expensive recovery modes are only for
-      // breaking stalls, and each new stall event gets a fresh ladder.
-      escalation = 0;
-      perturbation_spent = false;
-    } else {
-      ++no_progress_iters;
-    }
-    prev_ub = std::min(prev_ub, mp.objective_slots);
-    if (std::isfinite(best_lb)) prev_lb = std::max(prev_lb, best_lb);
-
-    // Escalates one rung of the recovery ladder; returns false when the
-    // ladder is exhausted and the solve should stop degraded.
-    const auto escalate = [&](const char* why) {
-      if (options.pricing != PricingMode::HeuristicThenExact &&
-          options.pricing != PricingMode::ExactAlways) {
-        return false;  // no exact oracle to escalate to
-      }
-      const int ceiling = perturbation_spent ? 2 : 3;
-      const int next = escalation + 1;
-      if (next >= ceiling) return false;
-      escalation = next;
-      MMWAVE_LOG_WARN << "iteration " << iter << ": " << why
-                      << "; escalating pricing to level " << escalation
-                      << (escalation >= 2 ? " (dual perturbation)"
-                                          : " (full exact)");
-      return true;
-    };
-
-    // Stall window expired: climb the ladder (best effort — degradation is
-    // only ever decided by a hard signal: duplicates, inconclusive pricing,
-    // limits or the deadline.  A long degenerate-but-converging tail must
-    // not be killed merely for a flat objective).
-    if (no_progress_iters >= kStallWindow) {
-      no_progress_iters = 0;
-      escalate("no LB/UB progress over the stall window");
-    }
-
     // ---- Termination ----------------------------------------------------
-    const bool no_improving_column =
-        perturbed ? true_rc >= -kCgEps : phi >= -kCgEps;
-    if (no_improving_column) {
-      if (exact_used && pricing.exact && !perturbed) {
+    if (phi >= -kCgEps) {
+      if (exact_used && pricing.exact) {
         // Optimal: the exact pricer certified Phi >= -kCgEps.
         result.converged = true;
         result.stop_reason = CgStopReason::kConverged;
-        stopped = true;
-        continue;
-      }
-      if (options.pricing == PricingMode::HeuristicOnly) {
+      } else if (options.pricing == PricingMode::HeuristicOnly) {
         // Heuristic fixed point: the expected terminal state of this mode.
         result.stop_reason = CgStopReason::kHeuristicFixedPoint;
-        stopped = true;
-        continue;
-      }
-      if (perturbed) {
-        // The perturbed retry found nothing improving under the true duals.
-        // That is not a failure verdict — hand back to a normal full-exact
-        // iteration, which either certifies optimality or exposes the cycle
-        // again (and the spent perturbation then ends the ladder).
-        escalation = 1;
-        continue;
-      }
-      // Inconclusive: the exact pricer was truncated (limit/no incumbent)
-      // so "no improving column" is not a certificate.  Climb the ladder;
-      // when exhausted, stop with the incumbent and the valid LB.
-      if (!escalate("pricing inconclusive (truncated exact oracle)")) {
+      } else {
+        // Inconclusive: the exact pricer hit its node or time limit without
+        // an improving column, which proves nothing.  Stop with the
+        // incumbent and the best valid LB.
         set_degraded(
             result, CgStopReason::kPricingFailure,
             pricing.status.ok()
@@ -580,9 +472,8 @@ CgResult solve_cg_impl(const net::Network& net,
                                         "exact pricing truncated without a "
                                         "usable certificate")
                 : pricing.status);
-        stopped = true;
       }
-      continue;
+      break;
     }
     if (options.gap_tolerance > 0.0 && !std::isnan(best_lb) &&
         mp.objective_slots > 0.0 &&
@@ -590,36 +481,25 @@ CgResult solve_cg_impl(const net::Network& net,
             options.gap_tolerance) {
       result.converged = true;
       result.stop_reason = CgStopReason::kConverged;
-      stopped = true;
-      continue;
+      break;
     }
 
     // ---- Column entry ---------------------------------------------------
     verify_column(pricing.schedule,
                   "priced column, iteration " + std::to_string(iter));
-    if (master.add_column(pricing.schedule)) {
-      if (perturbed) escalation = 1;  // retry worked; drop back to full exact
-      continue;
-    }
+    if (master.add_column(pricing.schedule)) continue;
     // The pricer regenerated an existing column claiming negative reduced
-    // cost — a numerical stall/cycle.  The heuristic-only mode has nothing
-    // to escalate to, so a duplicate is its fixed point; otherwise climb
-    // the ladder and only degrade once it is exhausted.
+    // cost.  That is the heuristic-only mode's fixed point; in the other
+    // modes it is a numerical stall.
     if (options.pricing == PricingMode::HeuristicOnly) {
       result.stop_reason = CgStopReason::kHeuristicFixedPoint;
-      stopped = true;
-      continue;
-    }
-    if (!escalate("duplicate column priced (cycling)")) {
+    } else {
       set_degraded(result, CgStopReason::kStalled,
-                   common::Status::Error(
-                       common::ErrorCode::kStalled,
-                       "duplicate column at iteration " +
-                           std::to_string(iter) +
-                           " with the escalation ladder exhausted"));
-      stopped = true;
+                   common::Status::Error(common::ErrorCode::kStalled,
+                                         "duplicate column at iteration " +
+                                             std::to_string(iter)));
     }
-    continue;
+    break;
   }
 
   if (!result.degraded && result.stop_reason == CgStopReason::kIterationLimit &&

@@ -4,9 +4,11 @@
 //   1. initialize the restricted master with the TDMA columns (IV-B);
 //   2. solve the MP, read the duals (simplex multipliers);
 //   3. price: greedy heuristic first, exact MILP when the heuristic finds
-//      nothing (or always, in Exact mode);
+//      no new column with Phi < -kCgEps (or always, in Exact mode);
 //   4. if the most negative reduced cost Phi >= -kCgEps with an exact pricer,
-//      the MP optimum equals the P1 optimum — stop;
+//      the MP optimum equals the P1 optimum — stop (an exact call that hit
+//      its limit without an improving column proves nothing and stops the
+//      solve degraded, kPricingFailure);
 //   5. otherwise enter the new column and repeat.
 //
 // At every exact-priced iteration the Theorem-1 lower bound
@@ -111,11 +113,14 @@ enum class CgStopReason {
   kHeuristicFixedPoint,
   kIterationLimit,
   kDeadline,
-  /// Escalation ladder exhausted without progress (cycling/duplicates).
+  /// The pricer returned a column already in the master (a numerical
+  /// stall); HeuristicOnly reports that as kHeuristicFixedPoint instead.
   kStalled,
   /// The master LP failed and the cold retry failed too.
   kMasterFailure,
-  /// The exact pricer could not produce a usable answer even escalated.
+  /// An exact-pricing call hit its node or time limit without finding an
+  /// improving column, so it proves nothing: the solve stops at once with
+  /// the incumbent plan and the best Theorem-1 bound.
   kPricingFailure,
   /// check::validate_instance rejected the input.
   kInvalidInput,

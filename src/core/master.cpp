@@ -20,18 +20,15 @@ MasterProblem::MasterProblem(const net::Network& net,
 }
 
 bool MasterProblem::add_column(const sched::Schedule& schedule) {
-  const std::string key = schedule.key();
-  if (!key_to_index_.emplace(key, columns_.size()).second) return false;
+  if (!keys_.insert(schedule.key()).second) return false;
   columns_.push_back(schedule);
-  hp_cols_.push_back(
-      schedule.rate_column_bits_per_slot(net_, net::Layer::Hp));
-  lp_cols_.push_back(
-      schedule.rate_column_bits_per_slot(net_, net::Layer::Lp));
 
   const int var = model_.add_variable(0.0, lp::kInfinity, 1.0);
   const int num_links = net_.num_links();
-  const std::vector<double>& hp = hp_cols_.back();
-  const std::vector<double>& lp = lp_cols_.back();
+  const std::vector<double> hp =
+      schedule.rate_column_bits_per_slot(net_, net::Layer::Hp);
+  const std::vector<double> lp =
+      schedule.rate_column_bits_per_slot(net_, net::Layer::Lp);
   for (int l = 0; l < num_links; ++l) {
     if (hp[l] > 0.0) model_.add_term(master_hp_row(l), var, hp[l]);
     if (lp[l] > 0.0) model_.add_term(master_lp_row(num_links, l), var, lp[l]);
@@ -40,7 +37,7 @@ bool MasterProblem::add_column(const sched::Schedule& schedule) {
 }
 
 bool MasterProblem::contains(const sched::Schedule& schedule) const {
-  return key_to_index_.count(schedule.key()) != 0;
+  return keys_.count(schedule.key()) != 0;
 }
 
 MasterSolution MasterProblem::solve(MasterCertificate* certificate) {
@@ -92,29 +89,6 @@ MasterSolution MasterProblem::solve(MasterCertificate* certificate) {
         clamp_master_dual(sol.duals[master_lp_row(num_links, l)]);
   }
   return out;
-}
-
-double MasterProblem::reduced_cost(const sched::Schedule& schedule,
-                                   const std::vector<double>& lambda_hp,
-                                   const std::vector<double>& lambda_lp) const {
-  const std::vector<double>* hp = nullptr;
-  const std::vector<double>* lp = nullptr;
-  std::vector<double> hp_fresh, lp_fresh;
-  const auto it = key_to_index_.find(schedule.key());
-  if (it != key_to_index_.end()) {
-    hp = &hp_cols_[it->second];
-    lp = &lp_cols_[it->second];
-  } else {
-    hp_fresh = schedule.rate_column_bits_per_slot(net_, net::Layer::Hp);
-    lp_fresh = schedule.rate_column_bits_per_slot(net_, net::Layer::Lp);
-    hp = &hp_fresh;
-    lp = &lp_fresh;
-  }
-  double value = 0.0;
-  for (int l = 0; l < net_.num_links(); ++l) {
-    value += lambda_hp[l] * (*hp)[l] + lambda_lp[l] * (*lp)[l];
-  }
-  return 1.0 - value;
 }
 
 }  // namespace mmwave::core

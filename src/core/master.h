@@ -12,7 +12,7 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -97,20 +97,11 @@ class MasterProblem {
   /// LpOptions{}.
   void set_lp_options(const lp::LpOptions& options) { lp_options_ = options; }
 
-  /// Reduced cost 1 - sum_l lambda . r of a candidate schedule under the
-  /// given duals.  Rate columns of schedules already in the pool are served
-  /// from the cache instead of being recomputed.
-  double reduced_cost(const sched::Schedule& schedule,
-                      const std::vector<double>& lambda_hp,
-                      const std::vector<double>& lambda_lp) const;
-
  private:
   const net::Network& net_;
   std::vector<video::LinkDemand> demands_;
   std::vector<sched::Schedule> columns_;
-  std::vector<std::vector<double>> hp_cols_;  // cached bits/slot per column
-  std::vector<std::vector<double>> lp_cols_;
-  std::unordered_map<std::string, std::size_t> key_to_index_;
+  std::unordered_set<std::string> keys_;  // Schedule::key() per column
   /// Persistent restricted LP (rows fixed at construction, one variable per
   /// pooled column) and the resumable basis of its last optimal solve.
   lp::LpModel model_;

@@ -15,13 +15,13 @@ CliFlags parse(std::initializer_list<const char*> args) {
 
 TEST(Cli, EqualsSyntax) {
   auto f = parse({"--seeds=50", "--gap=0.01"});
-  EXPECT_EQ(f.get_int("seeds", 0), 50);
-  EXPECT_DOUBLE_EQ(f.get_double("gap", 0.0), 0.01);
+  EXPECT_EQ(f.get_int_checked("seeds", 0).value(), 50);
+  EXPECT_DOUBLE_EQ(f.get_double_checked("gap", 0.0).value(), 0.01);
 }
 
 TEST(Cli, SpaceSyntax) {
   auto f = parse({"--seeds", "25"});
-  EXPECT_EQ(f.get_int("seeds", 0), 25);
+  EXPECT_EQ(f.get_int_checked("seeds", 0).value(), 25);
 }
 
 TEST(Cli, BareBooleanFlag) {
@@ -39,14 +39,14 @@ TEST(Cli, BoolSpellings) {
 
 TEST(Cli, DefaultsWhenMissing) {
   auto f = parse({});
-  EXPECT_EQ(f.get_int("n", 42), 42);
+  EXPECT_EQ(f.get_int_checked("n", 42).value(), 42);
   EXPECT_EQ(f.get_string("name", "dflt"), "dflt");
-  EXPECT_DOUBLE_EQ(f.get_double("x", 2.5), 2.5);
+  EXPECT_DOUBLE_EQ(f.get_double_checked("x", 2.5).value(), 2.5);
 }
 
 TEST(Cli, IntList) {
   auto f = parse({"--links=10,15,20,25,30"});
-  auto v = f.get_int_list("links", {});
+  auto v = f.get_int_list_checked("links", {}).value();
   ASSERT_EQ(v.size(), 5u);
   EXPECT_EQ(v[0], 10);
   EXPECT_EQ(v[4], 30);
@@ -54,7 +54,7 @@ TEST(Cli, IntList) {
 
 TEST(Cli, IntListDefault) {
   auto f = parse({});
-  auto v = f.get_int_list("links", {1, 2});
+  auto v = f.get_int_list_checked("links", {1, 2}).value();
   ASSERT_EQ(v.size(), 2u);
 }
 
@@ -88,15 +88,16 @@ TEST(Cli, HasDetectsPresence) {
 }
 
 TEST(Cli, NegativeNumbersAsValues) {
-  auto f = parse({"--delta=-4"});
-  EXPECT_EQ(f.get_int("delta", 0), -4);
+  auto f = parse({"--delta=-4", "--scale", "-0.5"});
+  EXPECT_EQ(f.get_int_checked("delta", 0).value(), -4);
+  EXPECT_DOUBLE_EQ(f.get_double_checked("scale", 0.0).value(), -0.5);
 }
 
 TEST(Cli, UnreadListsFlagsNoGetterAskedFor) {
   auto f = parse({"--links=4", "--linkz=40", "--bogus", "--seed", "3"});
   EXPECT_EQ(f.unread(),
             (std::vector<std::string>{"bogus", "links", "linkz", "seed"}));
-  EXPECT_EQ(f.get_int("links", 0), 4);
+  EXPECT_EQ(f.get_int_checked("links", 0).value(), 4);
   EXPECT_TRUE(f.get_int_checked("seed", 1).ok());
   // Asking for an absent flag reads nothing that was given.
   EXPECT_FALSE(f.has("channels"));
@@ -104,6 +105,23 @@ TEST(Cli, UnreadListsFlagsNoGetterAskedFor) {
   EXPECT_TRUE(f.get_bool("bogus", false));
   EXPECT_EQ(f.get_string("linkz", ""), "40");
   EXPECT_TRUE(f.unread().empty());
+}
+
+TEST(Cli, CheckUnusedNamesUnreadFlagsAndStrayArguments) {
+  auto f = parse({"solve", "--links=4", "--linkz=40", "stray", "--bogus"});
+  EXPECT_EQ(f.get_int_checked("links", 0).value(), 4);
+  Status s = f.check_unused(1);
+  EXPECT_EQ(s.code(), ErrorCode::kInvalidInput);
+  EXPECT_EQ(s.message(), "unknown flag --bogus, --linkz");
+  EXPECT_EQ(f.get_string("linkz", ""), "40");
+  EXPECT_TRUE(f.get_bool("bogus", false));
+  s = f.check_unused(1);
+  EXPECT_EQ(s.code(), ErrorCode::kInvalidInput);
+  EXPECT_EQ(s.message(), "unexpected argument 'stray'");
+  EXPECT_TRUE(f.check_unused(2).ok());
+  EXPECT_EQ(f.check_unused().message(),
+            "unexpected argument 'solve', 'stray'");
+  EXPECT_TRUE(parse({}).check_unused().ok());
 }
 
 }  // namespace

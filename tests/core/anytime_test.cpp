@@ -81,8 +81,7 @@ TEST(CgAnytime, CleanRunIsNotDegraded) {
 
 // ---------------------------------------------------------------------------
 // Scenario: the exact pricing MILP never finds an incumbent (NoSolution).
-// The escalation ladder (full exact -> perturbed retry) runs out and the
-// solve hands back the incumbent master plan, degraded.
+// The solve hands back the incumbent master plan, degraded.
 // ---------------------------------------------------------------------------
 TEST(CgAnytime, PricingMilpNoSolutionDegradesWithUsablePlan) {
   const auto net = make_net(2, 5);
@@ -105,6 +104,25 @@ TEST(CgAnytime, PricingMilpNoSolutionDegradesWithUsablePlan) {
       referee.verify_timeline(result.timeline, demands, result.unserved_links)
           .ok());
   expect_trustworthy(net, demands, result);
+}
+
+// An inconclusive exact-pricing call proves nothing, and nothing after it
+// would: the first one ends the solve.  No second MILP call is made.
+TEST(CgAnytime, InconclusivePricingEndsTheSolve) {
+  const auto net = make_net(2, 5);
+  const auto demands = random_demands(net, 2);
+  common::FaultInjector inj(42);
+  inj.arm(common::faults::kMilpNoSolution);  // every exact call fails
+  common::FaultScope scope(inj);
+
+  const auto result = solve_column_generation(net, demands, CgOptions{});
+  EXPECT_EQ(inj.fired(common::faults::kMilpNoSolution), 1);
+  EXPECT_EQ(result.profile.milp_calls, 1);
+  EXPECT_EQ(result.stop_reason, CgStopReason::kPricingFailure);
+  const check::ScheduleVerifier referee(net);
+  EXPECT_TRUE(
+      referee.verify_timeline(result.timeline, demands, result.unserved_links)
+          .ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -239,11 +239,11 @@ TEST(ColumnGeneration, IterationLimitRespected) {
 }
 
 // ---- Recorded answers -----------------------------------------------------
-// The solver's tolerances, budgets and escalation constants are fixed in
-// code; a changed value shows up here as a different iteration count, pool
-// or plan, not only as a slower benchmark.  Each row was recorded from the
-// solver it pins; the MILP wall-clock limit is lifted so no row depends on
-// machine speed (perfbench does the same).
+// The solver's tolerances and budgets are fixed in code; a changed value
+// shows up here as a different iteration count, pool or plan, not only as
+// a slower benchmark.  Each row was recorded from the solver it pins; the
+// MILP wall-clock limit is lifted so no row depends on machine speed
+// (perfbench does the same).
 
 /// FNV-1a (64-bit) over the timeline's schedule keys, one per line.
 std::uint64_t timeline_key_digest(
@@ -298,13 +298,20 @@ const RecordedCase kRecorded[] = {
      PricingMode::HeuristicOnly, 0, false,
      false, CgStopReason::kHeuristicFixedPoint, 51, 74, 21,
      0x9326d479721e3bedULL, 45.271296329057122, kNoBound, 0, 0, 0, ""},
-    // A 4-node B&B budget leaves exact pricing inconclusive, so the
-    // escalation ladder reaches the perturbed-dual retry (twice).
+    // A 4-node B&B budget leaves the first exact-pricing call inconclusive,
+    // which ends the solve with the incumbent and its Theorem-1 bound.
     {"gamma x3 L=7 K=3 Q=4 4-node budget", 7, 3, 4, 3.0, 7,
      PricingMode::HeuristicThenExact, 4, false,
-     false, CgStopReason::kPricingFailure, 41, 48, 13, 0x6548f44b282ddd0bULL,
-     43.777503557254292, 35.473185797439804, 0, 0, 0,
-     "repricing under perturbed duals"},
+     false, CgStopReason::kPricingFailure, 22, 35, 11, 0xcb04864982d6436fULL,
+     44.652982800974982, 34.88462174946509, 0, 0, 0,
+     "column generation degraded (pricing-failure)"},
+    // The first instance of perfbench's bnb bank under that workload's
+    // 4-node budget, so a change to a bnb answer shows up in tier 1.
+    {"bnb bank L=7 K=3 Q=4 4-node budget", 7, 3, 4, 3.0,
+     7875207928476110273ULL, PricingMode::HeuristicThenExact, 4, false,
+     false, CgStopReason::kPricingFailure, 37, 50, 14, 0x566f621fca3203ffULL,
+     42.611652966015257, 38.463640466265865, 0, 0, 0,
+     "column generation degraded (pricing-failure)"},
     {"table-I L=10 K=5 hybrid verified", 10, 5, 5, 1.0, 1,
      PricingMode::HeuristicThenExact, 0, true,
      true, CgStopReason::kConverged, 3, 22, 4, 0xb2c348e42cb22b3cULL,

@@ -107,7 +107,13 @@ TEST(Master, ReducedCostOfExistingOptimalColumnIsNonnegative) {
   const auto sol = master.solve();
   ASSERT_TRUE(sol.ok);
   for (const auto& s : master.columns()) {
-    EXPECT_GE(master.reduced_cost(s, sol.lambda_hp, sol.lambda_lp), -1e-7);
+    // mu^s = 1 - sum_l (lambda_hp r^s_hp + lambda_lp r^s_lp).
+    const auto hp = s.rate_column_bits_per_slot(net, net::Layer::Hp);
+    const auto lp = s.rate_column_bits_per_slot(net, net::Layer::Lp);
+    double reduced_cost = 1.0;
+    for (int l = 0; l < net.num_links(); ++l)
+      reduced_cost -= sol.lambda_hp[l] * hp[l] + sol.lambda_lp[l] * lp[l];
+    EXPECT_GE(reduced_cost, -1e-7);
   }
 }
 

@@ -521,9 +521,9 @@ FleetSeedOutcome fleet_soak_seed(std::uint64_t seed, int leg,
 int main(int argc, char** argv) {
   common::CliFlags flags;
   flags.parse(argc, argv);
-  // Strict flags: a malformed or out-of-range value, or a flag the chosen
-  // soak does not accept, exits 2 naming the flag before any work — never a
-  // soak of a configuration nobody asked for.
+  // Strict flags: a malformed or out-of-range value, a flag the chosen soak
+  // does not accept or a stray argument exits 2 naming it before any work —
+  // never a soak of a configuration nobody asked for.
   common::Status bad;
   const auto int_flag = [&](const char* name, std::int64_t def,
                             std::int64_t lo, std::int64_t hi) {
@@ -551,11 +551,7 @@ int main(int argc, char** argv) {
     if (!p_block.ok() && bad.ok()) bad = p_block.status();
     if (p_block.ok()) s.p_block = p_block.value();
   }
-  const std::vector<std::string> unread = flags.unread();
-  if (bad.ok() && !unread.empty()) {
-    bad = common::Status::Error(common::ErrorCode::kInvalidInput,
-                                "unknown flag --" + unread.front());
-  }
+  if (bad.ok()) bad = flags.check_unused();
   if (!bad.ok()) {
     std::fprintf(stderr, "error: %s\n", bad.message().c_str());
     return 2;

@@ -94,6 +94,9 @@ run(2 "error: unknown flag --profile" stream --links=4 --gops=2 --profile)
 run(2 "error: unknown flag --resume"
     resolve --checkpoint=${WORK_DIR}/unused.ckpt --links=4 --resume)
 run(2 "error: unknown flag --csv"     check --links=4 --csv=plan.csv)
+# So is an argument after the command name.
+run(2 "error: unexpected argument 'stray'"
+    solve --links=4 --channels=2 stray)
 
 # --- exit 2: malformed instance spec files ----------------------------------
 file(WRITE "${WORK_DIR}/bad_spec.txt" "links = twenty\n")

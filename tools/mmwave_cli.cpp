@@ -119,7 +119,7 @@ struct InstanceFlags {
 /// zero that solves the wrong instance.  A `stream` session solves every
 /// period without a deadline, with heuristic or hybrid pricing and the
 /// default master-LP rule (stream::CgSchedulerOptions), so for it --deadline
-/// stays unread (reject_unknown_flags names it) and --pricing takes only
+/// stays unread (reject_unused_arguments names it) and --pricing takes only
 /// heuristic|hybrid.
 [[nodiscard]] common::Expected<InstanceFlags> parse_instance(
     const common::CliFlags& flags, bool stream = false) {
@@ -220,17 +220,13 @@ int report_solve_health(const core::CgResult& result) {
 }
 
 /// Typo guard, called once a command has read every flag it accepts and
-/// before it starts any work: a flag left unread is unknown to the command.
-/// Prints the one-line error and returns true, and the command then exits
-/// kExitInvalidInput.
-bool reject_unknown_flags(const common::CliFlags& flags) {
-  const std::vector<std::string> unread = flags.unread();
-  if (unread.empty()) return false;
-  std::string names;
-  for (const std::string& name : unread) {
-    names += (names.empty() ? "--" : ", --") + name;
-  }
-  std::fprintf(stderr, "error: unknown flag %s\n", names.c_str());
+/// before it starts any work: a flag left unread is unknown to the command,
+/// and so is any argument after the command name.  Prints the one-line
+/// error and returns true, and the command then exits kExitInvalidInput.
+bool reject_unused_arguments(const common::CliFlags& flags) {
+  const common::Status unused = flags.check_unused(/*positional_taken=*/1);
+  if (unused.ok()) return false;
+  std::fprintf(stderr, "error: %s\n", unused.message().c_str());
   return true;
 }
 
@@ -308,7 +304,7 @@ int cmd_solve(const common::CliFlags& flags) {
   const bool profile = flags.has("profile");
   const bool csv = flags.has("csv");
   const std::string csv_path = flags.get_string("csv", "plan.csv");
-  if (reject_unknown_flags(flags)) return kExitInvalidInput;
+  if (reject_unused_arguments(flags)) return kExitInvalidInput;
   Instance inst = build_instance(f);
   core::CgOptions opts;
   opts.pricing = f.pricing;
@@ -409,7 +405,7 @@ int cmd_compare(const common::CliFlags& flags) {
     return kExitInvalidInput;
   }
   const InstanceFlags f = parsed.value();
-  if (reject_unknown_flags(flags)) return kExitInvalidInput;
+  if (reject_unused_arguments(flags)) return kExitInvalidInput;
   Instance inst = build_instance(f);
 
   common::Table table({"algorithm", "total slots", "avg delay", "fairness",
@@ -494,7 +490,7 @@ int cmd_stream(const common::CliFlags& flags) {
     std::fprintf(stderr, "error: --resume requires --checkpoint=FILE\n");
     return kExitInvalidInput;
   }
-  if (reject_unknown_flags(flags)) return kExitInvalidInput;
+  if (reject_unused_arguments(flags)) return kExitInvalidInput;
 
   common::Rng rng(f.seed);
   net::NetworkParams params = params_of(f);
@@ -639,7 +635,7 @@ int cmd_resolve(const common::CliFlags& flags) {
     }
   }
   const bool update = flags.has("update");
-  if (reject_unknown_flags(flags)) return kExitInvalidInput;
+  if (reject_unused_arguments(flags)) return kExitInvalidInput;
 
   // Same rng stream as build_instance, so an unperturbed resolve
   // fingerprints identically to `solve` on the same flags; the blockage is
@@ -697,7 +693,7 @@ int cmd_check(const common::CliFlags& flags) {
     return kExitInvalidInput;
   }
   const InstanceFlags f = parsed.value();
-  if (reject_unknown_flags(flags)) return kExitInvalidInput;
+  if (reject_unused_arguments(flags)) return kExitInvalidInput;
   Instance inst = build_instance(f);
   core::CgOptions opts;
   opts.pricing = f.pricing;
@@ -837,7 +833,7 @@ int cmd_serve(const common::CliFlags& flags) {
   opts.state_path = flags.get_string("state", "");
   const std::string requests = flags.get_string("requests", "-");
   const std::string out_path = flags.get_string("out", "");
-  if (reject_unknown_flags(flags)) return kExitInvalidInput;
+  if (reject_unused_arguments(flags)) return kExitInvalidInput;
 
   int fd = 0;
   bool close_fd = false;

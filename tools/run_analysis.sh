@@ -83,8 +83,12 @@
 #                                         against src/ in Release and runs
 #                                         each workload (certify, bnb,
 #                                         stream, fleet) for 0.5 s at seed
-#                                         1; fails on a build failure or a
-#                                         `correct: false` run
+#                                         1; fails on a build failure, a
+#                                         `correct: false` run, or an
+#                                         `outputs:` line that differs from
+#                                         the one recorded in
+#                                         tools/perfbench_outputs.txt (both
+#                                         lines are printed)
 #
 # Usage:  tools/run_analysis.sh [--fast|--robustness|--coverage|--lint|--soak|--fleet|--qoe|--perfbench]
 #   --fast        skip legs 1, 6, 8 and 13 (the plain build, the perf
@@ -109,7 +113,8 @@
 #   --qoe         the CI QoE gate: build the ASan+UBSan tree and run only
 #                 leg 12 (buffer/policy/session suites + perf_qoe with a
 #                 deeper seed sweep than the smoke ctest).
-#   --perfbench   the CI benchmark-build gate: run only leg 13.
+#   --perfbench   the CI benchmark gate: run only leg 13 (build, smoke runs
+#                 and the recorded-outputs diff).
 set -u
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -163,13 +168,26 @@ summary() {
 # perfbench/ is a stand-alone CMake project that only perfbench/run.py
 # builds, so no ctest entry compiles it: without this leg an API change in
 # src/ that breaks perf_e2e.cpp would surface only at the benchmark check.
-# run.py exits nonzero on a build failure or a `correct: false` run.
+# run.py exits nonzero on a build failure or a `correct: false` run.  Each
+# workload's `outputs:` line (its answers: certified count, digests) must
+# also equal the line recorded in tools/perfbench_outputs.txt, so a change
+# that moves an answer fails here, naming both lines, instead of at the
+# benchmark check.
 run_perfbench() {
   note "leg 13: perfbench (build perf_e2e, 0.5 s per workload)"
-  local workload
+  local workload out got want
   for workload in certify bnb stream fleet; do
-    (cd "$ROOT" && python3 perfbench/run.py --workload "$workload" --seed 1 \
-        --seconds 0.5 --trace 0) || leg_failed "perfbench $workload"
+    out="$(cd "$ROOT" && python3 perfbench/run.py --workload "$workload" \
+        --seed 1 --seconds 0.5 --trace 0)" || leg_failed "perfbench $workload"
+    printf '%s\n' "$out"
+    got="$(printf '%s\n' "$out" | grep '^outputs: ')"
+    want="$(sed -n "s/^$workload //p" "$ROOT/tools/perfbench_outputs.txt")"
+    if [[ -z "$want" || "$got" != "$want" ]]; then
+      printf 'perfbench %s: outputs line differs from tools/perfbench_outputs.txt\n' \
+        "$workload" >&2
+      printf '  recorded: %s\n  got:      %s\n' "$want" "$got" >&2
+      leg_failed "perfbench $workload outputs"
+    fi
   done
 }
 
