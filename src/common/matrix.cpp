@@ -173,13 +173,6 @@ Matrix LuFactorization::inverse() const {
   return inv;
 }
 
-std::vector<double> solve_linear_system(const Matrix& a,
-                                        const std::vector<double>& b) {
-  LuFactorization lu(a);
-  if (!lu.ok()) return {};
-  return lu.solve(b);
-}
-
 double dot(const std::vector<double>& a, const std::vector<double>& b) {
   assert(a.size() == b.size());
   double acc = 0.0;

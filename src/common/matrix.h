@@ -1,5 +1,5 @@
-// Small dense linear-algebra kernel used by the LP solver and the power
-// control module.  Row-major, double precision, bounds-checked in debug
+// Small dense linear-algebra kernel used by the LP solver's dense engine
+// and the tests.  Row-major, double precision, bounds-checked in debug
 // builds.  This is deliberately a minimal kernel: the simplex solver
 // maintains its own factorizations; everything else needs only mat-vec,
 // LU solves, and inverses of modest matrices.
@@ -81,10 +81,6 @@ class LuFactorization {
   std::vector<std::size_t> piv_; // row permutation
   bool ok_ = false;
 };
-
-/// Convenience one-shot solve of A x = b; returns empty vector on singular A.
-std::vector<double> solve_linear_system(const Matrix& a,
-                                        const std::vector<double>& b);
 
 /// Dot product; asserts equal sizes.
 double dot(const std::vector<double>& a, const std::vector<double>& b);

@@ -319,6 +319,8 @@ CgResult solve_cg_impl(const net::Network& net,
     ++prof.milp_calls;
     prof.milp_nodes += r.milp_nodes;
     prof.milp_lp_pivots += r.milp_lp_pivots;
+    prof.milp_build_seconds = pricing_cache.build_seconds();
+    prof.milp_pair_power_solves = pricing_cache.pair_power_solves();
     return r;
   };
 

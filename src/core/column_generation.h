@@ -170,6 +170,10 @@ struct CgProfile {
   /// included) across every exact-pricing call.
   std::int64_t milp_nodes = 0;
   std::int64_t milp_lp_pivots = 0;
+  /// The pricing-MILP skeleton build (once per run, inside milp_seconds)
+  /// and the pair power solves of its conflict-cut discovery.
+  double milp_build_seconds = 0.0;
+  std::int64_t milp_pair_power_solves = 0;
   /// Warm-pool columns accepted into / rejected from the initial master
   /// (CgOptions::warm_pool; rejected = failed re-validation or duplicate).
   int warm_pool_columns = 0;

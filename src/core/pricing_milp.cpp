@@ -1,12 +1,11 @@
 #include "core/pricing_milp.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <map>
-#include <utility>
 
 #include "common/log.h"
-#include "mmwave/power_control.h"
 
 namespace mmwave::core {
 namespace {
@@ -19,6 +18,37 @@ std::size_t xid(const net::Network& net, int l, int q, int k, int layer) {
 
 }  // namespace
 
+int conflict_staircase(net::PowerSolver& solver, int k, int a, int top_a,
+                       int b, int top_b, std::span<int> first_conflict) {
+  const net::Network& net = solver.network();
+  const int links[2] = {a, b};
+  double gammas[2];
+  int solves = 0;
+  const auto conflict = [&](int qa, int qb) {
+    gammas[0] = net.rate_level(qa).sinr_threshold;
+    gammas[1] = net.rate_level(qb).sinr_threshold;
+    ++solves;
+    return !solver.min_power(k, links, gammas);
+  };
+  int qb = top_b;
+  if (conflict(top_a, top_b)) {
+    // first_conflict is non-increasing in qa: row qa starts where row
+    // qa - 1 ended, and every solve either moves down a level of b (a
+    // conflict) or on to the next level of a (no conflict).  The corner
+    // is known to conflict and is not solved again.
+    for (int qa = 0; qa <= top_a; ++qa) {
+      while (qb >= 0 &&
+             ((qa == top_a && qb == top_b) || conflict(qa, qb))) {
+        --qb;
+      }
+      first_conflict[qa] = qb + 1;
+    }
+  } else {
+    std::fill_n(first_conflict.begin(), top_a + 1, top_b + 1);
+  }
+  return solves;
+}
+
 /// Builds the dual-independent model skeleton: one binary per (l, q, k,
 /// layer) that can reach the SINR threshold interference-free at Pmax (an
 /// exact, network-only prune), per-channel powers, SINR activation rows,
@@ -27,6 +57,7 @@ std::size_t xid(const net::Network& net, int l, int q, int k, int layer) {
 /// them (and the activation bounds) from the duals on every call.
 void PricingMilpCache::build(const net::Network& net,
                              const MilpPricingOptions& options) {
+  const auto started = std::chrono::steady_clock::now();
   const int L = net.num_links();
   const int K = net.num_channels();
   const int Q = net.num_rate_levels();
@@ -39,12 +70,21 @@ void PricingMilpCache::build(const net::Network& net,
   c.links_ = L;
   c.channels_ = K;
   c.levels_ = Q;
+  const auto finish = [&] {
+    c.built_ = true;
+    c.build_seconds_ = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - started)
+                           .count();
+  };
 
   milp::MilpModel& model = c.model_;
   model.set_objective_sense(lp::ObjSense::Maximize);
 
   // --- Variables -------------------------------------------------------
+  // The ladder ascends, so link l's levels on channel k are 0..top[l, k]
+  // (-1: none), the same for both layers.
   c.xindex_.assign(static_cast<std::size_t>(L) * Q * K * 2, -1);
+  std::vector<int> top(static_cast<std::size_t>(L) * K, -1);
   for (int l = 0; l < L; ++l) {
     for (int layer = 0; layer < 2; ++layer) {
       for (int k = 0; k < K; ++k) {
@@ -55,26 +95,30 @@ void PricingMilpCache::build(const net::Network& net,
           const int var = model.add_variable(0, 1, 0.0, milp::VarType::Binary);
           c.xindex_[xid(net, l, q, k, layer)] = var;
           c.xvars_.push_back({l, q, k, static_cast<net::Layer>(layer)});
+          top[static_cast<std::size_t>(l) * K + k] = q;
         }
       }
     }
   }
   if (c.xvars_.empty()) {
-    c.built_ = true;
+    finish();
     return;
   }
 
   // P_l^k only where link l has at least one x variable on channel k.
+  c.pvar_.assign(static_cast<std::size_t>(L) * K, -1);
   for (const XVar& xv : c.xvars_) {
-    const auto key = std::make_pair(xv.link, xv.channel);
-    if (c.pvar_.count(key)) continue;
-    c.pvar_[key] =
-        model.add_variable(0.0, pmax, 0.0, milp::VarType::Continuous);
+    int& pv = c.pvar_[static_cast<std::size_t>(xv.link) * K + xv.channel];
+    if (pv < 0)
+      pv = model.add_variable(0.0, pmax, 0.0, milp::VarType::Continuous);
   }
   // Links that may transmit on channel k (for interference sums / big-M).
   std::vector<std::vector<int>> channel_members(K);
-  for (const auto& [key, var] : c.pvar_)
-    channel_members[key.second].push_back(key.first);
+  for (int l = 0; l < L; ++l) {
+    for (int k = 0; k < K; ++k) {
+      if (c.pvar(l, k) >= 0) channel_members[k].push_back(l);
+    }
+  }
 
   // --- SINR activation constraints (corrected (26)/(28)) ---------------
   for (std::size_t xi = 0; xi < c.xvars_.size(); ++xi) {
@@ -94,11 +138,10 @@ void PricingMilpCache::build(const net::Network& net,
     const int xvar_index =
         c.xindex_[xid(net, l, q, k, static_cast<int>(xv.layer))];
     terms.emplace_back(xvar_index, big_m);
-    terms.emplace_back(c.pvar_.at({l, k}), -net.direct_gain(l, k));
+    terms.emplace_back(c.pvar(l, k), -net.direct_gain(l, k));
     for (int other : channel_members[k]) {
       if (other == l) continue;
-      terms.emplace_back(c.pvar_.at({other, k}),
-                         gamma * net.cross_gain(other, l, k));
+      terms.emplace_back(c.pvar(other, k), gamma * net.cross_gain(other, l, k));
     }
     model.add_constraint(std::move(terms), lp::Sense::Le,
                          big_m - gamma * rho);
@@ -107,20 +150,23 @@ void PricingMilpCache::build(const net::Network& net,
   // --- Power/channel coupling: P_l^k <= Pmax * sum_q,layer x -----------
   // (and, under the fixed-power ablation, also >=, pinning active powers
   // to exactly Pmax).
-  for (const auto& [key, pv] : c.pvar_) {
-    const auto [l, k] = key;
-    std::vector<lp::Term> terms;
-    terms.emplace_back(pv, 1.0);
-    for (int q = 0; q < Q; ++q) {
-      for (int layer = 0; layer < 2; ++layer) {
-        const int idx = c.xindex_[xid(net, l, q, k, layer)];
-        if (idx >= 0) terms.emplace_back(idx, -pmax);
+  for (int l = 0; l < L; ++l) {
+    for (int k = 0; k < K; ++k) {
+      const int pv = c.pvar(l, k);
+      if (pv < 0) continue;
+      std::vector<lp::Term> terms;
+      terms.emplace_back(pv, 1.0);
+      for (int q = 0; q < Q; ++q) {
+        for (int layer = 0; layer < 2; ++layer) {
+          const int idx = c.xindex_[xid(net, l, q, k, layer)];
+          if (idx >= 0) terms.emplace_back(idx, -pmax);
+        }
       }
-    }
-    if (options.fixed_power) {
-      model.add_constraint(terms, lp::Sense::Eq, 0.0);
-    } else {
-      model.add_constraint(std::move(terms), lp::Sense::Le, 0.0);
+      if (options.fixed_power) {
+        model.add_constraint(terms, lp::Sense::Eq, 0.0);
+      } else {
+        model.add_constraint(std::move(terms), lp::Sense::Le, 0.0);
+      }
     }
   }
 
@@ -170,8 +216,7 @@ void PricingMilpCache::build(const net::Network& net,
       // Shared transmit budget: sum_k P_l^k <= Pmax.
       std::vector<lp::Term> power_terms;
       for (int k = 0; k < K; ++k) {
-        auto it = c.pvar_.find({l, k});
-        if (it != c.pvar_.end()) power_terms.emplace_back(it->second, 1.0);
+        if (c.pvar(l, k) >= 0) power_terms.emplace_back(c.pvar(l, k), 1.0);
       }
       if (power_terms.size() > 1)
         model.add_constraint(std::move(power_terms), lp::Sense::Le, pmax);
@@ -232,47 +277,49 @@ void PricingMilpCache::build(const net::Network& net,
   // If two (link, level) choices cannot coexist on a channel even as a
   // bare pair under power control, no larger set containing them can
   // (interference is monotone), so x_i + x_j <= 1 is valid.  These clique
-  // cuts tighten the big-M LP relaxation enormously and, being
-  // dual-independent, are precomputed once per network here rather than
-  // once per pricing call: one 2x2 power solve per candidate pair.
+  // cuts tighten the big-M LP relaxation enormously.  conflict_staircase
+  // finds them per link pair and channel; the rows go out channel by
+  // channel, in (link, level) order of the first choice, then the second.
   {
-    // Collect, per channel, the distinct (link, level) pairs in use.
-    std::map<int, std::vector<std::pair<int, int>>> lq_by_channel;
-    for (const XVar& xv : c.xvars_) {
-      auto& v = lq_by_channel[xv.channel];
-      if (std::find(v.begin(), v.end(),
-                    std::make_pair(xv.link, xv.level)) == v.end()) {
-        v.emplace_back(xv.link, xv.level);
+    net::PowerSolver solver(net, 2);
+    std::vector<int> first_conflict(static_cast<std::size_t>(L) * L * Q);
+    const auto staircase = [&](int a, int b) {
+      return std::span<int>(first_conflict)
+          .subspan((static_cast<std::size_t>(a) * L + b) * Q, Q);
+    };
+    for (int k = 0; k < K; ++k) {
+      const auto top_of = [&](int l) {
+        return top[static_cast<std::size_t>(l) * K + k];
+      };
+      for (int a = 0; a < L; ++a) {
+        if (top_of(a) < 0) continue;
+        for (int b = a + 1; b < L; ++b) {
+          if (top_of(b) < 0) continue;
+          c.pair_power_solves_ += conflict_staircase(
+              solver, k, a, top_of(a), b, top_of(b), staircase(a, b));
+        }
       }
-    }
-    for (const auto& [k, lqs] : lq_by_channel) {
-      for (std::size_t a = 0; a < lqs.size(); ++a) {
-        for (std::size_t b = a + 1; b < lqs.size(); ++b) {
-          if (lqs[a].first == lqs[b].first) continue;  // same link: (30)
-          const std::vector<int> pair_links{lqs[a].first, lqs[b].first};
-          const std::vector<double> pair_gammas{
-              net.rate_level(lqs[a].second).sinr_threshold,
-              net.rate_level(lqs[b].second).sinr_threshold};
-          if (net::min_power_assignment(net, k, pair_links, pair_gammas)
-                  .feasible) {
-            continue;
+      for (int a = 0; a < L; ++a) {
+        for (int qa = 0; qa <= top_of(a); ++qa) {
+          for (int b = a + 1; b < L; ++b) {
+            if (top_of(b) < 0) continue;
+            for (int qb = staircase(a, b)[qa]; qb <= top_of(b); ++qb) {
+              std::vector<lp::Term> terms;
+              for (int layer = 0; layer < 2; ++layer) {
+                const int ia = c.xindex_[xid(net, a, qa, k, layer)];
+                const int ib = c.xindex_[xid(net, b, qb, k, layer)];
+                if (ia >= 0) terms.emplace_back(ia, 1.0);
+                if (ib >= 0) terms.emplace_back(ib, 1.0);
+              }
+              if (terms.size() > 1)
+                model.add_constraint(std::move(terms), lp::Sense::Le, 1.0);
+            }
           }
-          std::vector<lp::Term> terms;
-          for (int layer = 0; layer < 2; ++layer) {
-            const int ia =
-                c.xindex_[xid(net, lqs[a].first, lqs[a].second, k, layer)];
-            const int ib =
-                c.xindex_[xid(net, lqs[b].first, lqs[b].second, k, layer)];
-            if (ia >= 0) terms.emplace_back(ia, 1.0);
-            if (ib >= 0) terms.emplace_back(ib, 1.0);
-          }
-          if (terms.size() > 1)
-            model.add_constraint(std::move(terms), lp::Sense::Le, 1.0);
         }
       }
     }
   }
-  c.built_ = true;
+  finish();
 }
 
 PricingResult solve_pricing_milp(const net::Network& net,
@@ -338,7 +385,7 @@ PricingResult solve_pricing_milp(const net::Network& net,
       // variables; keeping them would make the seed infeasible.
       if (idx < 0 || c.model_.variable(idx).ub < 0.5) continue;
       warm[idx] = 1.0;
-      warm[c.pvar_.at({tx.link, tx.channel})] = tx.power_watts;
+      warm[c.pvar(tx.link, tx.channel)] = tx.power_watts;
       const auto y = c.link_indicator_.find(tx.link);
       if (y != c.link_indicator_.end()) warm[y->second] = 1.0;
     }
@@ -390,7 +437,7 @@ PricingResult solve_pricing_milp(const net::Network& net,
                                   static_cast<int>(xv.layer))];
     if (sol.x[idx] < 0.5) continue;
     schedule.add({xv.link, xv.layer, xv.level, xv.channel,
-                  sol.x[c.pvar_.at({xv.link, xv.channel})]});
+                  sol.x[c.pvar(xv.link, xv.channel)]});
   }
 
   if (!options.fixed_power && !schedule.empty()) {

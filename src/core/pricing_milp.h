@@ -12,13 +12,15 @@
 //    interference-free at Pmax are dropped.
 #pragma once
 
+#include <cstdint>
 #include <map>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "core/pricing.h"
 #include "milp/milp.h"
 #include "mmwave/network.h"
+#include "mmwave/power_control.h"
 
 namespace mmwave::core {
 
@@ -59,11 +61,29 @@ PricingResult solve_pricing_milp(const net::Network& net,
                                  const sched::Schedule* warm_start = nullptr,
                                  PricingMilpCache* cache = nullptr);
 
+/// Conflict discovery for the skeleton's pairwise cuts, one link pair on
+/// channel k: link `a` has variables at levels 0..top_a, link `b` at
+/// 0..top_b.  Interference is monotone and the rate ladder strictly
+/// ascends, so if (a, qa) and (b, qb) cannot share the channel as a bare
+/// pair, neither can any (a, qa' >= qa) and (b, qb' >= qb): the conflicting
+/// level pairs form a staircase.  One min-power solve at the top corner
+/// (top_a, top_b) settles a pair without conflicts; otherwise the walk
+/// traces the staircase one level per solve.  On return
+/// first_conflict[qa] (qa = 0..top_a) is the lowest qb that conflicts with
+/// qa, top_b + 1 if none.  Returns the number of solves made, at most
+/// (top_a + 1) + (top_b + 1) + 1.
+int conflict_staircase(net::PowerSolver& solver, int k, int a, int top_a,
+                       int b, int top_b, std::span<int> first_conflict);
+
 /// Reusable pricing-model skeleton (see solve_pricing_milp).  Opaque to
 /// callers: construct one next to the CG loop and pass its address.
 class PricingMilpCache {
  public:
   bool built() const { return built_; }
+  /// Wall time of the last skeleton build, and the pair power solves its
+  /// conflict discovery made.
+  double build_seconds() const { return build_seconds_; }
+  std::int64_t pair_power_solves() const { return pair_power_solves_; }
 
  private:
   friend PricingResult solve_pricing_milp(const net::Network&,
@@ -81,6 +101,10 @@ class PricingMilpCache {
 
   /// (Re)builds the skeleton for this network + structural options.
   void build(const net::Network& net, const MilpPricingOptions& options);
+  /// Power variable of link l on channel k, -1 if it has none.
+  int pvar(int l, int k) const {
+    return pvar_[static_cast<std::size_t>(l) * channels_ + k];
+  }
 
   bool built_ = false;
   // Fingerprint of what the skeleton was built for.
@@ -93,8 +117,10 @@ class PricingMilpCache {
   milp::MilpModel model_;
   std::vector<XVar> xvars_;
   std::vector<int> xindex_;  // (l, q, k, layer) -> var index, -1 if pruned
-  std::map<std::pair<int, int>, int> pvar_;  // (l, k) -> power var index
-  std::map<int, int> link_indicator_;        // layer-split y_l vars
+  std::vector<int> pvar_;  // l * K + k -> power var index, -1 if none
+  std::map<int, int> link_indicator_;  // layer-split y_l vars
+  double build_seconds_ = 0.0;
+  std::int64_t pair_power_solves_ = 0;
 };
 
 }  // namespace mmwave::core

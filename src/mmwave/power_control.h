@@ -8,15 +8,61 @@
 // is P* = (I - D F)^{-1} D nu (Foschini–Miljanic); the set is feasible under
 // the cap iff P* exists and P* <= Pmax.
 //
-// Used by the greedy pricing heuristic (admit a link only if the enlarged
-// set stays feasible) and by the Benchmark 2 grouping check.
+// PowerSolver is the allocation-free kernel that answers this question for
+// the pricing hot paths (the MILP skeleton's conflict discovery and the
+// greedy heuristic's admission tests); min_power_assignment is a one-shot
+// wrapper over it for everyone else.
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "mmwave/network.h"
 
 namespace mmwave::net {
+
+/// Minimum-power and fixed-power feasibility on one channel, with scratch
+/// sized once at construction: a call allocates nothing.  Gains are read
+/// through the Network on every call.  Not thread-safe: each thread (each
+/// pricing call or skeleton build) owns its own solver.
+class PowerSolver {
+ public:
+  /// Scratch for link sets of up to `capacity` links.
+  PowerSolver(const Network& net, std::size_t capacity);
+
+  const Network& network() const { return net_; }
+
+  /// Minimum powers for `links` sharing channel `k`, where `links[i]` must
+  /// meet SINR threshold `gammas[i]`: solves (I - DF) P = D nu by LU with
+  /// partial pivoting (a pivot below 1e-12 means singular), accepts P in
+  /// [-1e-12, Pmax (1 + 1e-9)], clips it to [0, Pmax] and re-checks every
+  /// SINR against gamma (1 - 1e-7).  On true, powers() holds the clipped
+  /// powers, aligned with `links`.
+  bool min_power(int k, std::span<const int> links,
+                 std::span<const double> gammas);
+
+  /// Power adaptation switched off: every link transmits at Pmax and must
+  /// still meet gamma (1 - 1e-9).  On true, powers() is Pmax throughout.
+  bool fixed_power(int k, std::span<const int> links,
+                   std::span<const double> gammas);
+
+  /// Powers of the last call; meaningful only if it returned true.
+  std::span<const double> powers() const { return {p_.data(), n_}; }
+
+ private:
+  /// True iff every listed link meets gamma (1 - slack) under powers p_.
+  bool meets_sinr(int k, std::span<const int> links,
+                  std::span<const double> gammas, double slack) const;
+
+  const Network& net_;
+  std::size_t capacity_;
+  std::vector<double> a_;  // (I - DF), then its LU; row stride capacity_
+  std::vector<double> x_;  // D nu
+  std::vector<std::size_t> piv_;  // LU row permutation
+  std::vector<double> p_;  // powers of the last call
+  std::size_t n_ = 0;      // link count of the last call
+};
 
 struct PowerControlResult {
   bool feasible = false;
@@ -25,8 +71,8 @@ struct PowerControlResult {
 };
 
 /// Minimum-power assignment for `links` sharing channel `k`, where link
-/// `links[i]` must meet SINR threshold `gammas[i]`.  Direct solve via the
-/// linear system; O(n^3) in the active-set size.
+/// `links[i]` must meet SINR threshold `gammas[i]` (PowerSolver::min_power
+/// with scratch of its own); O(n^3) in the active-set size.
 PowerControlResult min_power_assignment(const Network& net, int k,
                                         const std::vector<int>& links,
                                         const std::vector<double>& gammas);

@@ -138,7 +138,9 @@ TEST(Lu, RandomSolveResidualProperty) {
     std::vector<double> b(n);
     for (auto& x : b) x = rng.uniform(-10, 10);
 
-    auto x = solve_linear_system(a, b);
+    LuFactorization lu(a);
+    ASSERT_TRUE(lu.ok()) << "trial " << trial;
+    auto x = lu.solve(b);
     ASSERT_EQ(x.size(), n);
     auto ax = a * x;
     EXPECT_LT(max_abs_diff(ax, b), 1e-9) << "trial " << trial;

@@ -1,6 +1,10 @@
 // Focused properties of the greedy pricing heuristic.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <memory>
+
 #include "core/column_generation.h"
 #include "core/master.h"
 #include "core/pricing_greedy.h"
@@ -27,6 +31,111 @@ MasterSolution tdma_duals(const net::Network& net) {
   auto sol = master.solve();
   EXPECT_TRUE(sol.ok);
   return sol;
+}
+
+/// FNV-1a over every transmission's (link, layer, level, channel, power
+/// bits), in schedule order.
+std::uint64_t schedule_digest(const sched::Schedule& schedule) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const sched::Transmission& tx : schedule.transmissions()) {
+    std::uint64_t power_bits = 0;
+    std::memcpy(&power_bits, &tx.power_watts, sizeof power_bits);
+    mix(static_cast<std::uint64_t>(tx.link));
+    mix(static_cast<std::uint64_t>(tx.layer));
+    mix(static_cast<std::uint64_t>(tx.rate_level));
+    mix(static_cast<std::uint64_t>(tx.channel));
+    mix(power_bits);
+  }
+  return h;
+}
+
+net::Network ladder_net(int links, int channels, int levels,
+                        double gamma_scale, std::uint64_t seed,
+                        bool geometric) {
+  common::Rng rng(seed);
+  net::NetworkParams p;
+  p.num_links = links;
+  p.num_channels = channels;
+  p.sinr_thresholds.resize(levels);
+  for (int q = 0; q < levels; ++q)
+    p.sinr_thresholds[q] = 0.1 * (q + 1) * gamma_scale;
+  if (!geometric) return net::Network::table_i(p, rng);
+  p.noise_watts = 1e-4;  // geometric gains need a real link margin
+  auto model = std::make_unique<net::GeometricChannelModel>(
+      links, channels, p.noise_watts, net::GeometricChannelConfig{}, rng);
+  return net::Network(p, std::move(model));
+}
+
+struct GreedyRecord {
+  double psi;
+  std::uint64_t digest;
+};
+
+TEST(GreedyPricing, AnswersMatchRecordedValues) {
+  // Four instance shapes, each priced at its TDMA-master duals and at two
+  // seeded random dual vectors (a fifth of the entries zero).  Psi and the
+  // schedule, power bits included, must not move.
+  struct Shape {
+    const char* name;
+    int links, channels, levels;
+    double gamma_scale;
+    std::uint64_t seed;
+    bool geometric;
+    GreedyRecord recorded[3];  // TDMA duals, random duals 1 and 2
+  };
+  const Shape shapes[] = {
+      {"bnb bank L=7 K=3 Q=4 gamma x3", 7, 3, 4, 3.0, 7875207928476110273ULL,
+       false,
+       {{6.5961053227134467, 0x66a1716657a45557ULL},
+        {7.8590465530184961, 0x431952627f2824c8ULL},
+        {10.565208655364641, 0xb11bc7262b527689ULL}}},
+      {"stream-shaped L=8 K=5 Q=5", 8, 5, 5, 1.0, 0x5E55101DULL, false,
+       {{8, 0x59c83d9147fffbc3ULL},
+        {4.577630852724341, 0x861b46564d280574ULL},
+        {6.8417163769472715, 0x78e3120d5c257376ULL}}},
+      {"certify-shaped L=12 K=5 Q=5", 12, 5, 5, 1.0, 0xCE271F1EDULL, false,
+       {{12, 0x5cf3267acf4b94c2ULL},
+        {7.3781127929663546, 0x36d424647e0cff24ULL},
+        {7.2232901415490156, 0xa7f61464b3f18784ULL}}},
+      {"geometric L=10 K=3 Q=5", 10, 3, 5, 1.0, 10, true,
+       {{10, 0xb6756e65238b88edULL},
+        {6.7716657604157282, 0x51534640597a2c23ULL},
+        {8.0273653719333566, 0xfae90550980705beULL}}},
+  };
+  for (const Shape& shape : shapes) {
+    const net::Network net =
+        ladder_net(shape.links, shape.channels, shape.levels,
+                   shape.gamma_scale, shape.seed, shape.geometric);
+    const MasterSolution mp = tdma_duals(net);
+    std::vector<std::vector<double>> hp{mp.lambda_hp}, lp{mp.lambda_lp};
+    common::Rng rng(shape.seed ^ 0xD0A1ULL);
+    for (int r = 0; r < 2; ++r) {
+      hp.emplace_back(net.num_links());
+      lp.emplace_back(net.num_links());
+      for (int l = 0; l < net.num_links(); ++l) {
+        hp.back()[l] = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 1e-3);
+        lp.back()[l] = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 1e-3);
+      }
+    }
+    for (int d = 0; d < 3; ++d) {
+      const PricingResult r = solve_pricing_greedy(net, hp[d], lp[d]);
+      const std::uint64_t digest = schedule_digest(r.schedule);
+      char got[96];
+      std::snprintf(got, sizeof got, "{%.17g, 0x%016llxULL}", r.psi,
+                    static_cast<unsigned long long>(digest));
+      EXPECT_EQ(r.psi, shape.recorded[d].psi)
+          << shape.name << ", duals " << d << ": got " << got;
+      EXPECT_EQ(digest, shape.recorded[d].digest)
+          << shape.name << ", duals " << d << ": got " << got;
+      EXPECT_FALSE(r.schedule.empty()) << shape.name << ", duals " << d;
+    }
+  }
 }
 
 TEST(GreedyPricing, MoreRestartsNeverWorse) {

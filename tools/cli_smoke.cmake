@@ -63,6 +63,10 @@ run(0 "lp engine +pricing=dantzig"
 # the counters print even when every node LP started feasible.
 run(0 "milp b&b +[1-9][0-9]* nodes, [0-9]+ node-LP pivots"
     solve --links=4 --channels=2 --profile)
+# Its model skeleton, built once per solve: the build time and the pair
+# power solves of the conflict-cut discovery.
+run(0 "milp skeleton +[0-9.]+ ms \\([1-9][0-9]* pair power solves\\)"
+    solve --links=4 --channels=2 --profile)
 run(2 "error: --pricing: expected heuristic\\|hybrid\\|exact"
     solve --links=4 --pricing=hybrid,quantum)
 

@@ -369,6 +369,9 @@ int cmd_solve(const common::CliFlags& flags) {
                 1e3 * p.greedy_seconds, p.greedy_calls);
     std::printf("  pricing_milp    %8.3f ms  (%d calls)\n",
                 1e3 * p.milp_seconds, p.milp_calls);
+    std::printf("  milp skeleton   %8.3f ms (%lld pair power solves)\n",
+                1e3 * p.milp_build_seconds,
+                static_cast<long long>(p.milp_pair_power_solves));
     std::printf("  milp b&b        %lld nodes, %lld node-LP pivots\n",
                 static_cast<long long>(p.milp_nodes),
                 static_cast<long long>(p.milp_lp_pivots));

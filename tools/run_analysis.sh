@@ -27,9 +27,12 @@
 #   7. robustness                         fault-injection + anytime-contract
 #                                         + checkpoint/resolve suites
 #                                         and the simplex/LU suites (their
-#                                         sparse index bookkeeping) and
-#                                         every Milp* suite (branch & bound,
-#                                         its cutoff, pricing MILP) re-run
+#                                         sparse index bookkeeping), every
+#                                         Milp* suite (branch & bound, its
+#                                         cutoff, pricing MILP) and the
+#                                         PowerControl/GreedyPricing suites
+#                                         (the power kernel's scratch
+#                                         indexing) re-run
 #                                         under ASan+UBSan, plus the
 #                                         instance-spec and checkpoint fuzz
 #                                         harnesses (a 30 s libFuzzer run
@@ -344,6 +347,9 @@ fi
 # robustness CI job skips.  So do all Milp* suites (Milp, MilpEdge,
 # MilpLimits, MilpCutoff, MilpPricing): the branch-and-bound loop, its
 # cutoff exit and the pricing MILP on top of the crash-started simplex.
+# And so do the PowerControl and GreedyPricing suites: net::PowerSolver
+# indexes one flat scratch block by a row stride, and the greedy packer
+# and the skeleton's conflict staircase run on it.
 note "leg 7: robustness (fault-injection + checkpoint suites, both fuzz harnesses)"
 
 # run_fuzz <name> <corpus-dir>: libFuzzer with a bounded budget on a clang
@@ -370,7 +376,7 @@ if [[ "$COVERAGE_ONLY" == 1 || "$LINT_ONLY" == 1 || "$SOAK_ONLY" == 1 \
   echo "leg 7 skipped (--coverage/--lint/--soak/--fleet/--qoe)"
 elif [[ -d "$ASAN_DIR" ]]; then
   (cd "$ASAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-      -R 'CgAnytime|Theorem1Guard|Milp|FaultInjector|InstanceValidator|ParseInstanceSpec|CgCheckpoint|CheckpointLog|CgResolve|BlockageSession|Simplex|LuFactor|cli_smoke') \
+      -R 'CgAnytime|Theorem1Guard|Milp|PowerControl|GreedyPricing|FaultInjector|InstanceValidator|ParseInstanceSpec|CgCheckpoint|CheckpointLog|CgResolve|BlockageSession|Simplex|LuFactor|cli_smoke') \
     || leg_failed "ctest (robustness suites under ASan+UBSan)"
   run_fuzz instance_spec_fuzz "$ROOT/tests/fuzz/corpus"
   run_fuzz checkpoint_fuzz "$ROOT/tests/fuzz/corpus_checkpoint"
