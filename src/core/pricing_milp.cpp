@@ -134,7 +134,9 @@ void PricingMilpCache::build(const net::Network& net,
     }
     const double big_m = gamma * (rho + max_interf);
 
+    // The x term, this link's power and every other member's power.
     std::vector<lp::Term> terms;
+    terms.reserve(channel_members[k].size() + 1);
     const int xvar_index =
         c.xindex_[xid(net, l, q, k, static_cast<int>(xv.layer))];
     terms.emplace_back(xvar_index, big_m);

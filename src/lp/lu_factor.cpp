@@ -16,7 +16,9 @@ constexpr double kEtaPivotFloor = 1e-12;
 
 }  // namespace
 
-bool LuFactor::factorize(int m, const std::vector<const Column*>& columns) {
+bool LuFactor::factorize(
+    int m,
+    const std::vector<std::span<const std::pair<int, double>>>& columns) {
   // Build into temporaries and swap on success: a failed factorization must
   // leave the previous factorization (and its eta file) usable.
   std::vector<Column> lcols(m);
@@ -42,7 +44,7 @@ bool LuFactor::factorize(int m, const std::vector<const Column*>& columns) {
     // Scatter column k into the work vector.
     touched_.clear();
     double cmax = 0.0;
-    for (const auto& [row, coef] : *columns[k]) {
+    for (const auto& [row, coef] : columns[k]) {
       touch(row);
       work_[row] += coef;
       cmax = std::max(cmax, std::abs(coef));

@@ -34,6 +34,7 @@
 //     variables), output by original row (the duals y = B^{-T} c_B).
 #pragma once
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -44,12 +45,15 @@ class LuFactor {
   /// One sparse basis column: (original row index, coefficient) pairs.
   using Column = std::vector<std::pair<int, double>>;
 
-  /// Factorizes the m x m basis whose position-k column is *columns[k].
-  /// Clears the eta file.  Returns false when the matrix is singular to
-  /// working precision; the previous factorization (and its etas) is kept
-  /// intact so the caller can keep limping on the updated basis — the same
-  /// contract the dense engine's failed refactorization has.
-  bool factorize(int m, const std::vector<const Column*>& columns);
+  /// Factorizes the m x m basis whose position-k column is columns[k], a
+  /// view into the caller's storage (read only during the call).  Clears
+  /// the eta file.  Returns false when the matrix is singular to working
+  /// precision; the previous factorization (and its etas) is kept intact so
+  /// the caller can keep limping on the updated basis — the same contract
+  /// the dense engine's failed refactorization has.
+  bool factorize(int m,
+                 const std::vector<std::span<const std::pair<int, double>>>&
+                     columns);
 
   /// Installs the trivial factorization of a diagonal basis (the simplex's
   /// crash start of slacks and signed artificials) in O(m), clearing the

@@ -3,7 +3,10 @@
 // A model is built column-by-column (add_variable) and row-by-row
 // (add_constraint); the solver consumes it read-only, so one model can be
 // solved repeatedly under different variable bounds (which is exactly what
-// branch & bound does).
+// branch & bound does).  The constraint matrix is stored by rows only:
+// each solve makes its own column-wise copy (lp/simplex.cpp).  A row term
+// may name a variable added later, but every column a row names must exist
+// when the model is solved; the solver rejects the model otherwise.
 #pragma once
 
 #include <cassert>
@@ -20,7 +23,7 @@ enum class Sense { Le, Ge, Eq };
 enum class ObjSense { Minimize, Maximize };
 
 /// One (column index, coefficient) entry of a sparse constraint row — or,
-/// in a column view (LpModel::column), one (row index, coefficient) entry.
+/// in the simplex's column-wise copy, one (row index, coefficient) entry.
 using Term = std::pair<int, double>;
 
 struct Variable {
@@ -44,7 +47,6 @@ class LpModel {
                    std::string name = {}) {
     assert(lb <= ub);
     variables_.push_back({lb, ub, cost, std::move(name)});
-    if (columns_.size() < variables_.size()) columns_.resize(variables_.size());
     return static_cast<int>(variables_.size()) - 1;
   }
 
@@ -52,14 +54,8 @@ class LpModel {
   /// within `terms` are summed by the solver.
   int add_constraint(std::vector<Term> terms, Sense sense, double rhs,
                      std::string name = {}) {
-    const int row = static_cast<int>(constraints_.size());
-    for (const Term& t : terms) {
-      if (t.first >= static_cast<int>(columns_.size()))
-        columns_.resize(static_cast<std::size_t>(t.first) + 1);
-      columns_[t.first].emplace_back(row, t.second);
-    }
     constraints_.push_back({std::move(terms), sense, rhs, std::move(name)});
-    return row;
+    return static_cast<int>(constraints_.size()) - 1;
   }
 
   /// Appends one term to an existing constraint row.  This is the
@@ -70,7 +66,6 @@ class LpModel {
     assert(row >= 0 && row < num_constraints());
     assert(col >= 0 && col < num_variables());
     constraints_[row].terms.emplace_back(col, coef);
-    columns_[col].emplace_back(row, coef);
   }
 
   void set_objective_sense(ObjSense sense) { obj_sense_ = sense; }
@@ -86,19 +81,9 @@ class LpModel {
   const std::vector<Variable>& variables() const { return variables_; }
   const std::vector<Constraint>& constraints() const { return constraints_; }
 
-  /// Sparse column j as (row index, coefficient) pairs, in the order the
-  /// entries were added.  This transpose view is maintained incrementally
-  /// by add_constraint/add_term, so the revised simplex builds its
-  /// column-wise computational form in O(nnz) instead of re-transposing
-  /// every row on every solve.  Entries are unsorted and may repeat a row
-  /// (duplicates are summed by the solver, like row terms).
-  const std::vector<Term>& column(int j) const { return columns_[j]; }
-
  private:
   std::vector<Variable> variables_;
   std::vector<Constraint> constraints_;
-  /// Transpose of `constraints_` terms, one entry list per variable.
-  std::vector<std::vector<Term>> columns_;
   ObjSense obj_sense_ = ObjSense::Minimize;
 };
 

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
+#include <string>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -40,15 +42,15 @@ enum class VarState : std::uint8_t { Basic, AtLower, AtUpper, FreeNonbasic };
 class BasisEngine {
  public:
   virtual ~BasisEngine() = default;
-  /// Factorizes the basis whose position-k column is *columns[k].  Returns
+  /// Factorizes the basis whose position-k column is columns[k].  Returns
   /// false on a singular basis; the previous factorization stays usable.
   virtual bool refactorize(
-      const std::vector<const std::vector<Term>*>& columns) = 0;
+      const std::vector<std::span<const Term>>& columns) = 0;
   /// O(m) install of a diagonal basis (the crash start: slacks and signed
   /// artificials); `diag` holds the matrix diagonal itself.
   virtual void reset_diagonal(const std::vector<double>& diag) = 0;
   /// d = B^{-1} a for a sparse column a.
-  virtual void ftran_column(const std::vector<Term>& a,
+  virtual void ftran_column(std::span<const Term> a,
                             std::vector<double>& d) = 0;
   /// x = B^{-1} rhs for a dense row-indexed right-hand side.
   virtual void ftran_dense(const std::vector<double>& rhs,
@@ -73,10 +75,10 @@ class DenseEngine final : public BasisEngine {
   explicit DenseEngine(int m) : m_(m), binv_(m, m) {}
 
   bool refactorize(
-      const std::vector<const std::vector<Term>*>& columns) override {
+      const std::vector<std::span<const Term>>& columns) override {
     Matrix basis_matrix(m_, m_);
     for (int k = 0; k < m_; ++k) {
-      for (const auto& [row, coef] : *columns[k]) basis_matrix(row, k) += coef;
+      for (const auto& [row, coef] : columns[k]) basis_matrix(row, k) += coef;
     }
     LuFactorization lu(std::move(basis_matrix));
     if (!lu.ok()) return false;
@@ -89,7 +91,7 @@ class DenseEngine final : public BasisEngine {
     for (int i = 0; i < m_; ++i) binv_(i, i) = 1.0 / diag[i];
   }
 
-  void ftran_column(const std::vector<Term>& a,
+  void ftran_column(std::span<const Term> a,
                     std::vector<double>& d) override {
     d.assign(m_, 0.0);
     for (const auto& [row, coef] : a) {
@@ -153,7 +155,7 @@ class SparseEngine final : public BasisEngine {
   explicit SparseEngine(int m) : m_(m) {}
 
   bool refactorize(
-      const std::vector<const std::vector<Term>*>& columns) override {
+      const std::vector<std::span<const Term>>& columns) override {
     return lu_.factorize(m_, columns);
   }
 
@@ -161,7 +163,7 @@ class SparseEngine final : public BasisEngine {
     lu_.reset_diagonal(diag);
   }
 
-  void ftran_column(const std::vector<Term>& a,
+  void ftran_column(std::span<const Term> a,
                     std::vector<double>& d) override {
     d.assign(m_, 0.0);
     for (const auto& [row, coef] : a) d[row] += coef;
@@ -197,7 +199,9 @@ class SparseEngine final : public BasisEngine {
 
 /// Internal bounded-variable simplex working on the computational form
 ///   min c'x  s.t.  A x = b,  l <= x <= u
-/// where columns are [structural | slacks | artificials].
+/// where columns are [structural | slacks | artificials].  The structural
+/// columns are one flat copy of the model's rows made per solve; slack and
+/// artificial columns are unit columns, read through the same col(j).
 class Simplex {
  public:
   Simplex(const LpModel& model, const std::vector<double>& lb_override,
@@ -215,6 +219,15 @@ class Simplex {
   LpSolution run(const LpModel& model, WarmStart* warm) {
     LpSolution sol;
     sol.stats.pricing_rule = pricing_->name();
+    if (bad_term_row_ >= 0) {
+      sol.status = SolveStatus::NumericalError;
+      sol.error = common::Status::Error(
+          common::ErrorCode::kInvalidInput,
+          "row " + std::to_string(bad_term_row_) + " names column " +
+              std::to_string(bad_term_col_) + ", but the model has " +
+              std::to_string(n_struct_) + " variables");
+      return sol;
+    }
     if (bad_bounds_) {
       sol.status = SolveStatus::Infeasible;
       sol.error = common::Status::Error(common::ErrorCode::kInvalidInput,
@@ -303,8 +316,8 @@ class Simplex {
     lb_.assign(num_cols_, 0.0);
     ub_.assign(num_cols_, 0.0);
     cost_.assign(num_cols_, 0.0);
-    cols_.assign(num_cols_, {});
     b_.assign(m_, 0.0);
+    copy_columns(model);
 
     const bool use_override = !lb_override.empty();
     for (int j = 0; j < n_struct_; ++j) {
@@ -313,21 +326,18 @@ class Simplex {
       ub_[j] = use_override ? ub_override[j] : v.ub;
       if (lb_[j] > ub_[j] + kFeasibilityTol) bad_bounds_ = true;
       cost_[j] = maximize_ ? -v.cost : v.cost;
-      // Structural columns come straight from the model's incrementally
-      // maintained transpose view: O(nnz) instead of re-scanning every row.
-      for (const auto& [row, coef] : model.column(j)) {
-        if (coef == 0.0) continue;
-        cols_[j].emplace_back(row, coef);
-      }
     }
 
+    units_.resize(2 * static_cast<std::size_t>(m_));
     for (int i = 0; i < m_; ++i) {
       const Constraint& row = model.constraint(i);
       b_[i] = row.rhs;
       rhs_scale_ = std::max(rhs_scale_, std::abs(row.rhs));
-      // Slack column.
+      // Slack i is the unit column (i, +1); artificial i is (i, +/-1), its
+      // sign written by the crash.
+      units_[i] = {i, 1.0};
+      units_[m_ + i] = {i, 1.0};
       const int sj = n_slack_start_ + i;
-      cols_[sj].emplace_back(i, 1.0);
       switch (row.sense) {
         case Sense::Le:
           lb_[sj] = 0.0;
@@ -342,23 +352,6 @@ class Simplex {
           ub_[sj] = 0.0;
           break;
       }
-    }
-
-    // Sort each structural column by row and merge duplicate entries so the
-    // solver sees one coefficient per (row, column) pair.
-    for (int j = 0; j < n_struct_; ++j) {
-      auto& column = cols_[j];
-      std::sort(column.begin(), column.end(),
-                [](const Term& a, const Term& b) { return a.first < b.first; });
-      std::size_t out = 0;
-      for (std::size_t in = 0; in < column.size(); ++in) {
-        if (out > 0 && column[out - 1].first == column[in].first) {
-          column[out - 1].second += column[in].second;
-        } else {
-          column[out++] = column[in];
-        }
-      }
-      column.resize(out);
     }
 
     cost_scale_ = 1.0;
@@ -378,6 +371,69 @@ class Simplex {
     pricing_ = make_pricing(options_.pricing);
     pricing_->reset(num_cols_);
     deadline_stride_ = std::max(1, options_.deadline_check_stride);
+  }
+
+  /// Copies the model's rows into the flat column-wise structural matrix
+  /// (col_start_, entries_): a counting sort by column that visits rows in
+  /// ascending order, drops explicit zero coefficients and sums a (row,
+  /// column) pair that a row repeats, in row-term order: O(nnz + n + m).  A
+  /// term naming a column that does not exist stops the copy half made;
+  /// run() rejects the model before anything reads it.
+  void copy_columns(const LpModel& model) {
+    col_start_.assign(static_cast<std::size_t>(n_struct_) + 1, 0);
+    for (int i = 0; i < m_; ++i) {
+      for (const auto& [j, coef] : model.constraint(i).terms) {
+        if (j < 0 || j >= n_struct_) {
+          bad_term_row_ = i;
+          bad_term_col_ = j;
+          return;
+        }
+        if (coef != 0.0) ++col_start_[j + 1];
+      }
+    }
+    for (int j = 0; j < n_struct_; ++j) col_start_[j + 1] += col_start_[j];
+    entries_.resize(col_start_[n_struct_]);
+    // col_start_[j] serves as column j's write cursor and ends at column
+    // j's end, which the shift below turns back into starts.  A repeated
+    // pair lands right after its first copy; the test can also fire on the
+    // previous column's last slot, and then the merge finds nothing.
+    bool repeated = false;
+    for (int i = 0; i < m_; ++i) {
+      for (const auto& [j, coef] : model.constraint(i).terms) {
+        if (coef == 0.0) continue;
+        const int p = col_start_[j]++;
+        repeated = repeated || (p > 0 && entries_[p - 1].first == i);
+        entries_[p] = {i, coef};
+      }
+    }
+    for (int j = n_struct_; j > 0; --j) col_start_[j] = col_start_[j - 1];
+    col_start_[0] = 0;
+    if (!repeated) return;
+    int out = 0;
+    for (int j = 0; j < n_struct_; ++j) {
+      const int begin = col_start_[j];
+      const int end = col_start_[j + 1];
+      col_start_[j] = out;
+      for (int p = begin; p < end; ++p) {
+        if (out > col_start_[j] &&
+            entries_[out - 1].first == entries_[p].first) {
+          entries_[out - 1].second += entries_[p].second;
+        } else {
+          entries_[out++] = entries_[p];
+        }
+      }
+    }
+    col_start_[n_struct_] = out;
+    entries_.resize(out);
+  }
+
+  /// Column j of [A | I | artificials], rows ascending.
+  std::span<const Term> col(int j) const {
+    if (j < n_struct_) {
+      return {entries_.data() + col_start_[j],
+              static_cast<std::size_t>(col_start_[j + 1] - col_start_[j])};
+    }
+    return {&units_[j - n_struct_], 1};
   }
 
   /// Places all structural/slack variables at a finite bound (or 0 if free)
@@ -404,16 +460,14 @@ class Simplex {
     std::vector<double> residual = b_;
     for (int j = 0; j < n_art_start_; ++j) {
       if (xval_[j] == 0.0) continue;
-      for (const auto& [row, coef] : cols_[j]) residual[row] -= coef * xval_[j];
+      for (const auto& [row, coef] : col(j)) residual[row] -= coef * xval_[j];
     }
 
     basis_.resize(m_);
     for (int i = 0; i < m_; ++i) {
       const int sj = n_slack_start_ + i;
       const int aj = n_art_start_ + i;
-      const double sign = residual[i] >= 0.0 ? 1.0 : -1.0;
-      cols_[aj].clear();
-      cols_[aj].emplace_back(i, sign);
+      units_[m_ + i].second = residual[i] >= 0.0 ? 1.0 : -1.0;
       // Every slack rests at 0 here, so taking the residual keeps it
       // within bounds exactly when lb <= residual <= ub.
       if (lb_[sj] <= residual[i] && residual[i] <= ub_[sj]) {
@@ -435,7 +489,7 @@ class Simplex {
     // refactorization — which for a few-thousand-row LP costs more than an
     // entire budgeted solve.
     diag_.resize(m_);
-    for (int i = 0; i < m_; ++i) diag_[i] = cols_[basis_[i]].front().second;
+    for (int i = 0; i < m_; ++i) diag_[i] = col(basis_[i]).front().second;
     engine_->reset_diagonal(diag_);
     pivots_since_refactor_ = 0;
   }
@@ -635,7 +689,7 @@ class Simplex {
         dir = rc < 0.0 ? +1 : -1;
       }
 
-      engine_->ftran_column(cols_[entering], d_);
+      engine_->ftran_column(col(entering), d_);
       ++stats_.ftran_calls;
       const std::vector<double>& d = d_;
 
@@ -760,7 +814,7 @@ class Simplex {
 
   double reduced_cost(int j) const {
     double rc = column_cost(j);
-    for (const auto& [row, coef] : cols_[j]) rc -= y_[row] * coef;
+    for (const auto& [row, coef] : col(j)) rc -= y_[row] * coef;
     return rc;
   }
 
@@ -801,7 +855,7 @@ class Simplex {
     for (int j = 0; j < num_cols_; ++j) {
       if (state_[j] == VarState::Basic || lb_[j] == ub_[j]) continue;
       double a = 0.0;
-      for (const auto& [row, coef] : cols_[j]) a += rho_[row] * coef;
+      for (const auto& [row, coef] : col(j)) a += rho_[row] * coef;
       alpha_[j] = a;
     }
     alpha_[entering] = d_[r];
@@ -816,7 +870,7 @@ class Simplex {
   bool refactor_basis() {
     basis_cols_.clear();
     basis_cols_.reserve(m_);
-    for (int i = 0; i < m_; ++i) basis_cols_.push_back(&cols_[basis_[i]]);
+    for (int i = 0; i < m_; ++i) basis_cols_.push_back(col(basis_[i]));
     if (!engine_->refactorize(basis_cols_)) {
       MMWAVE_LOG_WARN << "simplex: singular basis at refactorization";
       return false;
@@ -827,7 +881,7 @@ class Simplex {
     rhs_ = b_;
     for (int j = 0; j < num_cols_; ++j) {
       if (state_[j] == VarState::Basic || xval_[j] == 0.0) continue;
-      for (const auto& [row, coef] : cols_[j]) rhs_[row] -= coef * xval_[j];
+      for (const auto& [row, coef] : col(j)) rhs_[row] -= coef * xval_[j];
     }
     engine_->ftran_dense(rhs_, xb_);
     ++stats_.ftran_calls;
@@ -894,6 +948,9 @@ class Simplex {
   int num_cols_ = 0;
   bool maximize_ = false;
   bool bad_bounds_ = false;
+  // A row term naming a missing column (row, column); -1 when none.
+  int bad_term_row_ = -1;
+  int bad_term_col_ = 0;
   bool phase1_ = false;
   double rhs_scale_ = 0.0;
   double cost_scale_ = 1.0;
@@ -907,7 +964,12 @@ class Simplex {
   bool timed_out_ = false;  // IterationLimit exit was the time limit
   Clock::time_point deadline_;
 
-  std::vector<std::vector<Term>> cols_;  // column-wise sparse A
+  // Structural A by column: column j is entries_[col_start_[j],
+  // col_start_[j + 1]).  units_ holds the m slack then m artificial unit
+  // entries.
+  std::vector<int> col_start_;
+  std::vector<Term> entries_;
+  std::vector<Term> units_;
   std::vector<double> b_;
   std::vector<double> lb_, ub_, cost_;
   std::vector<double> xval_;
@@ -922,7 +984,7 @@ class Simplex {
   // Reused per-pivot scratch (FTRAN direction, basic costs, pivot row,
   // pricing alphas, refactorization rhs/values, diagonal install).
   std::vector<double> d_, cb_, rho_, alpha_, rhs_, xb_, diag_;
-  std::vector<const std::vector<Term>*> basis_cols_;
+  std::vector<std::span<const Term>> basis_cols_;
 };
 
 }  // namespace

@@ -6,6 +6,11 @@
 //
 // Implementation notes:
 //  * Computational form: every row gets a slack (bounds encode the sense).
+//    Each solve copies the model's rows once into a flat column-major
+//    matrix (a counting sort, O(nnz + n + m)); slack and artificial
+//    columns are implicit unit columns.  Every column a row term names
+//    must exist: a term naming a missing column is rejected with
+//    kInvalidInput instead of being solved as some other LP.
 //    A cold solve crashes the starting basis: each row's slack is basic
 //    when it can absorb the row's residual within its bounds, and only the
 //    remaining rows get a signed artificial.  Phase 1 minimizes the sum of
@@ -100,7 +105,10 @@ struct LpSolution {
   bool warm_started = false;
   /// Structured failure detail: Ok on Optimal, otherwise the error code
   /// (kNumericalBreakdown, kLimitHit, kInfeasible, kUnbounded) plus a
-  /// message saying where the solve gave out.
+  /// message saying where the solve gave out.  A malformed model reports
+  /// kInvalidInput: bounds with lb > ub (status Infeasible), or a row term
+  /// naming a column the model does not have (status NumericalError; the
+  /// message names the row and the column).
   common::Status error;
   /// Basis-engine work counters (FTRAN/BTRAN/refactorization, pricing rule).
   LpStats stats;

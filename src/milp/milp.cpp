@@ -207,9 +207,12 @@ class BranchAndBound {
         sol.status = MilpStatus::TargetReached;
       } else if (limit_hit) {
         sol.best_bound = user_value(std::min(open_bound, incumbent_obj_));
-        sol.status = sol.gap() <= kGapTol ? MilpStatus::Optimal
-                                         : MilpStatus::Feasible;
-        if (sol.status == MilpStatus::Feasible) {
+        // gap() is infinite unless the status already says there is a
+        // solution, so the status is set before the gap is read.
+        sol.status = MilpStatus::Feasible;
+        if (sol.gap() <= kGapTol) {
+          sol.status = MilpStatus::Optimal;
+        } else {
           sol.error = common::Status::Error(
               common::ErrorCode::kLimitHit,
               "limit hit after " + std::to_string(nodes_) +

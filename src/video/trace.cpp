@@ -43,29 +43,43 @@ VideoTrace VideoTrace::generate(const VideoConfig& config, int num_frames,
   assert(gop_len > 0);
   const int gops = (num_frames + gop_len - 1) / gop_len;
   const TypeMeans means = calibrate_type_means(config);
+  // Each type's log-normal (mu, sigma), derived once per trace exactly as
+  // Rng::lognormal_mean_cv derives them per draw, so every frame gets the
+  // same bits as exp(normal(mu, sigma)) there.
+  const double sigma2 = std::log(1.0 + config.size_cv * config.size_cv);
+  const double sigma = std::sqrt(sigma2);
+  const auto mu_of = [&](double mean) {
+    return std::log(mean) - 0.5 * sigma2;
+  };
+  const double mu_i = mu_of(means.i_bits);
+  const double mu_p = mu_of(means.p_bits);
+  const double mu_b = mu_of(means.b_bits);
 
   trace.frames_.reserve(static_cast<std::size_t>(gops) * gop_len);
   for (int g = 0; g < gops; ++g) {
     for (char c : config.gop_pattern) {
       Frame f;
       double mean;
+      double mu;
       switch (c) {
         case 'I':
           f.type = FrameType::I;
           mean = means.i_bits;
+          mu = mu_i;
           break;
         case 'P':
           f.type = FrameType::P;
           mean = means.p_bits;
+          mu = mu_p;
           break;
         default:
           f.type = FrameType::B;
           mean = means.b_bits;
+          mu = mu_b;
           break;
       }
-      f.bits = config.size_cv > 0.0
-                   ? rng.lognormal_mean_cv(mean, config.size_cv)
-                   : mean;
+      f.bits = config.size_cv > 0.0 ? std::exp(rng.normal(mu, sigma))
+                                    : mean;
       trace.frames_.push_back(f);
     }
   }

@@ -14,6 +14,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -22,6 +23,7 @@ namespace mmwave::lp {
 namespace {
 
 using Column = LuFactor::Column;
+using ColumnView = std::span<const std::pair<int, double>>;
 
 /// The O(m^2)-per-column left-looking LU (every earlier position swept,
 /// every row scanned for the pivot, the whole work vector cleared), with
@@ -35,7 +37,7 @@ struct ReferenceLu {
   std::vector<int> prow;
   int cancellations = 0;
 
-  bool factorize(int m, const std::vector<const Column*>& columns) {
+  bool factorize(int m, const std::vector<ColumnView>& columns) {
     lcols.assign(m, {});
     ucols.assign(m, {});
     udiag.assign(m, 0.0);
@@ -45,7 +47,7 @@ struct ReferenceLu {
     std::vector<char> written(m, 0);
     for (int k = 0; k < m; ++k) {
       double cmax = 0.0;
-      for (const auto& [row, coef] : *columns[k]) {
+      for (const auto& [row, coef] : columns[k]) {
         work[row] += coef;
         written[row] = 1;
         cmax = std::max(cmax, std::abs(coef));
@@ -140,10 +142,9 @@ struct ReferenceLu {
   return ::testing::AssertionSuccess();
 }
 
-std::vector<const Column*> pointers(const std::vector<Column>& cols) {
-  std::vector<const Column*> out;
-  for (const Column& c : cols) out.push_back(&c);
-  return out;
+/// Views of `cols`, the form factorize() takes.
+std::vector<ColumnView> spans(const std::vector<Column>& cols) {
+  return {cols.begin(), cols.end()};
 }
 
 /// Right-hand sides for the solves: unit vectors, a dense random vector and
@@ -173,8 +174,8 @@ bool expect_matches_reference(LuFactor& lu, ReferenceLu& ref,
                               const std::vector<Column>& cols,
                               common::Rng& rng) {
   const int m = static_cast<int>(cols.size());
-  const bool ok = ref.factorize(m, pointers(cols));
-  EXPECT_EQ(lu.factorize(m, pointers(cols)), ok) << "m=" << m;
+  const bool ok = ref.factorize(m, spans(cols));
+  EXPECT_EQ(lu.factorize(m, spans(cols)), ok) << "m=" << m;
   if (!ok) return false;
   EXPECT_EQ(lu.dimension(), m);
   EXPECT_EQ(lu.eta_count(), 0);
@@ -310,7 +311,7 @@ TEST(LuFactor, SingularBasisKeepsPreviousFactorizationAndEtas) {
   const int m = 20;
   const std::vector<Column> good = random_basis(rng, m, 2);
   LuFactor lu;
-  ASSERT_TRUE(lu.factorize(m, pointers(good)));
+  ASSERT_TRUE(lu.factorize(m, spans(good)));
   std::vector<double> d(m, 0.0);
   d[3] = 2.0;
   d[11] = -0.5;
@@ -340,7 +341,7 @@ TEST(LuFactor, SingularBasisKeepsPreviousFactorizationAndEtas) {
   singular[2][m - 1] = {{0, 2.0}, {1, 4.0}};
   singular[2][4] = {{0, 1.0}, {1, 2.0}};
   for (const std::vector<Column>& cols : singular) {
-    EXPECT_FALSE(lu.factorize(m, pointers(cols)));
+    EXPECT_FALSE(lu.factorize(m, spans(cols)));
     EXPECT_TRUE(lu.ok());
     EXPECT_EQ(lu.dimension(), m);
     EXPECT_EQ(lu.eta_count(), 1);
@@ -359,7 +360,7 @@ TEST(LuFactor, PushEtaRejectsTinyPivot) {
   common::Rng rng(5);
   const int m = 8;
   LuFactor lu;
-  ASSERT_TRUE(lu.factorize(m, pointers(random_basis(rng, m, 2))));
+  ASSERT_TRUE(lu.factorize(m, spans(random_basis(rng, m, 2))));
   std::vector<double> b(m, 1.0);
   std::vector<double> before = b;
   lu.ftran(before);
@@ -381,7 +382,7 @@ TEST(LuFactor, PushEtaRejectsTinyPivot) {
 TEST(LuFactor, ResetDiagonalSolvesExactly) {
   LuFactor lu;
   // A stale factorization with an eta, which the reset must discard.
-  ASSERT_TRUE(lu.factorize(2, pointers({{{0, 1.0}, {1, 3.0}}, {{1, 2.0}}})));
+  ASSERT_TRUE(lu.factorize(2, spans({{{0, 1.0}, {1, 3.0}}, {{1, 2.0}}})));
   ASSERT_TRUE(lu.push_eta({1.0, 0.5}, 0));
   const std::vector<double> diag = {2.0, -4.0, 0.5, 3.0, -0.1, 1.0};
   lu.reset_diagonal(diag);

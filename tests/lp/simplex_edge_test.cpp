@@ -1,8 +1,12 @@
 // Additional simplex edge cases: equality duals, scaling extremes, larger
-// random coverings, and solver statistics.
+// random coverings, solver statistics, malformed models and the bound
+// tolerance.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.h"
+#include "common/status.h"
 #include "lp/model.h"
 #include "lp/simplex.h"
 
@@ -135,6 +139,58 @@ TEST(SimplexEdge, FixedVariablesMakeRowInfeasible) {
   m.add_variable(2, 2, 1.0);
   m.add_constraint({{0, 1.0}}, Sense::Ge, 5.0);
   EXPECT_EQ(solve_lp(m).status, SolveStatus::Infeasible);
+}
+
+void expect_names_missing_column(const LpSolution& sol, int row, int col) {
+  EXPECT_FALSE(sol.optimal());
+  EXPECT_EQ(sol.error.code(), common::ErrorCode::kInvalidInput);
+  const std::string msg = sol.error.message();
+  EXPECT_NE(msg.find("row " + std::to_string(row)), std::string::npos) << msg;
+  EXPECT_NE(msg.find("column " + std::to_string(col)), std::string::npos)
+      << msg;
+}
+
+TEST(SimplexEdge, RowNamingAMissingColumnIsRejected) {
+  // min x, x in [0, 10], x + x3 >= 5 where the model has no variable 3.
+  // Dropping the term would solve a different LP (x = 5).
+  LpModel m;
+  const int x = m.add_variable(0, 10, 1.0);
+  m.add_constraint({{x, 1.0}}, Sense::Le, 10.0);
+  m.add_constraint({{x, 1.0}, {3, 1.0}}, Sense::Ge, 5.0);
+  expect_names_missing_column(solve_lp(m), 1, 3);
+  expect_names_missing_column(solve_lp_with_bounds(m, {0.0}, {10.0}), 1, 3);
+
+  LpModel negative;
+  negative.add_variable(0, 10, 1.0);
+  negative.add_constraint({{-1, 1.0}, {0, 1.0}}, Sense::Ge, 5.0);
+  expect_names_missing_column(solve_lp(negative), 0, -1);
+
+  // A row may name a column before it is added, as long as it exists by
+  // the time the model is solved.
+  LpModel later;
+  later.add_constraint({{0, 1.0}, {1, 1.0}}, Sense::Ge, 5.0);
+  later.add_variable(0, 10, 1.0);
+  expect_names_missing_column(solve_lp(later), 0, 1);
+  later.add_variable(0, 10, 2.0);
+  const LpSolution sol = solve_lp(later);
+  ASSERT_TRUE(sol.optimal());
+  EXPECT_NEAR(sol.x[0], 5.0, 1e-9);
+  EXPECT_NEAR(sol.x[1], 0.0, 1e-9);
+}
+
+TEST(SimplexEdge, CrossedBoundsAreToleratedUpToOnePartInTenMillion) {
+  // min x, x >= 0.5, with x's bounds overridden to [1 + excess, 1]: an
+  // excess above the 1e-7 feasibility tolerance is inconsistent input, one
+  // below it is rounding noise and solves at the lower bound.
+  LpModel m;
+  const int x = m.add_variable(0, 10, 1.0);
+  m.add_constraint({{x, 1.0}}, Sense::Ge, 0.5);
+  const LpSolution crossed = solve_lp_with_bounds(m, {1.0 + 5e-7}, {1.0});
+  EXPECT_EQ(crossed.status, SolveStatus::Infeasible);
+  EXPECT_EQ(crossed.error.code(), common::ErrorCode::kInvalidInput);
+  const LpSolution noise = solve_lp_with_bounds(m, {1.0 + 5e-8}, {1.0});
+  ASSERT_TRUE(noise.optimal()) << noise.error.to_string();
+  EXPECT_EQ(noise.x[x], 1.0 + 5e-8);
 }
 
 }  // namespace

@@ -27,7 +27,9 @@
 #   7. robustness                         fault-injection + anytime-contract
 #                                         + checkpoint/resolve suites
 #                                         and the simplex/LU suites (their
-#                                         sparse index bookkeeping), every
+#                                         sparse index bookkeeping and the
+#                                         spans into each solve's flat
+#                                         column copy), every
 #                                         Milp* suite (branch & bound, its
 #                                         cutoff, pricing MILP) and the
 #                                         PowerControl/GreedyPricing suites
@@ -344,9 +346,16 @@ fi
 # ordinary runs rarely take them).  The Simplex*/LuFactor suites ride along:
 # the sparse LU's index bookkeeping (row stamps, position heap, touched
 # lists) is otherwise sanitized only by the full leg-2 sweep, which the
-# robustness CI job skips.  So do all Milp* suites (Milp, MilpEdge,
-# MilpLimits, MilpCutoff, MilpPricing): the branch-and-bound loop, its
-# cutoff exit and the pricing MILP on top of the crash-started simplex.
+# robustness CI job skips.  Every simplex column reader takes a span into
+# the solve's flat column copy or its unit-column array, so the recorded
+# LP battery (SimplexRecorded: every row sense, variable kind, engine and
+# pricing rule, repeated and zero terms, bound overrides, warm appends)
+# and SimplexEdge's row naming a missing column, which must be rejected
+# before the copy is written, run here under the sanitizers that watch
+# those lifetimes and bounds.  So do all Milp* suites (Milp, MilpEdge,
+# MilpLimits, MilpCutoff, MilpTolerance, MilpPricing): the
+# branch-and-bound loop, its cutoff exit and tolerances, and the pricing
+# MILP on top of the crash-started simplex.
 # And so do the PowerControl and GreedyPricing suites: net::PowerSolver
 # indexes one flat scratch block by a row stride, and the greedy packer
 # and the skeleton's conflict staircase run on it.
