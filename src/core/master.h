@@ -93,7 +93,7 @@ class MasterProblem {
   }
 
   /// Overrides the LP solver options used by every subsequent solve()
-  /// (pricing rule, dense-reference engine, tolerances...).  Defaults to
+  /// (pricing rule, refactorization interval, limits).  Defaults to
   /// LpOptions{}.
   void set_lp_options(const lp::LpOptions& options) { lp_options_ = options; }
 

@@ -1,7 +1,7 @@
 // Sparse LU factorization of a simplex basis with product-form updates.
 //
-// This is the revised simplex's basis engine: instead of maintaining an
-// explicit dense inverse (O(m^2) per pivot, O(m^3) per refactorization),
+// This is how the revised simplex holds its basis: instead of maintaining
+// an explicit dense inverse (O(m^2) per pivot, O(m^3) per refactorization),
 // the basis B is held as
 //
 //   B = L U E_1 E_2 ... E_k
@@ -25,7 +25,8 @@
 // the order of the dense sweep it replaced (all j < k, every row scanned,
 // largest |value| with ties to the lowest row), so pivots, factors and
 // FTRAN/BTRAN results are bit-identical to that sweep;
-// tests/lp/lu_factor_test.cpp keeps it as the reference.
+// tests/lp/lu_factor_test.cpp keeps it as the reference, and a dense
+// explicit inverse with rank-one updates as the reference for the eta file.
 //
 // Index spaces (matching the simplex's conventions):
 //   * FTRAN input is indexed by original row, output by basis position
@@ -49,8 +50,7 @@ class LuFactor {
   /// view into the caller's storage (read only during the call).  Clears
   /// the eta file.  Returns false when the matrix is singular to working
   /// precision; the previous factorization (and its etas) is kept intact so
-  /// the caller can keep limping on the updated basis — the same contract
-  /// the dense engine's failed refactorization has.
+  /// the caller can keep limping on the updated basis.
   bool factorize(int m,
                  const std::vector<std::span<const std::pair<int, double>>>&
                      columns);

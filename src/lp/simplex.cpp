@@ -11,14 +11,10 @@
 
 #include "common/fault_injection.h"
 #include "common/log.h"
-#include "common/matrix.h"
 #include "lp/lu_factor.h"
 
 namespace mmwave::lp {
 namespace {
-
-using common::LuFactorization;
-using common::Matrix;
 
 /// Primal feasibility tolerance: bound and row residuals below it count
 /// as satisfied, and a step no longer than it counts as degenerate.
@@ -27,175 +23,14 @@ constexpr double kFeasibilityTol = 1e-7;
 constexpr double kOptimalityTol = 1e-7;
 /// Consecutive non-improving pivots before switching to Bland's rule.
 constexpr int kStallThreshold = 60;
+/// Under Bland's rule, rows whose exact ratio is within this of the minimum
+/// tie, and the lowest basic index among them leaves.
+constexpr double kBlandRatioTol = 1e-12;
+/// With a time limit set, the deadline clock is read every this many
+/// pivots: a steady_clock read is cheap but not free next to a sparse pivot.
+constexpr int kDeadlineCheckStride = 16;
 
 enum class VarState : std::uint8_t { Basic, AtLower, AtUpper, FreeNonbasic };
-
-/// Basis-representation engine of the revised simplex.  The iteration loop
-/// only ever talks to the basis through these six operations, so the sparse
-/// LU + eta-file engine (the default) and the historical dense
-/// explicit-inverse engine (LpOptions::dense_basis, the property-test
-/// reference) are interchangeable.
-///
-/// Index conventions: FTRAN results and eta directions are indexed by basis
-/// position; BTRAN inputs are position-indexed basic costs and outputs are
-/// original-row-indexed duals.
-class BasisEngine {
- public:
-  virtual ~BasisEngine() = default;
-  /// Factorizes the basis whose position-k column is columns[k].  Returns
-  /// false on a singular basis; the previous factorization stays usable.
-  virtual bool refactorize(
-      const std::vector<std::span<const Term>>& columns) = 0;
-  /// O(m) install of a diagonal basis (the crash start: slacks and signed
-  /// artificials); `diag` holds the matrix diagonal itself.
-  virtual void reset_diagonal(const std::vector<double>& diag) = 0;
-  /// d = B^{-1} a for a sparse column a.
-  virtual void ftran_column(std::span<const Term> a,
-                            std::vector<double>& d) = 0;
-  /// x = B^{-1} rhs for a dense row-indexed right-hand side.
-  virtual void ftran_dense(const std::vector<double>& rhs,
-                           std::vector<double>& x) = 0;
-  /// y = B^{-T} c.
-  virtual void btran_dense(const std::vector<double>& c,
-                           std::vector<double>& y) = 0;
-  /// rho = B^{-T} e_r — row r of B^{-1}, the pivot row steepest-edge needs.
-  virtual void btran_unit(int r, std::vector<double>& rho) = 0;
-  /// Applies the basis change of a pivot at position r with FTRAN result d.
-  /// False when the pivot element is numerically unusable for an update;
-  /// the caller must refactorize instead.
-  virtual bool update(const std::vector<double>& d, int r) = 0;
-};
-
-/// The pre-revised-simplex engine: B^{-1} held as a dense matrix, pivots
-/// apply the explicit rank-one inverse update, refactorization inverts a
-/// dense LU.  O(m^2) per operation — kept because it is an independent
-/// implementation the sparse engine is property-tested against.
-class DenseEngine final : public BasisEngine {
- public:
-  explicit DenseEngine(int m) : m_(m), binv_(m, m) {}
-
-  bool refactorize(
-      const std::vector<std::span<const Term>>& columns) override {
-    Matrix basis_matrix(m_, m_);
-    for (int k = 0; k < m_; ++k) {
-      for (const auto& [row, coef] : columns[k]) basis_matrix(row, k) += coef;
-    }
-    LuFactorization lu(std::move(basis_matrix));
-    if (!lu.ok()) return false;
-    binv_ = lu.inverse();
-    return true;
-  }
-
-  void reset_diagonal(const std::vector<double>& diag) override {
-    binv_ = Matrix(m_, m_);
-    for (int i = 0; i < m_; ++i) binv_(i, i) = 1.0 / diag[i];
-  }
-
-  void ftran_column(std::span<const Term> a,
-                    std::vector<double>& d) override {
-    d.assign(m_, 0.0);
-    for (const auto& [row, coef] : a) {
-      for (int k = 0; k < m_; ++k) d[k] += binv_(k, row) * coef;
-    }
-  }
-
-  void ftran_dense(const std::vector<double>& rhs,
-                   std::vector<double>& x) override {
-    x.assign(m_, 0.0);
-    for (int i = 0; i < m_; ++i) {
-      const double* row = binv_.row(i);
-      double v = 0.0;
-      for (int k = 0; k < m_; ++k) v += row[k] * rhs[k];
-      x[i] = v;
-    }
-  }
-
-  void btran_dense(const std::vector<double>& c,
-                   std::vector<double>& y) override {
-    y.assign(m_, 0.0);
-    for (int i = 0; i < m_; ++i) {
-      if (c[i] == 0.0) continue;
-      const double* row = binv_.row(i);
-      for (int k = 0; k < m_; ++k) y[k] += c[i] * row[k];
-    }
-  }
-
-  void btran_unit(int r, std::vector<double>& rho) override {
-    rho.assign(m_, 0.0);
-    const double* row = binv_.row(r);
-    for (int k = 0; k < m_; ++k) rho[k] = row[k];
-  }
-
-  bool update(const std::vector<double>& d, int r) override {
-    const double pivot = d[r];
-    if (std::abs(pivot) <= 1e-12) return false;
-    double* prow = binv_.row(r);
-    const double inv_pivot = 1.0 / pivot;
-    for (int k = 0; k < m_; ++k) prow[k] *= inv_pivot;
-    for (int i = 0; i < m_; ++i) {
-      if (i == r || d[i] == 0.0) continue;
-      double* row = binv_.row(i);
-      const double factor = d[i];
-      for (int k = 0; k < m_; ++k) row[k] -= factor * prow[k];
-    }
-    return true;
-  }
-
- private:
-  int m_;
-  Matrix binv_;
-};
-
-/// The revised-simplex engine: sparse LU of the basis plus a product-form
-/// eta file (lp::LuFactor).  Work per solve scales with the factor's
-/// nonzeros, not m^2, and a pivot costs O(nnz(d)) instead of a dense
-/// rank-one inverse update.
-class SparseEngine final : public BasisEngine {
- public:
-  explicit SparseEngine(int m) : m_(m) {}
-
-  bool refactorize(
-      const std::vector<std::span<const Term>>& columns) override {
-    return lu_.factorize(m_, columns);
-  }
-
-  void reset_diagonal(const std::vector<double>& diag) override {
-    lu_.reset_diagonal(diag);
-  }
-
-  void ftran_column(std::span<const Term> a,
-                    std::vector<double>& d) override {
-    d.assign(m_, 0.0);
-    for (const auto& [row, coef] : a) d[row] += coef;
-    lu_.ftran(d);
-  }
-
-  void ftran_dense(const std::vector<double>& rhs,
-                   std::vector<double>& x) override {
-    x = rhs;
-    lu_.ftran(x);
-  }
-
-  void btran_dense(const std::vector<double>& c,
-                   std::vector<double>& y) override {
-    y = c;
-    lu_.btran(y);
-  }
-
-  void btran_unit(int r, std::vector<double>& rho) override {
-    rho.assign(m_, 0.0);
-    rho[r] = 1.0;
-    lu_.btran(rho);
-  }
-
-  bool update(const std::vector<double>& d, int r) override {
-    return lu_.push_eta(d, r);
-  }
-
- private:
-  int m_;
-  LuFactor lu_;
-};
 
 /// Internal bounded-variable simplex working on the computational form
 ///   min c'x  s.t.  A x = b,  l <= x <= u
@@ -216,9 +51,9 @@ class Simplex {
     build(model, lb_override, ub_override);
   }
 
-  LpSolution run(const LpModel& model, WarmStart* warm) {
+  LpSolution run(WarmStart* warm) {
     LpSolution sol;
-    sol.stats.pricing_rule = pricing_->name();
+    sol.stats = stats_;
     if (bad_term_row_ >= 0) {
       sol.status = SolveStatus::NumericalError;
       sol.error = common::Status::Error(
@@ -236,7 +71,7 @@ class Simplex {
     }
     if (m_ == 0) {
       solve_unconstrained(sol);
-      finalize(model, sol);
+      finalize(sol);
       sol.error = describe(sol.status);
       return sol;
     }
@@ -263,14 +98,13 @@ class Simplex {
     sol.iterations = iterations_;
     sol.status = st;
     if (st == SolveStatus::Optimal || st == SolveStatus::IterationLimit) {
-      finalize(model, sol);
+      finalize(sol);
       sol.status = st;
       if (warm != nullptr && st == SolveStatus::Optimal)
         export_warm_basis(*warm);
     }
     sol.error = describe(st);
     sol.stats = stats_;
-    sol.stats.pricing_rule = pricing_->name();
     return sol;
   }
 
@@ -363,14 +197,9 @@ class Simplex {
                           : std::max<std::int64_t>(
                                 2000, 60LL * (m_ + n_struct_));
 
-    if (options_.dense_basis) {
-      engine_ = std::make_unique<DenseEngine>(m_);
-    } else {
-      engine_ = std::make_unique<SparseEngine>(m_);
-    }
     pricing_ = make_pricing(options_.pricing);
     pricing_->reset(num_cols_);
-    deadline_stride_ = std::max(1, options_.deadline_check_stride);
+    stats_.pricing_rule = pricing_->name();
   }
 
   /// Copies the model's rows into the flat column-wise structural matrix
@@ -485,12 +314,12 @@ class Simplex {
       xval_[aj] = std::abs(residual[i]);
     }
     // The crash basis matrix is diagonal (slacks +1, artificials +/-1), so
-    // both engines install it in O(m) instead of running a generic
+    // the factorization installs it in O(m) instead of running a generic
     // refactorization — which for a few-thousand-row LP costs more than an
     // entire budgeted solve.
     diag_.resize(m_);
     for (int i = 0; i < m_; ++i) diag_[i] = col(basis_[i]).front().second;
-    engine_->reset_diagonal(diag_);
+    lu_.reset_diagonal(diag_);
     pivots_since_refactor_ = 0;
   }
 
@@ -656,11 +485,10 @@ class Simplex {
     while (true) {
       if (iterations_ >= max_iterations_) return SolveStatus::IterationLimit;
       // The wall-clock budget preempts long solves mid-flight.  The clock
-      // is read only every deadline_check_stride pivots (including pivot
-      // 0, so a tiny budget still fires immediately): a steady_clock read
-      // is cheap but no longer free next to a sparse pivot, and only
-      // solves that opted into a limit pay even the strided cost.
-      if (deadline_enabled_ && iterations_ % deadline_stride_ == 0 &&
+      // is read only every kDeadlineCheckStride pivots, including pivot 0,
+      // so a tiny budget still fires immediately; only solves that opted
+      // into a limit pay even the strided cost.
+      if (deadline_enabled_ && iterations_ % kDeadlineCheckStride == 0 &&
           Clock::now() >= deadline_) {
         timed_out_ = true;
         return SolveStatus::IterationLimit;
@@ -689,14 +517,17 @@ class Simplex {
         dir = rc < 0.0 ? +1 : -1;
       }
 
-      engine_->ftran_column(col(entering), d_);
+      d_.assign(m_, 0.0);
+      for (const auto& [row, coef] : col(entering)) d_[row] += coef;
+      lu_.ftran(d_);
       ++stats_.ftran_calls;
       const std::vector<double>& d = d_;
 
       // Ratio test.  Relaxed ratios (bound + kFeasibilityTol) are used only
       // to *select* the blocking variable (Harris-style, for numerical
       // stability); the actual step is the exact ratio of the winner, so
-      // iterates land exactly on bounds.
+      // iterates land exactly on bounds.  Under Bland's rule the exact
+      // ratios select instead (see below).
       double t_relaxed_limit = kInfinity;
       double t_exact = kInfinity;
       int leaving_pos = -1;   // position in basis; -1 => bound flip
@@ -707,6 +538,8 @@ class Simplex {
 
       const double pivot_tol = 1e-9;
       double best_pivot_mag = 0.0;
+      double t_min = kInfinity;
+      if (bland) blocking_.clear();
       for (int i = 0; i < m_; ++i) {
         const double delta = -dir * d[i];
         if (std::abs(delta) < pivot_tol) continue;
@@ -726,17 +559,38 @@ class Simplex {
         }
         t_rel = std::max(t_rel, 0.0);
         t_ex = std::max(t_ex, 0.0);
+        if (bland) {
+          blocking_.push_back({i, hits_upper, t_ex});
+          t_min = std::min(t_min, t_ex);
+          continue;
+        }
         const bool better =
             t_rel < t_relaxed_limit - 1e-12 ||
             (t_rel < t_relaxed_limit + 1e-12 &&
-             (bland ? (leaving_pos >= 0 && bj < basis_[leaving_pos])
-                    : std::abs(d[i]) > best_pivot_mag));
+             std::abs(d[i]) > best_pivot_mag);
         if (better) {
           t_relaxed_limit = std::min(t_relaxed_limit, t_rel);
           t_exact = t_ex;
           leaving_pos = i;
           leaving_hits_upper = hits_upper;
           best_pivot_mag = std::abs(d[i]);
+        }
+      }
+      // Bland's rule: among the rows that tie the minimum exact ratio, the
+      // lowest basic index leaves.  The relaxed ratios cannot decide here:
+      // at a degenerate vertex each is kFeasibilityTol/|delta|, different
+      // for every row, so choosing by them lets degenerate cycles survive.
+      if (bland) {
+        for (const Blocking& b : blocking_) {
+          if (b.t > t_min + kBlandRatioTol) continue;
+          if (leaving_pos < 0 || basis_[b.pos] < basis_[leaving_pos]) {
+            leaving_pos = b.pos;
+            leaving_hits_upper = b.hits_upper;
+            t_exact = b.t;
+          }
+        }
+        if (leaving_pos >= 0) {
+          t_relaxed_limit = std::min(t_relaxed_limit, t_exact);
         }
       }
 
@@ -780,20 +634,20 @@ class Simplex {
       state_[entering] = VarState::Basic;
 
       // Steepest-edge needs the pivot row of the PRE-pivot basis inverse,
-      // so the weights update runs before the engine absorbs the pivot.
+      // so the weights update runs before the factorization absorbs the
+      // pivot.
       if (pricing_->wants_pivot_row()) {
         update_pricing_weights(entering, leaving_var, leaving_pos);
       }
 
-      if (!engine_->update(d_, leaving_pos)) {
-        // Pivot element too small for a product-form/inverse update: a
-        // fresh factorization of the (already changed) basis is the only
+      if (!lu_.push_eta(d_, leaving_pos)) {
+        // Pivot element too small for a product-form update: a fresh
+        // factorization of the (already changed) basis is the only
         // consistent continuation.
         if (!refactor_basis()) return SolveStatus::NumericalError;
       } else if (++pivots_since_refactor_ >= options_.refactor_interval) {
-        // A failed periodic refactorization keeps the eta/update chain
-        // alive — tolerances will catch drift — exactly like the old
-        // dense path kept its updated inverse.
+        // A failed periodic refactorization keeps the eta chain alive;
+        // tolerances will catch drift.
         (void)refactor_basis();
       }
     }
@@ -808,7 +662,8 @@ class Simplex {
     }
     y_.assign(m_, 0.0);
     if (!any) return;
-    engine_->btran_dense(cb_, y_);
+    y_ = cb_;
+    lu_.btran(y_);
     ++stats_.btran_calls;
   }
 
@@ -849,7 +704,9 @@ class Simplex {
   /// Feeds the pivot row to the pricing rule: rho = B^{-T} e_r from the
   /// pre-pivot basis, alpha_j = rho . a_j for every nonbasic column.
   void update_pricing_weights(int entering, int leaving_var, int r) {
-    engine_->btran_unit(r, rho_);
+    rho_.assign(m_, 0.0);
+    rho_[r] = 1.0;
+    lu_.btran(rho_);
     ++stats_.btran_calls;
     alpha_.assign(num_cols_, 0.0);
     for (int j = 0; j < num_cols_; ++j) {
@@ -862,16 +719,16 @@ class Simplex {
     pricing_->update(entering, leaving_var, d_, r, alpha_);
   }
 
-  /// Refactorizes the current basis through the engine and, on success,
-  /// recomputes the basic values from scratch to shed accumulated error.
-  /// Returns false when the basis matrix is singular (the engine keeps its
-  /// previous state; warm-start installation treats this as "basis
-  /// unusable", the pivot loop as "keep limping on the update chain").
+  /// Refactorizes the current basis and, on success, recomputes the basic
+  /// values from scratch to shed accumulated error.  Returns false when the
+  /// basis matrix is singular (the factorization keeps its previous state;
+  /// warm-start installation treats this as "basis unusable", the pivot
+  /// loop as "keep limping on the eta chain").
   bool refactor_basis() {
     basis_cols_.clear();
     basis_cols_.reserve(m_);
     for (int i = 0; i < m_; ++i) basis_cols_.push_back(col(basis_[i]));
-    if (!engine_->refactorize(basis_cols_)) {
+    if (!lu_.factorize(m_, basis_cols_)) {
       MMWAVE_LOG_WARN << "simplex: singular basis at refactorization";
       return false;
     }
@@ -883,9 +740,9 @@ class Simplex {
       if (state_[j] == VarState::Basic || xval_[j] == 0.0) continue;
       for (const auto& [row, coef] : col(j)) rhs_[row] -= coef * xval_[j];
     }
-    engine_->ftran_dense(rhs_, xb_);
+    lu_.ftran(rhs_);
     ++stats_.ftran_calls;
-    for (int i = 0; i < m_; ++i) xval_[basis_[i]] = xb_[i];
+    for (int i = 0; i < m_; ++i) xval_[basis_[i]] = rhs_[i];
     return true;
   }
 
@@ -919,7 +776,7 @@ class Simplex {
     sol.duals.clear();
   }
 
-  void finalize(const LpModel& model, LpSolution& sol) {
+  void finalize(LpSolution& sol) {
     if (m_ == 0) return;
     sol.x.assign(n_struct_, 0.0);
     double obj = 0.0;
@@ -936,7 +793,6 @@ class Simplex {
       for (int i = 0; i < m_; ++i)
         sol.duals[i] = maximize_ ? -y_[i] : y_[i];
     }
-    (void)model;
   }
 
   //--------------------------------------------------------------------
@@ -957,7 +813,6 @@ class Simplex {
   std::int64_t max_iterations_ = 0;
   std::int64_t iterations_ = 0;
   int pivots_since_refactor_ = 0;
-  int deadline_stride_ = 1;
   bool poisoned_ = false;  // an injected fault aborted this solve
   using Clock = std::chrono::steady_clock;
   bool deadline_enabled_ = false;
@@ -977,13 +832,22 @@ class Simplex {
   std::vector<int> basis_;
   std::vector<double> y_;
 
-  std::unique_ptr<BasisEngine> engine_;
+  LuFactor lu_;
   std::unique_ptr<Pricing> pricing_;
   LpStats stats_;
   std::vector<PricingCandidate> candidates_;
+  // Rows that block the entering variable, gathered only under Bland's
+  // rule: basis position, whether it leaves at its upper bound, exact ratio.
+  struct Blocking {
+    int pos = 0;
+    int hits_upper = 0;
+    double t = 0.0;
+  };
+  std::vector<Blocking> blocking_;
   // Reused per-pivot scratch (FTRAN direction, basic costs, pivot row,
-  // pricing alphas, refactorization rhs/values, diagonal install).
-  std::vector<double> d_, cb_, rho_, alpha_, rhs_, xb_, diag_;
+  // pricing alphas, refactorization rhs and basic values, diagonal
+  // install).
+  std::vector<double> d_, cb_, rho_, alpha_, rhs_, diag_;
   std::vector<std::span<const Term>> basis_cols_;
 };
 
@@ -1002,13 +866,13 @@ const char* to_string(SolveStatus status) {
 
 LpSolution solve_lp(const LpModel& model, const LpOptions& options) {
   Simplex simplex(model, {}, {}, options);
-  return simplex.run(model, nullptr);
+  return simplex.run(nullptr);
 }
 
 LpSolution solve_lp(const LpModel& model, const LpOptions& options,
                     WarmStart* warm) {
   Simplex simplex(model, {}, {}, options);
-  return simplex.run(model, warm);
+  return simplex.run(warm);
 }
 
 LpSolution solve_lp_with_bounds(const LpModel& model,
@@ -1016,7 +880,7 @@ LpSolution solve_lp_with_bounds(const LpModel& model,
                                 const std::vector<double>& ub,
                                 const LpOptions& options) {
   Simplex simplex(model, lb, ub, options);
-  return simplex.run(model, nullptr);
+  return simplex.run(nullptr);
 }
 
 }  // namespace mmwave::lp

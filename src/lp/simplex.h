@@ -21,13 +21,13 @@
 //    binaries and power caps never cost extra rows.
 //  * Revised simplex: the basis is held as a sparse LU factorization
 //    (lp::LuFactor) with product-form eta updates per pivot and periodic
-//    refactorization; FTRAN/BTRAN solves replace explicit-inverse
-//    maintenance.  The historical dense explicit-inverse engine survives
-//    behind LpOptions::dense_basis as the property-test reference.
+//    refactorization; every basis solve is an FTRAN or BTRAN through it.
 //  * Pluggable pricing (lp::Pricing): Dantzig (default) or steepest-edge
 //    with incremental reference weights, with a Bland's-rule fallback once
-//    a run of degenerate pivots is detected, which guarantees termination
-//    under either rule.
+//    a run of degenerate pivots is detected: the lowest-index improving
+//    column enters and, among the rows that tie the minimum exact ratio,
+//    the lowest basic index leaves, which guarantees termination under
+//    either rule.
 //
 // Dual sign convention (Minimize): a >= row has dual >= 0, a <= row has
 // dual <= 0, an = row is unconstrained in sign.  For Maximize models the
@@ -59,23 +59,15 @@ struct LpOptions {
   /// 0 means "choose from problem size".
   std::int64_t max_iterations = 0;
   /// Wall-clock budget for the solve, seconds (0 disables).  Checked every
-  /// few pivots; on expiry the solve returns IterationLimit with a
-  /// kLimitHit error.  This is what lets a deadline preempt a long LP
-  /// mid-solve instead of waiting out the iteration cap.
+  /// 16 pivots, starting at pivot 0; on expiry the solve returns
+  /// IterationLimit with a kLimitHit error.  This is what lets a deadline
+  /// preempt a long LP mid-solve instead of waiting out the iteration cap.
   double time_limit_sec = 0.0;
-  /// Refactorize the basis from scratch every this many pivots (bounds the
-  /// eta file of the sparse engine, sheds drift on the dense one).
+  /// Refactorize the basis from scratch every this many pivots, which
+  /// bounds the eta file and recomputes the basic values.
   int refactor_interval = 128;
   /// Entering-variable pricing rule (see lp/pricing.h).
   PricingRule pricing = PricingRule::kDantzig;
-  /// Use the dense explicit-inverse basis engine instead of the sparse LU.
-  /// Kept as the independently-implemented reference the revised solver is
-  /// property-tested against, and for A/B benchmarks.
-  bool dense_basis = false;
-  /// Read the deadline clock only every this many pivots when
-  /// time_limit_sec is set, so tight solves don't pay a clock call per
-  /// pivot.  The fault-injection hook stays per-pivot regardless.
-  int deadline_check_stride = 16;
 };
 
 /// Basis-engine work counters of one solve (surfaced through CgProfile and

@@ -3,9 +3,11 @@
 // FTRAN/BTRAN results are compared bit for bit against that loop, kept
 // below as a test-local reference, over seeded batteries of random sparse,
 // slack-heavy near-triangular, duplicate-entry and exact-cancellation
-// bases.  Also pins the failure contracts: a singular basis leaves the
-// previous factorization and its etas usable, push_eta refuses a tiny
-// pivot, and reset_diagonal solves exactly.
+// bases.  The eta file, the one layer the dense-sweep reference does not
+// cover, is compared over seeded pivot chains against a dense explicit
+// inverse with rank-one updates.  Also pins the failure contracts: a
+// singular basis leaves the previous factorization and its etas usable,
+// push_eta refuses a tiny pivot, and reset_diagonal solves exactly.
 #include "lp/lu_factor.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "support/matrix.h"
 
 namespace mmwave::lp {
 namespace {
@@ -377,6 +380,209 @@ TEST(LuFactor, PushEtaRejectsTinyPivot) {
   d[2] = 2e-12;
   EXPECT_TRUE(lu.push_eta(d, 2));
   EXPECT_EQ(lu.eta_count(), 1);
+}
+
+/// The basis representation the simplex ran on before the LU: B^{-1} held
+/// as a dense matrix, refactorization inverts a dense LU, a pivot applies
+/// the explicit rank-one inverse update.  O(m^2) per operation and sharing
+/// no code with LuFactor, so it is the reference for the eta file.
+class DenseInverse {
+ public:
+  explicit DenseInverse(int m) : m_(m), binv_(m, m) {}
+
+  bool refactorize(const std::vector<ColumnView>& columns) {
+    common::Matrix basis_matrix(m_, m_);
+    for (int k = 0; k < m_; ++k) {
+      for (const auto& [row, coef] : columns[k]) basis_matrix(row, k) += coef;
+    }
+    common::LuFactorization lu(std::move(basis_matrix));
+    if (!lu.ok()) return false;
+    binv_ = lu.inverse();
+    return true;
+  }
+
+  void reset_diagonal(const std::vector<double>& diag) {
+    binv_ = common::Matrix(m_, m_);
+    for (int i = 0; i < m_; ++i) binv_(i, i) = 1.0 / diag[i];
+  }
+
+  void ftran_dense(const std::vector<double>& rhs,
+                   std::vector<double>& x) const {
+    x.assign(m_, 0.0);
+    for (int i = 0; i < m_; ++i) {
+      const double* row = binv_.row(i);
+      double v = 0.0;
+      for (int k = 0; k < m_; ++k) v += row[k] * rhs[k];
+      x[i] = v;
+    }
+  }
+
+  void btran_dense(const std::vector<double>& c,
+                   std::vector<double>& y) const {
+    y.assign(m_, 0.0);
+    for (int i = 0; i < m_; ++i) {
+      if (c[i] == 0.0) continue;
+      const double* row = binv_.row(i);
+      for (int k = 0; k < m_; ++k) y[k] += c[i] * row[k];
+    }
+  }
+
+  void btran_unit(int r, std::vector<double>& rho) const {
+    rho.assign(m_, 0.0);
+    const double* row = binv_.row(r);
+    for (int k = 0; k < m_; ++k) rho[k] = row[k];
+  }
+
+  bool update(const std::vector<double>& d, int r) {
+    const double pivot = d[r];
+    if (std::abs(pivot) <= 1e-12) return false;
+    double* prow = binv_.row(r);
+    const double inv_pivot = 1.0 / pivot;
+    for (int k = 0; k < m_; ++k) prow[k] *= inv_pivot;
+    for (int i = 0; i < m_; ++i) {
+      if (i == r || d[i] == 0.0) continue;
+      double* row = binv_.row(i);
+      const double factor = d[i];
+      for (int k = 0; k < m_; ++k) row[k] -= factor * prow[k];
+    }
+    return true;
+  }
+
+ private:
+  int m_;
+  common::Matrix binv_;
+};
+
+/// max_i |got_i - want_i| / max(1, max_i |want_i|).
+double relative_deviation(const std::vector<double>& got,
+                          const std::vector<double>& want) {
+  double scale = 1.0, dev = 0.0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    scale = std::max(scale, std::abs(want[i]));
+    dev = std::max(dev, std::abs(got[i] - want[i]));
+  }
+  return dev / scale;
+}
+
+/// FTRAN of a random rhs, BTRAN of a random cost vector and BTRAN of every
+/// unit vector, through both representations.  Returns the worst deviation.
+double compare_solves(const LuFactor& lu, const DenseInverse& dense, int m,
+                      common::Rng& rng) {
+  std::vector<double> b(m), c(m);
+  for (int i = 0; i < m; ++i) {
+    b[i] = rng.uniform(-3.0, 3.0);
+    c[i] = rng.bernoulli(0.5) ? rng.uniform(-2.0, 2.0) : 0.0;
+  }
+  std::vector<double> x = b, x_ref;
+  lu.ftran(x);
+  dense.ftran_dense(b, x_ref);
+  std::vector<double> y = c, y_ref;
+  lu.btran(y);
+  dense.btran_dense(c, y_ref);
+  double worst = std::max(relative_deviation(x, x_ref),
+                          relative_deviation(y, y_ref));
+  for (int r = 0; r < m; ++r) {
+    std::vector<double> rho(m, 0.0), rho_ref;
+    rho[r] = 1.0;
+    lu.btran(rho);
+    dense.btran_unit(r, rho_ref);
+    worst = std::max(worst, relative_deviation(rho, rho_ref));
+  }
+  return worst;
+}
+
+TEST(LuFactor, EtaChainMatchesDenseInverse) {
+  // Seeded pivot chains as the simplex runs them: start from the crash's
+  // diagonal basis or a factorized random one, then let random sparse
+  // columns enter at well-conditioned positions, refactorizing at random
+  // steps.  Both representations take the same pivots, each with the
+  // direction its own FTRAN computed, and every solve must agree to 1e-9.
+  // Now and then a tiny pivot is offered first: both must refuse it.
+  common::Rng rng(20261020);
+  int pivots = 0, refactorizations = 0, refusals = 0;
+  double worst = 0.0;
+  for (int chain = 0; chain < 60; ++chain) {
+    const int m = static_cast<int>(rng.uniform_int(3, 40));
+    LuFactor lu;
+    DenseInverse dense(m);
+    std::vector<Column> cols(m);
+    if (chain % 2 == 0) {
+      std::vector<double> diag(m);
+      for (int i = 0; i < m; ++i) {
+        diag[i] = rng.bernoulli(0.5) ? 1.0 : -1.0;
+        cols[i] = {{i, diag[i]}};
+      }
+      lu.reset_diagonal(diag);
+      dense.reset_diagonal(diag);
+    } else {
+      do {
+        cols = random_basis(rng, m, 2);
+      } while (!lu.factorize(m, spans(cols)));
+      ASSERT_TRUE(dense.refactorize(spans(cols))) << "chain " << chain;
+    }
+    const int steps = static_cast<int>(rng.uniform_int(1, 3 * m));
+    for (int step = 0; step < steps; ++step) {
+      Column a;
+      const int nnz = static_cast<int>(rng.uniform_int(1, 4));
+      std::vector<double> a_dense(m, 0.0);
+      for (int t = 0; t < nnz; ++t) {
+        const int row = static_cast<int>(rng.uniform_int(0, m - 1));
+        const double v = rng.uniform(0.2, 2.0) * (rng.bernoulli(0.5) ? 1 : -1);
+        a.emplace_back(row, v);
+        a_dense[row] += v;
+      }
+      std::vector<double> d = a_dense, d_ref;
+      lu.ftran(d);
+      dense.ftran_dense(a_dense, d_ref);
+      const double dev = relative_deviation(d, d_ref);
+      EXPECT_LE(dev, 1e-9) << "chain " << chain << " step " << step;
+      worst = std::max(worst, dev);
+
+      // Leave at a random position whose pivot is at least half the
+      // largest, so the chain stays well conditioned.
+      double dmax = 0.0;
+      for (const double v : d) dmax = std::max(dmax, std::abs(v));
+      if (dmax < 1e-6) continue;
+      std::vector<int> eligible;
+      for (int i = 0; i < m; ++i) {
+        if (std::abs(d[i]) >= 0.5 * dmax) eligible.push_back(i);
+      }
+      const int r = eligible[rng.uniform_index(eligible.size())];
+
+      if (rng.bernoulli(0.2)) {
+        const double tiny[] = {1e-12, -1e-12, 5e-13, 0.0};
+        std::vector<double> t = d, t_ref = d_ref;
+        t[r] = t_ref[r] = tiny[rng.uniform_index(4)];
+        EXPECT_FALSE(lu.push_eta(t, r)) << t[r];
+        EXPECT_FALSE(dense.update(t_ref, r)) << t[r];
+        // Just above the floor both accept; tried on copies, since a
+        // pivot that small would ruin the chain.
+        t[r] = t_ref[r] = 2e-12;
+        LuFactor lu_copy = lu;
+        DenseInverse dense_copy = dense;
+        EXPECT_TRUE(lu_copy.push_eta(t, r));
+        EXPECT_TRUE(dense_copy.update(t_ref, r));
+        ++refusals;
+      }
+      ASSERT_TRUE(lu.push_eta(d, r)) << "chain " << chain << " step " << step;
+      ASSERT_TRUE(dense.update(d_ref, r));
+      cols[r] = a;
+      ++pivots;
+      if (rng.bernoulli(0.1)) {
+        ASSERT_TRUE(lu.factorize(m, spans(cols))) << "chain " << chain;
+        ASSERT_TRUE(dense.refactorize(spans(cols))) << "chain " << chain;
+        EXPECT_EQ(lu.eta_count(), 0);
+        ++refactorizations;
+      }
+      const double solves = compare_solves(lu, dense, m, rng);
+      EXPECT_LE(solves, 1e-9) << "chain " << chain << " step " << step;
+      worst = std::max(worst, solves);
+    }
+  }
+  EXPECT_GT(pivots, 1000);
+  EXPECT_GT(refactorizations, 50);
+  EXPECT_GT(refusals, 100);
+  EXPECT_LE(worst, 1e-9);
 }
 
 TEST(LuFactor, ResetDiagonalSolvesExactly) {

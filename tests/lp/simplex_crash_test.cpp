@@ -2,8 +2,10 @@
 // the row's residual starts with that slack basic, and only the remaining
 // rows get a phase-1 artificial.  A model whose slack basis is feasible
 // (the pricing MILP's packing relaxations) skips phase 1 entirely; every
-// other model still runs phase 1, on exactly its artificial rows, and the
-// sparse engine keeps matching the dense reference to 1e-9.
+// other model still runs phase 1, on exactly its artificial rows.  Each
+// answer is checked against an independent path to 1e-9 (the other
+// pricing rule, or the bounds written into the model) and by its KKT
+// certificate.
 #include "lp/simplex.h"
 
 #include <gtest/gtest.h>
@@ -18,9 +20,9 @@
 namespace mmwave::lp {
 namespace {
 
-LpOptions engine(bool dense) {
+LpOptions rule(PricingRule pricing) {
   LpOptions opt;
-  opt.dense_basis = dense;
+  opt.pricing = pricing;
   return opt;
 }
 
@@ -29,18 +31,13 @@ void expect_certificate_ok(const LpModel& m, const LpSolution& sol) {
   EXPECT_TRUE(rep.ok()) << rep.to_string();
 }
 
-void expect_same_optimum(const LpSolution& dense, const LpSolution& sparse,
-                         int trial) {
-  ASSERT_TRUE(dense.optimal()) << "trial " << trial;
-  ASSERT_TRUE(sparse.optimal()) << "trial " << trial;
-  EXPECT_NEAR(sparse.objective, dense.objective,
-              1e-9 * (1.0 + std::abs(dense.objective)))
+void expect_same_objective(const LpSolution& ref, const LpSolution& sol,
+                           int trial) {
+  ASSERT_TRUE(ref.optimal()) << "trial " << trial;
+  ASSERT_TRUE(sol.optimal()) << "trial " << trial;
+  EXPECT_NEAR(sol.objective, ref.objective,
+              1e-9 * (1.0 + std::abs(ref.objective)))
       << "trial " << trial;
-  ASSERT_EQ(dense.duals.size(), sparse.duals.size());
-  for (std::size_t i = 0; i < dense.duals.size(); ++i) {
-    EXPECT_NEAR(sparse.duals[i], dense.duals[i], 1e-9)
-        << "trial " << trial << " row " << i;
-  }
 }
 
 // The pricing-MILP relaxation shape: maximize lambda'x over binaries
@@ -81,13 +78,14 @@ TEST(SimplexCrash, AllSlackFeasibleModelSkipsPhase1) {
   for (int trial = 0; trial < 20; ++trial) {
     const LpModel m =
         random_packing_lp(rng, static_cast<int>(rng.uniform_int(2, 9)));
-    const LpSolution dense = solve_lp(m, engine(true));
-    const LpSolution sparse = solve_lp(m, engine(false));
-    EXPECT_EQ(dense.stats.phase1_pivots, 0) << "trial " << trial;
-    EXPECT_EQ(sparse.stats.phase1_pivots, 0) << "trial " << trial;
-    EXPECT_GT(sparse.iterations, 0) << "trial " << trial;
-    expect_same_optimum(dense, sparse, trial);
-    expect_certificate_ok(m, sparse);
+    const LpSolution dantzig = solve_lp(m, rule(PricingRule::kDantzig));
+    const LpSolution steepest = solve_lp(m, rule(PricingRule::kSteepestEdge));
+    EXPECT_EQ(dantzig.stats.phase1_pivots, 0) << "trial " << trial;
+    EXPECT_EQ(steepest.stats.phase1_pivots, 0) << "trial " << trial;
+    EXPECT_GT(dantzig.iterations, 0) << "trial " << trial;
+    expect_same_objective(dantzig, steepest, trial);
+    expect_certificate_ok(m, dantzig);
+    expect_certificate_ok(m, steepest);
   }
 }
 
@@ -117,27 +115,29 @@ TEST(SimplexCrash, MixedModelRunsPhase1OnArtificialRowsOnly) {
     m.add_constraint({{vars[0], 1.0}}, Sense::Ge, 0.0);
     m.add_constraint({{vars[0], 1.0}, {vars.back(), -1.0}}, Sense::Ge, -50.0);
 
-    const LpSolution dense = solve_lp(m, engine(true));
-    const LpSolution sparse = solve_lp(m, engine(false));
-    EXPECT_EQ(sparse.stats.phase1_pivots, ge_rows + eq_rows)
+    const LpSolution dantzig = solve_lp(m, rule(PricingRule::kDantzig));
+    const LpSolution steepest = solve_lp(m, rule(PricingRule::kSteepestEdge));
+    EXPECT_EQ(dantzig.stats.phase1_pivots, ge_rows + eq_rows)
         << "trial " << trial;
-    EXPECT_EQ(dense.stats.phase1_pivots, ge_rows + eq_rows)
+    EXPECT_EQ(steepest.stats.phase1_pivots, ge_rows + eq_rows)
         << "trial " << trial;
-    expect_same_optimum(dense, sparse, trial);
-    expect_certificate_ok(m, sparse);
+    expect_same_objective(dantzig, steepest, trial);
+    expect_certificate_ok(m, dantzig);
+    expect_certificate_ok(m, steepest);
   }
 }
 
 TEST(SimplexCrash, InfeasibleModelIsStillInfeasible) {
-  for (const bool dense : {false, true}) {
+  for (const PricingRule pricing :
+       {PricingRule::kDantzig, PricingRule::kSteepestEdge}) {
     // x <= 1 starts on its slack; x >= 2 needs an artificial that phase 1
     // cannot drive out.
     LpModel ge;
     const int x = ge.add_variable(0.0, kInfinity, 1.0);
     ge.add_constraint({{x, 1.0}}, Sense::Le, 1.0);
     ge.add_constraint({{x, 1.0}}, Sense::Ge, 2.0);
-    const LpSolution a = solve_lp(ge, engine(dense));
-    EXPECT_EQ(a.status, SolveStatus::Infeasible) << "dense " << dense;
+    const LpSolution a = solve_lp(ge, rule(pricing));
+    EXPECT_EQ(a.status, SolveStatus::Infeasible) << to_string(pricing);
     EXPECT_EQ(a.error.code(), common::ErrorCode::kInfeasible);
 
     // An equality the packing row beside it rules out.
@@ -146,15 +146,16 @@ TEST(SimplexCrash, InfeasibleModelIsStillInfeasible) {
     const int z = eq.add_variable(0.0, kInfinity, 1.0);
     eq.add_constraint({{y, 1.0}, {z, 1.0}}, Sense::Le, 3.0);
     eq.add_constraint({{y, 1.0}, {z, 2.0}}, Sense::Eq, 7.0);
-    const LpSolution b = solve_lp(eq, engine(dense));
-    EXPECT_EQ(b.status, SolveStatus::Infeasible) << "dense " << dense;
+    const LpSolution b = solve_lp(eq, rule(pricing));
+    EXPECT_EQ(b.status, SolveStatus::Infeasible) << to_string(pricing);
   }
 }
 
 // Branch & bound fixes binaries through bound overrides.  A binary fixed
 // at 1 rests at its upper bound, so its big-M row's residual turns
-// negative and that row (alone) needs an artificial again.
-TEST(SimplexCrash, BoundOverrideFixingABinaryMatchesDense) {
+// negative and that row (alone) needs an artificial again.  The override
+// must answer what the model with the binary fixed in it answers.
+TEST(SimplexCrash, BoundOverrideFixingABinaryMatchesBoundsInModel) {
   common::Rng rng(0xF1ED);
   for (int trial = 0; trial < 15; ++trial) {
     const int links = static_cast<int>(rng.uniform_int(2, 8));
@@ -166,13 +167,16 @@ TEST(SimplexCrash, BoundOverrideFixingABinaryMatchesDense) {
     }
     const int fixed = 2 * static_cast<int>(rng.uniform_int(0, links - 1));
     lb[fixed] = 1.0;
-    const LpSolution dense = solve_lp_with_bounds(m, lb, ub, engine(true));
-    const LpSolution sparse = solve_lp_with_bounds(m, lb, ub, engine(false));
-    ASSERT_EQ(dense.status, sparse.status) << "trial " << trial;
-    EXPECT_GT(sparse.stats.phase1_pivots, 0) << "trial " << trial;
-    if (!dense.optimal()) continue;
-    expect_same_optimum(dense, sparse, trial);
-    EXPECT_NEAR(sparse.x[fixed], 1.0, 1e-9) << "trial " << trial;
+    LpModel fixed_in_model = m;
+    fixed_in_model.variable(fixed).lb = 1.0;
+    const LpSolution in_model = solve_lp(fixed_in_model);
+    const LpSolution overridden = solve_lp_with_bounds(m, lb, ub);
+    ASSERT_EQ(overridden.status, in_model.status) << "trial " << trial;
+    EXPECT_GT(overridden.stats.phase1_pivots, 0) << "trial " << trial;
+    if (!in_model.optimal()) continue;
+    expect_same_objective(in_model, overridden, trial);
+    expect_certificate_ok(fixed_in_model, overridden);
+    EXPECT_NEAR(overridden.x[fixed], 1.0, 1e-9) << "trial " << trial;
   }
 }
 

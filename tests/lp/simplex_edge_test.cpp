@@ -1,14 +1,17 @@
 // Additional simplex edge cases: equality duals, scaling extremes, larger
-// random coverings, solver statistics, malformed models and the bound
-// tolerance.
+// random coverings, solver statistics, malformed models, the bound
+// tolerance and termination under Bland's rule.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
+#include "check/lp_certificate.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "lp/model.h"
 #include "lp/simplex.h"
+#include "support/cone_lp.h"
 
 namespace mmwave::lp {
 namespace {
@@ -191,6 +194,32 @@ TEST(SimplexEdge, CrossedBoundsAreToleratedUpToOnePartInTenMillion) {
   const LpSolution noise = solve_lp_with_bounds(m, {1.0 + 5e-8}, {1.0});
   ASSERT_TRUE(noise.optimal()) << noise.error.to_string();
   EXPECT_EQ(noise.x[x], 1.0 + 5e-8);
+}
+
+TEST(SimplexEdge, BlandFallbackTerminatesOnDegenerateCones) {
+  // Both cones open with a run of degenerate pivots long enough to switch
+  // to Bland's rule.  While the leaving row was still chosen by the
+  // Harris-relaxed ratio (kFeasibilityTol/|delta| at a degenerate vertex,
+  // different for every row), both cycled into the iteration limit, after
+  // 4,800 and 5,400 pivots, the second reporting 0 for an optimum of
+  // 4.20107.
+  struct Cone {
+    std::uint64_t seed;
+    int rows, cols;
+    double density, optimum;
+  };
+  for (const Cone& c : {Cone{40040558, 40, 40, 0.3, 0.0},
+                        Cone{50050122, 50, 40, 0.2, 4.20107306104}}) {
+    common::Rng rng(c.seed);
+    const LpModel m = cone_lp(rng, c.rows, c.cols, c.density);
+    const LpSolution sol = solve_lp(m);
+    ASSERT_TRUE(sol.optimal())
+        << "seed " << c.seed << ": " << sol.error.to_string();
+    EXPECT_NEAR(sol.objective, c.optimum, 1e-9) << "seed " << c.seed;
+    EXPECT_LT(sol.iterations, 1000) << "seed " << c.seed;
+    const check::LpCertReport rep = check::check_lp_certificate(m, sol);
+    EXPECT_TRUE(rep.ok()) << "seed " << c.seed << ": " << rep.to_string();
+  }
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
-// Revised simplex vs the dense reference engine: on randomized seeded
-// sparse LPs (cold and warm-started with appended columns) the sparse
-// LU + eta engine must reproduce the dense explicit-inverse engine's
-// objective and duals to 1e-9, both pricing rules must reach the same
-// optimum, and every solution must stand on its own as a KKT certificate.
+// Revised simplex against independent paths on randomized seeded sparse
+// LPs: both pricing rules reach the same optimum, a warm start over
+// appended columns matches a cold solve, bound overrides match the same
+// bounds written into the model, and refactorizing every 2 pivots matches
+// the default interval, all to 1e-9; every optimal answer must stand on
+// its own as a KKT certificate.  The basis solves themselves are checked
+// against a dense explicit inverse in lu_factor_test.cpp.
 #include "lp/simplex.h"
 
 #include <gtest/gtest.h>
@@ -59,18 +61,17 @@ void expect_certificate_ok(const LpModel& m, const LpSolution& sol) {
   EXPECT_TRUE(rep.ok()) << rep.to_string();
 }
 
-LpOptions make_options(bool dense, PricingRule rule) {
+LpOptions make_options(PricingRule rule) {
   LpOptions opt;
-  opt.dense_basis = dense;
   opt.pricing = rule;
   return opt;
 }
 
-// The tentpole equivalence property: on every random instance, all four
-// (engine x pricing rule) combinations find the same optimal objective to
-// 1e-9, and within a pricing rule the sparse engine reproduces the dense
-// engine's duals to 1e-9 (across rules the optimal basis may legitimately
-// differ under dual degeneracy).
+// The LU basis under both pricing rules (the only engine/pricing pairs
+// left): Dantzig and steepest edge take different pivot paths and must
+// find the same optimal objective to 1e-9 on every random instance, each
+// with a valid certificate.  Their duals may legitimately differ under
+// dual degeneracy, so the certificate is what vouches for them.
 TEST(SimplexRevised, AllEnginePricingCombosAgreeOnRandomLps) {
   common::Rng rng(0xC0FFEE);
   for (int trial = 0; trial < 25; ++trial) {
@@ -78,42 +79,23 @@ TEST(SimplexRevised, AllEnginePricingCombosAgreeOnRandomLps) {
     const int cols = rows + static_cast<int>(rng.uniform_int(1, 12));
     const LpModel m = random_mixed_lp(rng, rows, cols);
 
-    const LpSolution ref =
-        solve_lp(m, make_options(true, PricingRule::kDantzig));
-    ASSERT_TRUE(ref.optimal()) << "trial " << trial;
-    expect_certificate_ok(m, ref);
-    const double obj_tol = 1e-9 * (1.0 + std::abs(ref.objective));
-
-    for (const PricingRule rule :
-         {PricingRule::kDantzig, PricingRule::kSteepestEdge}) {
-      const LpSolution dense = solve_lp(m, make_options(true, rule));
-      const LpSolution sparse = solve_lp(m, make_options(false, rule));
-      ASSERT_TRUE(dense.optimal())
-          << "trial " << trial << " rule " << to_string(rule);
-      ASSERT_TRUE(sparse.optimal())
-          << "trial " << trial << " rule " << to_string(rule);
-      EXPECT_NEAR(dense.objective, ref.objective, obj_tol)
-          << "trial " << trial << " rule " << to_string(rule);
-      EXPECT_NEAR(sparse.objective, ref.objective, obj_tol)
-          << "trial " << trial << " rule " << to_string(rule);
-      // Same pricing rule => same pivot sequence => identical optimal basis,
-      // so the duals must agree engine-to-engine to numerical tolerance.
-      ASSERT_EQ(dense.duals.size(), sparse.duals.size());
-      for (std::size_t i = 0; i < dense.duals.size(); ++i) {
-        EXPECT_NEAR(dense.duals[i], sparse.duals[i], 1e-9)
-            << "trial " << trial << " rule " << to_string(rule) << " row "
-            << i;
-      }
-      expect_certificate_ok(m, dense);
-      expect_certificate_ok(m, sparse);
-    }
+    const LpSolution dantzig = solve_lp(m, make_options(PricingRule::kDantzig));
+    const LpSolution steepest =
+        solve_lp(m, make_options(PricingRule::kSteepestEdge));
+    ASSERT_TRUE(dantzig.optimal()) << "trial " << trial;
+    ASSERT_TRUE(steepest.optimal()) << "trial " << trial;
+    EXPECT_NEAR(steepest.objective, dantzig.objective,
+                1e-9 * (1.0 + std::abs(dantzig.objective)))
+        << "trial " << trial;
+    expect_certificate_ok(m, dantzig);
+    expect_certificate_ok(m, steepest);
   }
 }
 
-// Appended-column warm starts on the sparse engine: the revised warm solve
-// must match a dense cold solve to 1e-9 and carry a valid certificate,
-// under both pricing rules.
-TEST(SimplexRevised, WarmAppendMatchesDenseColdSolve) {
+// Appended-column warm starts: the warm solve must match a cold Dantzig
+// solve of the grown model to 1e-9 and carry a valid certificate, under
+// both pricing rules.
+TEST(SimplexRevised, WarmAppendMatchesColdSolve) {
   for (const PricingRule rule :
        {PricingRule::kDantzig, PricingRule::kSteepestEdge}) {
     common::Rng rng(0x5EED5 + static_cast<std::uint64_t>(rule));
@@ -123,16 +105,18 @@ TEST(SimplexRevised, WarmAppendMatchesDenseColdSolve) {
       LpModel m = random_mixed_lp(rng, rows, cols);
 
       WarmStart warm;
-      LpSolution sol = solve_lp(m, make_options(false, rule), &warm);
+      LpSolution sol = solve_lp(m, make_options(rule), &warm);
       ASSERT_TRUE(sol.optimal()) << "trial " << trial;
       ASSERT_TRUE(warm.valid);
 
       for (int growth = 0; growth < 4; ++growth) {
         append_column(m, rng);
         const LpSolution cold =
-            solve_lp(m, make_options(true, PricingRule::kDantzig));
-        sol = solve_lp(m, make_options(false, rule), &warm);
+            solve_lp(m, make_options(PricingRule::kDantzig));
+        sol = solve_lp(m, make_options(rule), &warm);
         ASSERT_TRUE(cold.optimal());
+        EXPECT_TRUE(sol.warm_started)
+            << "trial " << trial << " growth " << growth;
         ASSERT_TRUE(sol.optimal())
             << "trial " << trial << " growth " << growth << " rule "
             << to_string(rule);
@@ -146,9 +130,11 @@ TEST(SimplexRevised, WarmAppendMatchesDenseColdSolve) {
   }
 }
 
-// solve_lp_with_bounds (the branch & bound entry point) through the sparse
-// engine must match the dense engine under tightened bounds.
-TEST(SimplexRevised, BoundsOverrideMatchesDense) {
+// solve_lp_with_bounds (the branch & bound entry point) must answer
+// exactly what a solve of the model with the same bounds written into it
+// answers, and that answer must be a valid certificate for the bounded
+// model.
+TEST(SimplexRevised, BoundsOverrideMatchesBoundsInModel) {
   common::Rng rng(0xB0B5);
   for (int trial = 0; trial < 10; ++trial) {
     const int rows = static_cast<int>(rng.uniform_int(3, 9));
@@ -159,15 +145,19 @@ TEST(SimplexRevised, BoundsOverrideMatchesDense) {
       if (rng.bernoulli(0.3)) ub[j] = rng.uniform(5.0, 20.0);
       if (rng.bernoulli(0.2)) lb[j] = rng.uniform(0.0, 1.0);
     }
-    const LpSolution dense =
-        solve_lp_with_bounds(m, lb, ub, make_options(true, PricingRule::kDantzig));
-    const LpSolution sparse = solve_lp_with_bounds(
-        m, lb, ub, make_options(false, PricingRule::kDantzig));
-    ASSERT_EQ(dense.status, sparse.status) << "trial " << trial;
-    if (!dense.optimal()) continue;
-    EXPECT_NEAR(sparse.objective, dense.objective,
-                1e-9 * (1.0 + std::abs(dense.objective)))
+    LpModel bounded = m;
+    for (int j = 0; j < cols; ++j) {
+      bounded.variable(j).lb = lb[j];
+      bounded.variable(j).ub = ub[j];
+    }
+    const LpSolution in_model = solve_lp(bounded);
+    const LpSolution overridden = solve_lp_with_bounds(m, lb, ub);
+    ASSERT_EQ(overridden.status, in_model.status) << "trial " << trial;
+    if (!in_model.optimal()) continue;
+    EXPECT_NEAR(overridden.objective, in_model.objective,
+                1e-9 * (1.0 + std::abs(in_model.objective)))
         << "trial " << trial;
+    expect_certificate_ok(bounded, overridden);
   }
 }
 
@@ -178,49 +168,50 @@ TEST(SimplexRevised, StatsReportEngineWork) {
   common::Rng rng(0x57A7);
   const LpModel m = random_mixed_lp(rng, 10, 18);
 
-  const LpSolution dantzig =
-      solve_lp(m, make_options(false, PricingRule::kDantzig));
+  const LpSolution dantzig = solve_lp(m, make_options(PricingRule::kDantzig));
   ASSERT_TRUE(dantzig.optimal());
   EXPECT_STREQ(dantzig.stats.pricing_rule, "dantzig");
   EXPECT_GE(dantzig.stats.ftran_calls, dantzig.iterations);
   EXPECT_GT(dantzig.stats.btran_calls, 0);
 
   const LpSolution steepest =
-      solve_lp(m, make_options(false, PricingRule::kSteepestEdge));
+      solve_lp(m, make_options(PricingRule::kSteepestEdge));
   ASSERT_TRUE(steepest.optimal());
   EXPECT_STREQ(steepest.stats.pricing_rule, "steepest-edge");
   // One BTRAN for duals per pricing pass plus one per basis-changing pivot.
   EXPECT_GT(steepest.stats.btran_calls, steepest.iterations);
 }
 
-// An already-expired deadline must preempt the solve at the very first
-// strided check (iteration 0), regardless of the stride value.
+// The deadline clock is read only every few pivots, but the first read is
+// at pivot 0, so an already-expired deadline preempts the solve before it
+// pivots at all.
 TEST(SimplexRevised, ExpiredDeadlineFiresDespiteStride) {
   common::Rng rng(0xDEAD);
   const LpModel m = random_mixed_lp(rng, 8, 14);
   LpOptions opt;
   opt.time_limit_sec = 1e-12;
-  opt.deadline_check_stride = 64;
   const LpSolution sol = solve_lp(m, opt);
   EXPECT_EQ(sol.status, SolveStatus::IterationLimit);
   EXPECT_EQ(sol.error.code(), common::ErrorCode::kLimitHit);
+  EXPECT_EQ(sol.iterations, 0);
 }
 
 // Tiny refactor intervals force the eta file to be rebuilt constantly;
-// the answer must not move and the counter must show the refactorizations.
+// the answer must match the default interval's and the counter must show
+// the refactorizations.
 TEST(SimplexRevised, FrequentRefactorizationIsLossless) {
   common::Rng rng(0xFACF);
   const LpModel m = random_mixed_lp(rng, 10, 16);
-  const LpSolution ref = solve_lp(m, make_options(true, PricingRule::kDantzig));
+  const LpSolution ref = solve_lp(m);
   ASSERT_TRUE(ref.optimal());
 
-  LpOptions opt = make_options(false, PricingRule::kDantzig);
+  LpOptions opt;
   opt.refactor_interval = 2;
   const LpSolution sol = solve_lp(m, opt);
   ASSERT_TRUE(sol.optimal());
   EXPECT_NEAR(sol.objective, ref.objective,
               1e-9 * (1.0 + std::abs(ref.objective)));
-  EXPECT_GT(sol.stats.refactorizations, 0);
+  EXPECT_GT(sol.stats.refactorizations, ref.stats.refactorizations);
   expect_certificate_ok(m, sol);
 }
 

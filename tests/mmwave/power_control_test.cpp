@@ -6,7 +6,7 @@
 #include <cstring>
 #include <memory>
 
-#include "common/matrix.h"
+#include "support/matrix.h"
 #include "mmwave/channel.h"
 #include "mmwave/network.h"
 

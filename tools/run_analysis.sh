@@ -17,19 +17,17 @@
 #                                         (serving thread + workers) and a
 #                                         --threads bench smoke under
 #                                         MMWAVE_SANITIZE=thread
-#   6. perf bench                         perf_solvers + perf_resolve
-#                                         (google-benchmark) on the plain
-#                                         build; writes BENCH_cg.json
-#                                         (warm/cold CG master comparison)
-#                                         and BENCH_resolve.json (same-
-#                                         instance checkpoint restart vs
-#                                         cold, checkpoint round trip)
+#   (There is no leg 6: timing lives in leg 13, and the other legs keep
+#    the numbers the docs cite.)
 #   7. robustness                         fault-injection + anytime-contract
 #                                         + checkpoint/resolve suites
 #                                         and the simplex/LU suites (their
-#                                         sparse index bookkeeping and the
+#                                         sparse index bookkeeping, the
 #                                         spans into each solve's flat
-#                                         column copy), every
+#                                         column copy, the eta file
+#                                         against a dense inverse and
+#                                         Bland's blocking-row
+#                                         scratch), every
 #                                         Milp* suite (branch & bound, its
 #                                         cutoff, pricing MILP) and the
 #                                         PowerControl/GreedyPricing suites
@@ -44,8 +42,9 @@
 #   8. coverage                           gcov line-coverage gate: Debug +
 #                                         MMWAVE_COVERAGE=ON build, full
 #                                         ctest, then tools/coverage_report.py
-#                                         fails if src/core or src/stream
-#                                         drops below the floors recorded in
+#                                         fails if src/core, src/stream or
+#                                         src/lp drops below the floors
+#                                         recorded in
 #                                         tools/coverage_baseline.txt
 #   9. project lint                       tools/lint/project_lint.py — the
 #                                         repo's own invariants made static:
@@ -96,13 +95,13 @@
 #                                         lines are printed)
 #
 # Usage:  tools/run_analysis.sh [--fast|--robustness|--coverage|--lint|--soak|--fleet|--qoe|--perfbench]
-#   --fast        skip legs 1, 6, 8 and 13 (the plain build, the perf
-#                 benches and the coverage gate) — the sanitized legs still
+#   --fast        skip legs 1, 8 and 13 (the plain build, the coverage gate
+#                 and the end-to-end benchmark) — the sanitized legs still
 #                 run the full suite, so this is the quick pre-push variant.
 #   --robustness  the CI degraded-path gate: build the ASan+UBSan tree and
 #                 run only legs 4 and 7 (certificate verifier + fault/fuzz
 #                 batteries).  Skips the full sanitized ctest sweep, the
-#                 plain build, clang-tidy, TSan, the perf bench and coverage.
+#                 plain build, clang-tidy, TSan and coverage.
 #   --coverage    the CI coverage gate: run only leg 8 (instrumented build +
 #                 full ctest + coverage_report.py against the recorded
 #                 floors).
@@ -306,39 +305,6 @@ else
   leg_failed "build (TSan)"
 fi
 
-# ---- Leg 6: perf bench (BENCH_cg.json) ------------------------------------
-# The warm/cold CG master comparison the PR-level perf claims come from,
-# plus the revised-vs-dense simplex engine and Dantzig-vs-steepest pricing
-# arms (BM_RevisedVsDense{,Warm}, BM_SimplexPricing) — perf_solvers runs
-# its full suite, so new arms land in BENCH_cg.json automatically.
-# A missing binary is a failure, not a skip: the bench target silently
-# falling out of the build would otherwise go unnoticed.
-if [[ "$FAST" == 0 && "$ROBUSTNESS" == 0 && "$COVERAGE_ONLY" == 0 \
-      && "$LINT_ONLY" == 0 && "$SOAK_ONLY" == 0 && "$FLEET_ONLY" == 0 \
-      && "$QOE_ONLY" == 0 ]]; then
-  note "leg 6: perf bench (perf_solvers -> BENCH_cg.json, perf_resolve -> BENCH_resolve.json)"
-  PERF="$ROOT/build-analysis-rel/bench/perf_solvers"
-  if [[ -x "$PERF" ]]; then
-    "$PERF" --benchmark_min_time=0.1 \
-        --benchmark_out="$ROOT/BENCH_cg.json" --benchmark_out_format=json \
-      || leg_failed "perf_solvers"
-    [[ -s "$ROOT/BENCH_cg.json" ]] || leg_failed "BENCH_cg.json not written"
-  else
-    leg_failed "perf_solvers missing (bench targets fell out of the build?)"
-  fi
-  PERF_RESOLVE="$ROOT/build-analysis-rel/bench/perf_resolve"
-  if [[ -x "$PERF_RESOLVE" ]]; then
-    "$PERF_RESOLVE" --benchmark_min_time=0.1 \
-        --benchmark_out="$ROOT/BENCH_resolve.json" --benchmark_out_format=json \
-      || leg_failed "perf_resolve"
-    [[ -s "$ROOT/BENCH_resolve.json" ]] || leg_failed "BENCH_resolve.json not written"
-  else
-    leg_failed "perf_resolve missing (bench targets fell out of the build?)"
-  fi
-else
-  note "leg 6 skipped"
-fi
-
 # ---- Leg 7: robustness (fault injection + fuzz) ---------------------------
 # Re-run the degraded-path suites under the sanitized build: every fault
 # scenario must return a verifier-clean incumbent without tripping ASan or
@@ -348,11 +314,15 @@ fi
 # lists) is otherwise sanitized only by the full leg-2 sweep, which the
 # robustness CI job skips.  Every simplex column reader takes a span into
 # the solve's flat column copy or its unit-column array, so the recorded
-# LP battery (SimplexRecorded: every row sense, variable kind, engine and
-# pricing rule, repeated and zero terms, bound overrides, warm appends)
-# and SimplexEdge's row naming a missing column, which must be rejected
+# LP battery (SimplexRecorded: every row sense, variable kind and pricing
+# rule, repeated and zero terms, bound overrides, warm appends) and
+# SimplexEdge's row naming a missing column, which must be rejected
 # before the copy is written, run here under the sanitizers that watch
-# those lifetimes and bounds.  So do all Milp* suites (Milp, MilpEdge,
+# those lifetimes and bounds.  The same filter already picks up
+# LuFactor.EtaChainMatchesDenseInverse (the eta file against a dense
+# explicit inverse over seeded pivot chains) and
+# SimplexEdge.BlandFallbackTerminatesOnDegenerateCones (the blocking-row
+# scratch Bland's rule fills).  So do all Milp* suites (Milp, MilpEdge,
 # MilpLimits, MilpCutoff, MilpTolerance, MilpPricing): the
 # branch-and-bound loop, its cutoff exit and tolerances, and the pricing
 # MILP on top of the crash-started simplex.
@@ -394,13 +364,13 @@ else
 fi
 
 # ---- Leg 8: coverage gate --------------------------------------------------
-# Instrumented Debug build + full suite, then gcov aggregation over src/core
-# and src/stream against the floors in tools/coverage_baseline.txt.  The
-# floors are a ratchet: they record the coverage the tree actually has, so a
-# PR that adds untested solver/session code fails here before review.
+# Instrumented Debug build + full suite, then gcov aggregation over src/core,
+# src/stream and src/lp against the floors in tools/coverage_baseline.txt.
+# The floors are a ratchet: they record the coverage the tree actually has,
+# so a PR that adds untested solver/session code fails here before review.
 if [[ "$FAST" == 0 && "$ROBUSTNESS" == 0 && "$LINT_ONLY" == 0 \
       && "$SOAK_ONLY" == 0 && "$FLEET_ONLY" == 0 && "$QOE_ONLY" == 0 ]]; then
-  note "leg 8: coverage gate (gcov, src/core + src/stream floors)"
+  note "leg 8: coverage gate (gcov, src/core + src/stream + src/lp floors)"
   COV_DIR="$ROOT/build-analysis-cov"
   if configure_and_build "$COV_DIR" \
         -DCMAKE_BUILD_TYPE=Debug -DMMWAVE_COVERAGE=ON; then
